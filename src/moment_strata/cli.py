@@ -42,10 +42,10 @@ from .models import (WEYL_GROUPS, WeightedModel, classify_profile,
 from .perturb import (is_generic, perturbed_model, propose_epsilon,
                       refinement_report)
 from .polynomials import GradedPolynomial
-from .residues import quotient_top_degree, raw_residue_sum, residue_pairing
+from .residues import raw_residue_sum, residue_pairing
 from .series import (perfection_check, quotient_poincare_polynomial,
-                     semistable_series, sl2_quotient_series,
-                     strictly_semistable_witness)
+                     quotient_top_degree, semistable_series,
+                     sl2_quotient_series)
 
 THREADS_VAR = "MOMENT_STRATA_THREADS"
 
@@ -136,7 +136,7 @@ def _load_model(path: str) -> tuple[WeightedModel, bytes]:
     weyl = None
     if obj.get("weyl") is not None:
         name = obj["weyl"]
-        if name not in WEYL_GROUPS:
+        if not isinstance(name, str) or name not in WEYL_GROUPS:
             raise InputError(f"unknown weyl group {name!r}; "
                              f"choices: {sorted(WEYL_GROUPS)}")
         weyl = WEYL_GROUPS[name]()
@@ -293,27 +293,6 @@ def _cmd_classify(args) -> int:
                  _digest(raw_model, raw_point), result)
 
 
-def _sl2_quotient_polynomial(model: WeightedModel, trunc: int,
-                             coeffs: Sequence[int]) -> list[int]:
-    witness = strictly_semistable_witness(model)
-    if witness is not None:
-        raise NotCoprimeStable("model has a strictly semistable profile",
-                               witness={"profile": witness})
-    top = quotient_top_degree(model, "sl2")
-    if trunc <= top:
-        raise TruncationTooSmall(
-            f"truncation {trunc} cannot certify termination at degree {top}",
-            witness={"required_beyond": top, "given": trunc})
-    for d in range(top + 1, trunc + 1):
-        if coeffs[d] != 0:
-            raise ArithmeticError(
-                f"series fails to terminate at degree {d}")
-    poly = list(coeffs[:top + 1])
-    if any(c < 0 for c in poly):
-        raise ArithmeticError("negative coefficient in quotient polynomial")
-    return poly
-
-
 def _cmd_series(args) -> int:
     model, raw = _load_model(args.model)
     if args.trunc < 0:
@@ -324,10 +303,7 @@ def _cmd_series(args) -> int:
         series = sl2_quotient_series(model, args.trunc)
     perf = perfection_check(model, args.trunc)
     try:
-        if args.group == "torus":
-            poly = quotient_poincare_polynomial(model, args.trunc)
-        else:
-            poly = _sl2_quotient_polynomial(model, args.trunc, series.coeffs)
+        poly = quotient_poincare_polynomial(model, args.trunc, args.group)
         quotient = {"quotient_polynomial": poly, "quotient_obstruction": None}
     except (NotCoprimeStable, TruncationTooSmall) as exc:
         quotient = {"quotient_polynomial": None,

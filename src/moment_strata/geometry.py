@@ -22,9 +22,7 @@ from typing import Iterator, Sequence
 from .linalg import (
     Vector,
     cone_contains,
-    dot,
     frac,
-    is_zero_vector,
     lp_feasible,
     matrix_rank,
     solve_linear,
@@ -118,16 +116,6 @@ class ProjectionCertificate:
                 return False
         return _affinely_independent([points[i] for i in self.support], form.rank)
         # support minimality beyond affine independence is not required
-
-
-def affine_dimension(points: Sequence[Vector]) -> int:
-    """Dimension of the affine hull of the points (-1 for an empty list)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    diffs = [list(vsub(p, base)) for p in pts[1:]]
-    return matrix_rank(diffs)
 
 
 def span_dimension(points: Sequence[Vector]) -> int:

@@ -27,6 +27,7 @@ from .models import (
     index_set,
     line_product_model,
     projective_space_model,
+    require_negation_symmetric,
 )
 from .polynomials import (
     Exponents,
@@ -37,7 +38,6 @@ from .polynomials import (
     monomials,
     polynomial_division,
 )
-from .errors import WeylSymmetryRequired
 from .residues import fixed_components, restrict_to_component
 
 
@@ -180,14 +180,6 @@ def torus_kernel_ideal(pres: Presentation, max_degree: int) -> KernelIdeal:
     return KernelIdeal("torus", "semistable", max_degree, tuple(gens), pres)
 
 
-def _check_presentation_symmetric(pres: Presentation):
-    if pres.kind == "pn":
-        if sorted(pres.weights) != sorted(-w for w in pres.weights):
-            raise WeylSymmetryRequired(
-                "coordinate weights must be symmetric under negation",
-                witness={"weights": pres.weights})
-
-
 def sl2_kernel_ideal(pres: Presentation, max_degree: int,
                      target: str = "semistable") -> KernelIdeal:
     """Folded kernel generators for the reflection quotient.
@@ -199,7 +191,7 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
     """
     if target not in ("semistable", "stable"):
         raise ValueError("target must be 'semistable' or 'stable'")
-    _check_presentation_symmetric(pres)
+    require_negation_symmetric(pres.model())
     a = pres.alpha
     pairs: list[tuple[str, GradedPolynomial, GradedPolynomial, int]] = []
     if pres.kind == "pn":
@@ -402,7 +394,7 @@ def weyl_kernel_bijection_report(pres: Presentation, max_degree: int) -> WeylBij
     checked to be injective modulo relations, to land exactly on the
     anti-invariant span, and to be inverted by exact division.
     """
-    _check_presentation_symmetric(pres)
+    require_negation_symmetric(pres.model())
     torus = torus_kernel_ideal(pres, max_degree + 2)
     folded = sl2_kernel_ideal(pres, max_degree)
     base_spans = _spans_for(pres, None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -24,10 +24,6 @@ def frac(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
-
-
-def vec(xs: Iterable) -> Vector:
-    return tuple(frac(x) for x in xs)
 
 
 def vadd(u: Vector, v: Vector) -> Vector:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .errors import WeylSymmetryRequired
 from .geometry import (
     BilinearForm,
     ProjectionCertificate,
@@ -31,11 +32,6 @@ class WeylGroup:
 
     name: str
     elements: tuple[tuple[tuple[tuple[Fraction, ...], ...], int], ...]
-
-    @staticmethod
-    def act(matrix: tuple[tuple[Fraction, ...], ...], v: Vector) -> Vector:
-        return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0))
-                     for row in matrix)
 
 
 def sl2_weyl() -> WeylGroup:
@@ -89,6 +85,11 @@ class WeightedModel:
             for w in fac:
                 if len(w) != self.rank:
                     raise ValueError("weight dimension does not match rank")
+        if self.weyl is not None and any(
+                len(mat) != self.rank or any(len(row) != self.rank for row in mat)
+                for mat, _ in self.weyl.elements):
+            raise ValueError(f"weyl group {self.weyl.name!r} does not act "
+                             f"on rank {self.rank}")
 
     @property
     def factor_sizes(self) -> tuple[int, ...]:
@@ -250,19 +251,47 @@ def enumerate_profiles(model: WeightedModel):
         yield tuple(profile)
 
 
-def index_set(model: WeightedModel) -> tuple[IndexStratum, ...]:
-    """All nearest points of Minkowski hulls of support profiles."""
+@lru_cache(maxsize=None)
+def _scan(model: WeightedModel) -> tuple[tuple[IndexStratum, ...], Profile | None]:
+    """One pass over the profiles: the index set, and the first profile
+    that is semistable but not stable (None when there is none)."""
     found: dict[Vector, IndexStratum] = {}
+    witness = None
     for profile in enumerate_profiles(model):
         cls = classify_profile(model, profile)
         if cls.beta not in found:
             found[cls.beta] = IndexStratum(cls.beta, cls.certificate,
                                            cls.profile, cls.points)
-    return tuple(found[b] for b in sorted(found))
+        if witness is None and cls.semistable and not cls.stable:
+            witness = profile
+    return tuple(found[b] for b in sorted(found)), witness
+
+
+def index_set(model: WeightedModel) -> tuple[IndexStratum, ...]:
+    """All nearest points of Minkowski hulls of support profiles."""
+    return _scan(model)[0]
+
+
+def strictly_semistable_witness(model: WeightedModel) -> Profile | None:
+    """A support profile that is semistable but not stable, or None."""
+    return _scan(model)[1]
 
 
 def index_betas(model: WeightedModel) -> tuple[Vector, ...]:
     return tuple(s.beta for s in index_set(model))
+
+
+def require_negation_symmetric(model: WeightedModel):
+    """Reflection quotients need a rank-1 model whose every factor's
+    weights are symmetric under negation."""
+    if model.rank != 1:
+        raise WeylSymmetryRequired("reflection quotients need a rank-1 model",
+                                   witness={"rank": model.rank})
+    for i, fac in enumerate(model.factors):
+        if sorted(fac) != sorted(tuple(-x for x in w) for w in fac):
+            raise WeylSymmetryRequired(
+                "factor weights must be symmetric under negation",
+                witness={"factor": i, "weights": fac})
 
 
 # ---------------------------------------------------------------------------

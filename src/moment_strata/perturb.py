@@ -20,6 +20,7 @@ from .models import (
     classify_profile,
     enumerate_profiles,
     index_set,
+    strictly_semistable_witness,
 )
 
 # candidate denominators for proposed perturbations, in search order
@@ -40,21 +41,7 @@ def perturbed_model(model: WeightedModel, epsilon: Sequence) -> WeightedModel:
 
 def is_generic(model: WeightedModel, epsilon: Sequence) -> bool:
     """True when every semistable profile of the perturbed model is stable."""
-    shifted = perturbed_model(model, epsilon)
-    for profile in enumerate_profiles(shifted):
-        cls = classify_profile(shifted, profile)
-        if cls.semistable and not cls.stable:
-            return False
-    return True
-
-
-def _generic_witness(model: WeightedModel, epsilon: Sequence):
-    shifted = perturbed_model(model, epsilon)
-    for profile in enumerate_profiles(shifted):
-        cls = classify_profile(shifted, profile)
-        if cls.semistable and not cls.stable:
-            return profile
-    return None
+    return strictly_semistable_witness(perturbed_model(model, epsilon)) is None
 
 
 @dataclass(frozen=True)
@@ -84,7 +71,7 @@ def propose_epsilon(model: WeightedModel) -> EpsilonProposal:
         if model.form.norm2(eps) >= bound:
             failures.append({"denominator": m, "reason": "norm bound"})
             continue
-        witness = _generic_witness(model, eps)
+        witness = strictly_semistable_witness(perturbed_model(model, eps))
         if witness is not None:
             failures.append({"denominator": m, "reason": "not generic",
                              "profile": witness})

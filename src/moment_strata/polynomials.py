@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import NotDivisible
 from .linalg import frac
@@ -222,42 +222,6 @@ class GradedPolynomial:
             e = tuple(exps)
             d[e] = d.get(e, Fraction(0)) + coeff
         return GradedPolynomial.from_dict(v, d)
-
-
-# ---------------------------------------------------------------------------
-# reflection actions on polynomial rings
-
-
-@dataclass(frozen=True)
-class PolynomialWeylAction:
-    """Finite group acting by variable substitutions, with signs."""
-
-    elements: tuple[tuple[tuple[tuple[str, GradedPolynomial], ...], int], ...]
-
-    def orbit_sum(self, p: GradedPolynomial, signed: bool) -> GradedPolynomial:
-        out = GradedPolynomial.zero(p.variables)
-        for subs, sign in self.elements:
-            img = p.substitute(dict(subs))
-            out = out + (img.scale(sign) if signed else img)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def sl2_polynomial_weyl(variables: Sequence[str], alpha: str = "a") -> PolynomialWeylAction:
-    """Order-two action negating the equivariant parameter."""
-    v = tuple(variables)
-    neg = GradedPolynomial.var(v, alpha).scale(-1)
-    return PolynomialWeylAction((
-        ((), 1),
-        (((alpha, neg),), -1),
-    ))
-
-
-def antisymmetrize(p: GradedPolynomial, weyl: PolynomialWeylAction) -> GradedPolynomial:
-    """Signed average over the group; kills the invariant part."""
-    return weyl.orbit_sum(p, signed=True).scale(Fraction(1, len(weyl)))
 
 
 def polynomial_division(f: GradedPolynomial, g: GradedPolynomial

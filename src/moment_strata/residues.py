@@ -20,14 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .errors import NotCoprimeStable, WeylSymmetryRequired
+from .errors import NotCoprimeStable
 from .linalg import matrix_rank, null_space
-from .models import WeightedModel
+from .models import (WeightedModel, require_negation_symmetric,
+                     strictly_semistable_witness)
 from .polynomials import Exponents, GradedPolynomial, exponents_of_degree
-from .series import strictly_semistable_witness
+from .series import quotient_top_degree
 
 _TORUS_SCALE = Fraction(-2)
 _SL2_SCALE = Fraction(1)
@@ -151,11 +151,6 @@ def _inverse_euler(model: WeightedModel, comp: FixedComponent) -> _Laurent:
     return inv
 
 
-@lru_cache(maxsize=None)
-def _ss_witness_cached(model: WeightedModel):
-    return strictly_semistable_witness(model)
-
-
 def _integrate_component(model: WeightedModel, comp: FixedComponent,
                          restricted: GradedPolynomial) -> dict[int, Fraction]:
     """Integral over the component of restricted/euler, as a Laurent series in a."""
@@ -196,7 +191,7 @@ def raw_residue_sum(model: WeightedModel, eta: GradedPolynomial,
     if group not in ("torus", "sl2"):
         raise ValueError("group must be 'torus' or 'sl2'")
     if group == "sl2":
-        _require_symmetric(model)
+        require_negation_symmetric(model)
     return _raw_residue(model, eta, zeta, group)
 
 
@@ -210,26 +205,13 @@ def residue_pairing(model: WeightedModel, eta: GradedPolynomial,
     if group not in ("torus", "sl2"):
         raise ValueError("group must be 'torus' or 'sl2'")
     if group == "sl2":
-        _require_symmetric(model)
-    witness = _ss_witness_cached(model)
+        require_negation_symmetric(model)
+    witness = strictly_semistable_witness(model)
     if witness is not None:
         raise NotCoprimeStable("model has a strictly semistable profile",
                                witness={"profile": witness})
     raw = _raw_residue(model, eta, zeta, group)
     return raw * (_TORUS_SCALE if group == "torus" else _SL2_SCALE)
-
-
-def _require_symmetric(model: WeightedModel):
-    for i, fac in enumerate(model.factors):
-        if sorted(fac) != sorted(tuple(-x for x in w) for w in fac):
-            raise WeylSymmetryRequired(
-                "factor weights must be symmetric under negation",
-                witness={"factor": i, "weights": fac})
-
-
-def quotient_top_degree(model: WeightedModel, group: str) -> int:
-    drop = 1 if group == "torus" else 3
-    return 2 * (sum(s - 1 for s in model.factor_sizes) - drop)
 
 
 @dataclass(frozen=True)
@@ -261,8 +243,8 @@ def kernel_by_pairing(model: WeightedModel, variables: Sequence[str], d: int,
     if group not in ("torus", "sl2"):
         raise ValueError("group must be 'torus' or 'sl2'")
     if group == "sl2":
-        _require_symmetric(model)
-    witness = _ss_witness_cached(model)
+        require_negation_symmetric(model)
+    witness = strictly_semistable_witness(model)
     if witness is not None:
         raise NotCoprimeStable("model has a strictly semistable profile",
                                witness={"profile": witness})

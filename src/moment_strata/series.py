@@ -6,7 +6,9 @@ critical component, the component's submodel series shifted by the stratum
 codimension. Termination is guaranteed because the linear span of a shifted
 submodel's weights is strictly smaller than the parent's (the submodel
 weights are orthogonal to a nonzero vector of the parent span); the
-recursion asserts that measure decreases at every descent.
+recursion asserts that measure decreases at every descent. The quotient by
+the reflection group runs the same descent over the positive strata only,
+each codimension lowered by two.
 """
 
 from __future__ import annotations
@@ -14,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotCoprimeStable, TruncationTooSmall, WeylSymmetryRequired
+from .errors import NotCoprimeStable, TruncationTooSmall
 from .geometry import span_dimension
 from .models import (
     WeightedModel,
-    classify_profile,
     critical_components,
-    enumerate_profiles,
     index_set,
+    require_negation_symmetric,
     shifted_submodel,
+    strictly_semistable_witness,
     stratum_codim,
 )
 
@@ -109,16 +111,22 @@ class TruncatedSeries:
         return f"{body} (+ O(t^{self.truncation + 1}))"
 
 
-def model_equivariant_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
-    """Series of the full model: product of projective-space polynomials
-    over the polynomial ring of the torus."""
-    if trunc < 0:
-        raise ValueError("truncation must be nonnegative")
+def _factor_product(model: WeightedModel, trunc: int) -> TruncatedSeries:
+    """Product of the projective-space polynomials of the factors."""
     out = TruncatedSeries.one(trunc)
     for size in model.factor_sizes:
         poly = TruncatedSeries.from_coeffs(
             [1 if (d % 2 == 0 and d < 2 * size) else 0 for d in range(trunc + 1)], trunc)
         out = out * poly
+    return out
+
+
+def model_equivariant_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
+    """Series of the full model: product of projective-space polynomials
+    over the polynomial ring of the torus."""
+    if trunc < 0:
+        raise ValueError("truncation must be nonnegative")
+    out = _factor_product(model, trunc)
     for _ in range(model.rank):
         out = out.divide_one_minus(2)
     return out
@@ -136,6 +144,30 @@ def _weights_span(model: WeightedModel) -> int:
     return span_dimension([w for fac in model.factors for w in fac])
 
 
+def _descend(model: WeightedModel, trunc: int, drop: int):
+    """(codimension, shifted submodel) of every component the recursion
+    subtracts through degree ``trunc``.
+
+    ``drop=0`` is the torus: every nonzero beta. ``drop=2`` is the
+    reflection quotient: positive betas only, each codimension lowered by 2.
+    """
+    parent_span = _weights_span(model)
+    for stratum in index_set(model):
+        beta = stratum.beta
+        if (beta[0] <= 0) if drop else all(x == 0 for x in beta):
+            continue
+        for comp in critical_components(model, beta):
+            lam = stratum_codim(model, comp) - drop
+            if lam < 0:
+                raise AssertionError("negative group-level codimension")
+            if lam > trunc:
+                continue
+            sub = shifted_submodel(model, comp)
+            if not _weights_span(sub) < parent_span:
+                raise AssertionError("recursion measure failed to decrease")
+            yield lam, sub
+
+
 def semistable_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
     """Equivariant series of the semistable locus, by stratum subtraction."""
     if trunc < 0:
@@ -144,75 +176,11 @@ def semistable_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
     hit = _SS_MEMO.get(key)
     if hit is not None:
         return hit
-    strata = index_set(model)
     result = model_equivariant_series(model, trunc)
-    parent_span = _weights_span(model)
-    for stratum in strata:
-        if all(x == 0 for x in stratum.beta):
-            continue
-        for comp in critical_components(model, stratum.beta):
-            lam = stratum_codim(model, comp)
-            if lam > trunc:
-                continue
-            sub = shifted_submodel(model, comp)
-            if not _weights_span(sub) < parent_span:
-                raise AssertionError("recursion measure failed to decrease")
-            child = semistable_series(sub, trunc - lam)
-            result = result - child.shift(lam)
+    for lam, sub in _descend(model, trunc, 0):
+        result = result - semistable_series(sub, trunc - lam).shift(lam)
     _SS_MEMO[key] = result
     return result
-
-
-def quotient_real_dimension(model: WeightedModel) -> int:
-    return 2 * (sum(s - 1 for s in model.factor_sizes) - model.rank)
-
-
-def strictly_semistable_witness(model: WeightedModel):
-    """A support profile that is semistable but not stable, or None."""
-    for profile in enumerate_profiles(model):
-        cls = classify_profile(model, profile)
-        if cls.semistable and not cls.stable:
-            return profile
-    return None
-
-
-def quotient_poincare_polynomial(model: WeightedModel, trunc: int) -> list[int]:
-    """Betti numbers of the torus quotient, when the quotient is an orbifold.
-
-    Requires semistable == stable (else NotCoprimeStable) and a truncation
-    past the quotient's real dimension so the series can be seen to
-    terminate (else TruncationTooSmall).
-    """
-    witness = strictly_semistable_witness(model)
-    if witness is not None:
-        raise NotCoprimeStable(
-            "model has a strictly semistable profile",
-            witness={"profile": witness})
-    top = quotient_real_dimension(model)
-    if trunc <= top:
-        raise TruncationTooSmall(
-            f"truncation {trunc} cannot certify termination at degree {top}",
-            witness={"required_beyond": top, "given": trunc})
-    series = semistable_series(model, trunc)
-    for d in range(max(top, -1) + 1, trunc + 1):
-        if series.coeffs[d] != 0:
-            raise ArithmeticError(
-                f"series fails to terminate at degree {d}; quotient data inconsistent")
-    poly = list(series.coeffs[:max(top, -1) + 1])
-    if any(c < 0 for c in poly):
-        raise ArithmeticError("negative coefficient in quotient polynomial")
-    return poly
-
-
-def _check_weyl_symmetric(model: WeightedModel):
-    if model.rank != 1:
-        raise WeylSymmetryRequired("reflection quotients need a rank-1 model",
-                                   witness={"rank": model.rank})
-    for i, fac in enumerate(model.factors):
-        if sorted(fac) != sorted(tuple(-x for x in w) for w in fac):
-            raise WeylSymmetryRequired(
-                "factor weights must be symmetric under negation",
-                witness={"factor": i, "weights": fac})
 
 
 def sl2_quotient_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
@@ -224,26 +192,57 @@ def sl2_quotient_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
     """
     if trunc < 0:
         raise ValueError("truncation must be nonnegative")
-    _check_weyl_symmetric(model)
-    out = TruncatedSeries.one(trunc)
-    for size in model.factor_sizes:
-        poly = TruncatedSeries.from_coeffs(
-            [1 if (d % 2 == 0 and d < 2 * size) else 0 for d in range(trunc + 1)], trunc)
-        out = out * poly
-    out = out.divide_one_minus(4)
-    for stratum in index_set(model):
-        if stratum.beta[0] <= 0:
-            continue
-        for comp in critical_components(model, stratum.beta):
-            lam = stratum_codim(model, comp) - 2
-            if lam < 0:
-                raise AssertionError("negative group-level codimension")
-            if lam > trunc:
-                continue
-            sub = shifted_submodel(model, comp)
-            child = semistable_series(sub, trunc - lam)
-            out = out - child.shift(lam)
+    require_negation_symmetric(model)
+    out = _factor_product(model, trunc).divide_one_minus(4)
+    for lam, sub in _descend(model, trunc, 2):
+        out = out - semistable_series(sub, trunc - lam).shift(lam)
     return out
+
+
+def quotient_top_degree(model: WeightedModel, group: str) -> int:
+    """Real dimension of the quotient: the projective dimensions minus the
+    group's dimension (the rank for the torus, 3 for SL(2)), doubled."""
+    drop = model.rank if group == "torus" else 3
+    return 2 * (sum(s - 1 for s in model.factor_sizes) - drop)
+
+
+def quotient_poincare_polynomial(model: WeightedModel, trunc: int,
+                                 group: str = "torus") -> list[int]:
+    """Betti numbers of the torus or reflection quotient, when the quotient
+    is an orbifold.
+
+    Requires semistable == stable (else NotCoprimeStable) and a truncation
+    past the quotient's real dimension so the series can be seen to
+    terminate (else TruncationTooSmall). A quotient of negative dimension
+    is empty and has the empty polynomial.
+    """
+    if group not in ("torus", "sl2"):
+        raise ValueError("group must be 'torus' or 'sl2'")
+    if group == "sl2":
+        require_negation_symmetric(model)
+    witness = strictly_semistable_witness(model)
+    if witness is not None:
+        raise NotCoprimeStable(
+            "model has a strictly semistable profile",
+            witness={"profile": witness})
+    top = quotient_top_degree(model, group)
+    if trunc <= top:
+        raise TruncationTooSmall(
+            f"truncation {trunc} cannot certify termination at degree {top}",
+            witness={"required_beyond": top, "given": trunc})
+    if group == "torus":
+        series = semistable_series(model, trunc)
+    else:
+        series = sl2_quotient_series(model, trunc)
+    top = max(top, -1)
+    for d in range(top + 1, trunc + 1):
+        if series.coeffs[d] != 0:
+            raise ArithmeticError(
+                f"series fails to terminate at degree {d}; quotient data inconsistent")
+    poly = list(series.coeffs[:top + 1])
+    if any(c < 0 for c in poly):
+        raise ArithmeticError("negative coefficient in quotient polynomial")
+    return poly
 
 
 @dataclass(frozen=True)
@@ -265,37 +264,22 @@ def perfection_check(model: WeightedModel, trunc: int) -> PerfectionReport:
     """
     failures: list[dict] = []
     visited: set = set()
-    count = 0
 
     def walk(m: WeightedModel, depth_trunc: int) -> TruncatedSeries:
-        nonlocal count
         key = _canonical_key(m, depth_trunc)
         ss = semistable_series(m, depth_trunc)
         if key in visited:
             return ss
         visited.add(key)
-        count += 1
         if any(c < 0 for c in ss.coeffs):
             failures.append({"kind": "negative semistable coefficient",
                              "factors": m.factors})
         total = ss
-        parent_span = _weights_span(m)
-        for stratum in index_set(m):
-            if all(x == 0 for x in stratum.beta):
-                continue
-            for comp in critical_components(m, stratum.beta):
-                lam = stratum_codim(m, comp)
-                if lam > depth_trunc:
-                    continue
-                sub = shifted_submodel(m, comp)
-                if not _weights_span(sub) < parent_span:
-                    failures.append({"kind": "recursion measure", "beta": stratum.beta})
-                    continue
-                child = walk(sub, depth_trunc - lam)
-                total = total + child.shift(lam)
+        for lam, sub in _descend(m, depth_trunc, 0):
+            total = total + walk(sub, depth_trunc - lam).shift(lam)
         if total != model_equivariant_series(m, depth_trunc):
             failures.append({"kind": "stratification identity", "factors": m.factors})
         return ss
 
     walk(model, trunc)
-    return PerfectionReport(not failures, trunc, count, tuple(failures))
+    return PerfectionReport(not failures, trunc, len(visited), tuple(failures))

@@ -248,6 +248,39 @@ def test_input_errors_exit_2(models, capsys, tmp_path):
     assert code == 2 and "coordinates" in err
 
 
+@pytest.mark.parametrize("weyl", [["sl2"], {}, "sl4"])
+def test_weyl_entry_must_name_a_group(tmp_path, capsys, weyl):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rank": 1, "factors": [[[1], [-1]]],
+                               "weyl": weyl}))
+    code, out, err = run(capsys, ["index-set", str(bad)])
+    assert code == 2 and not out and "weyl" in err
+
+
+def test_weyl_group_must_match_rank(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rank": 1, "factors": [[[1], [-1]]],
+                               "weyl": "sl3-torus-weyl"}))
+    code, out, err = run(capsys, ["index-set", str(bad)])
+    assert code == 2 and not out and "rank 1" in err
+    bad.write_text(json.dumps({"rank": 2, "factors": [[[1, 0], [-1, 0]]],
+                               "weyl": "sl2"}))
+    code, out, err = run(capsys, ["index-set", str(bad)])
+    assert code == 2 and not out and "rank 2" in err
+
+
+def test_empty_reflection_quotient_has_empty_polynomial(tmp_path, capsys):
+    """P^1 under SL(2) has a quotient of negative dimension."""
+    p1 = tmp_path / "p1.json"
+    p1.write_text(json.dumps({"rank": 1, "factors": [[[1], [-1]]],
+                              "weyl": "sl2"}))
+    for trunc in ("8", "20"):
+        result = run_json(capsys, ["series", "--group", "sl2",
+                                   "--trunc", trunc, str(p1)])["result"]
+        assert result["quotient_polynomial"] == []
+        assert result["quotient_obstruction"] is None
+
+
 def test_thread_cap_is_validated(models, capsys, monkeypatch):
     monkeypatch.setenv(cli.THREADS_VAR, "not-a-number")
     code, out, err = run(capsys, ["index-set", models["p3"]])

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from moment_strata import (BilinearForm, closest_point_to_origin,
                            identity_form, origin_in_hull, origin_in_interior)
 from moment_strata.geometry import (_closest_enum, _closest_rank1,
-                                    _closest_rank2, affine_dimension,
-                                    span_dimension)
+                                    _closest_rank2, span_dimension)
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -145,9 +144,5 @@ def test_duplicate_points_leave_projection_unchanged():
 def test_affine_and_span_dimension():
     a = (Fraction(1), Fraction(0))
     b = (Fraction(0), Fraction(1))
-    c = (Fraction(1), Fraction(1))
-    assert affine_dimension([a]) == 0
-    assert affine_dimension([a, b]) == 1
-    assert affine_dimension([a, b, c]) == 2
     assert span_dimension([a, b]) == 2
     assert span_dimension([a, (Fraction(2), Fraction(0))]) == 1

@@ -1,0 +1,89 @@
+"""Golden digests of CLI reports on a fast corpus of models.
+
+Each case runs `cli.main` in-process from a fixed working directory and
+compares its exit code and the sha256 of its stdout with a recorded value.
+A refactor must leave every digest unchanged; an intended output change
+updates the digest here and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from moment_strata import cli
+
+
+def _lines(n):
+    return [[["1"], ["-1"]]] * n
+
+
+def _pn(n):
+    return [[[str(w)] for w in range(n, -n - 1, -2)]]
+
+
+_A2 = [["1", "0"], ["0", "1"], ["-1", "-1"]]
+
+MODELS = {
+    "p1s": {"rank": 1, "factors": _pn(1), "weyl": "sl2"},
+    "p2asym": {"rank": 1, "factors": [[["2"], ["1"], ["-1"]]]},
+    "p3": {"rank": 1, "factors": _pn(3)},
+    "p4": {"rank": 1, "factors": _pn(4)},
+    "p5s": {"rank": 1, "factors": _pn(5), "weyl": "sl2"},
+    "p6": {"rank": 1, "factors": _pn(6)},
+    "l3": {"rank": 1, "factors": _lines(3)},
+    "l3s": {"rank": 1, "factors": _lines(3), "weyl": "sl2"},
+    "l4": {"rank": 1, "factors": _lines(4)},
+    "l5s": {"rank": 1, "factors": _lines(5), "weyl": "sl2"},
+    "a2x2": {"rank": 2, "factors": [_A2, _A2]},
+}
+
+# (argv with model names in place of files, exit code, sha256 of stdout)
+CASES = [
+    (["index-set", "p6"], 0,
+     "dd768fecea94b85b2a04c9279917b29351a95801436e1f65a5263b272c254272"),
+    (["index-set", "a2x2"], 0,
+     "b0725321da5304fd28372824a8fc8cadca96e152856ea988bb196abc7c766d02"),
+    (["series", "--trunc", "16", "p6"], 0,
+     "20a4f68f29f2da2db2b1886a60d449859ea3ead41a31491aa81f8773115e4f31"),
+    (["series", "--trunc", "16", "l4"], 0,
+     "8fa2b2ae2c1229f1eb241a78a78158f8b73717bc6436045eef6357a470734519"),
+    (["series", "--trunc", "16", "--group", "sl2", "p5s"], 0,
+     "cce1c81db3f514aad99144144c8b071227d4f6acb495617ee33b7adf1a0b8795"),
+    (["series", "--trunc", "16", "--group", "sl2", "l5s"], 0,
+     "aac31cf90d5714f28f308573c4de2cc0e82f04f83c27976d210304e0a1c988ad"),
+    (["series", "--trunc", "8", "--group", "sl2", "p1s"], 0,
+     "fa5ec76396c982e4a2623e49b24aee465978082c6d52be6c1a31d9cecdb9156c"),
+    (["perturb", "p4"], 0,
+     "0d032319fa4fefb705f0f17d653174dbf632e0e2547947dbad0ccaf4e4681b3a"),
+    (["perturb", "l3"], 0,
+     "7ecbfc56129ff9b05884c9e89b2fe1d2f5439483bbfee917358495d9b1d6b9a5"),
+    (["kirwan", "--group", "sl2", "--max-degree", "6", "p3"], 0,
+     "e6fd546c609839d707c233b22d565e9c459b16437d6c6b081248cf848f9655e1"),
+    (["kirwan", "--group", "sl2", "--max-degree", "6", "l3s"], 0,
+     "37b7f9d009423fa4b2d2789485a0c943fdca0f65bd1b92e19bde632e0b504b99"),
+    (["kirwan", "--group", "sl2", "--max-degree", "6", "p2asym"], 3,
+     "2d46186b7c83c0b18118500950a313dcccd4007da6f7efdd60c9494fdd6fae35"),
+    (["pairing", "l3", "z1*z2", "1"], 0,
+     "66240b935f5d70e5c85fcbfff1afcef01573db435639117b1b055d7b8a45c7e6"),
+]
+
+
+@pytest.fixture
+def corpus(tmp_path, monkeypatch):
+    for name, obj in MODELS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj, sort_keys=True))
+    monkeypatch.chdir(tmp_path)
+
+
+def _argv(argv):
+    return [f"{a}.json" if a in MODELS else a for a in argv]
+
+
+@pytest.mark.parametrize("argv,code,digest", CASES,
+                         ids=[" ".join(c[0]) for c in CASES])
+def test_cli_report_digest(corpus, capsys, argv, code, digest):
+    got = cli.main(_argv(argv))
+    out = capsys.readouterr().out
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

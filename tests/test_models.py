@@ -1,18 +1,21 @@
 """Weighted models: profiles, stability, the index set, critical components,
 and the recursion submodels."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from moment_strata import (classify_profile, critical_components, index_betas,
-                           index_set, is_semistable, is_stable,
+from moment_strata import (IndexStratum, classify_profile, critical_components,
+                           index_betas, index_set, is_semistable, is_stable,
                            line_product_model, profile_of_point,
                            projective_space_model, shifted_submodel,
-                           stratum_codim, weighted_model)
+                           stratum_codim, strictly_semistable_witness,
+                           weighted_model)
 from moment_strata.models import enumerate_profiles, minkowski_points
 
 from conftest import pn_model
+from test_acceptance import random_weight_system
 
 
 def fr(x):
@@ -130,6 +133,40 @@ def test_shifted_submodel_shrinks_weight_span():
                 for fac in sub.factors:
                     for w in fac:
                         assert m.form.inner(w, stratum.beta) == 0
+
+
+def _index_set_by_profiles(model):
+    found = {}
+    for profile in enumerate_profiles(model):
+        cls = classify_profile(model, profile)
+        if cls.beta not in found:
+            found[cls.beta] = IndexStratum(cls.beta, cls.certificate,
+                                           cls.profile, cls.points)
+    return tuple(found[b] for b in sorted(found))
+
+
+def _witness_by_profiles(model):
+    for profile in enumerate_profiles(model):
+        cls = classify_profile(model, profile)
+        if cls.semistable and not cls.stable:
+            return profile
+    return None
+
+
+def test_profile_scan_matches_direct_profile_loops():
+    """The one-pass scan agrees with a separate loop per question."""
+    models = []
+    for n in range(1, 7):
+        models += [pn_model(n), line_product_model(n)]
+    rng = random.Random(20260822)   # the criterion-02 systems
+    while len(models) < 12 + 25:
+        rank = rng.choice((1, 2))
+        m = random_weight_system(rng, rank)
+        if {s.beta for s in _index_set_by_profiles(m)} != {(fr(0),) * rank}:
+            models.append(m)
+    for m in models:
+        assert index_set(m) == _index_set_by_profiles(m), m.factors
+        assert strictly_semistable_witness(m) == _witness_by_profiles(m), m.factors
 
 
 def test_rank2_model_round_trip():

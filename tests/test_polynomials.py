@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from moment_strata import GradedPolynomial, divide_exact, polynomial_division
 from moment_strata.errors import NotDivisible
-from moment_strata.polynomials import (antisymmetrize, exponents_of_degree,
-                                       graded_piece_dim, monomials,
-                                       sl2_polynomial_weyl)
+from moment_strata.polynomials import (exponents_of_degree, graded_piece_dim,
+                                       monomials)
 
 VARS = ("x", "y")
 
@@ -130,13 +129,3 @@ def test_power_matches_repeated_product():
     p = P("x + 2*y")
     assert p ** 3 == p * p * p
     assert p ** 0 == GradedPolynomial.const(VARS, 1)
-
-
-def test_sl2_antisymmetrization():
-    weyl = sl2_polynomial_weyl(("z", "a"), "a")
-    z = GradedPolynomial.parse(("z", "a"), "z*a")
-    anti = antisymmetrize(z, weyl)
-    # z*a is already anti-invariant: flipping a negates it
-    assert anti == z
-    even = GradedPolynomial.parse(("z", "a"), "z^2")
-    assert antisymmetrize(even, weyl).is_zero()

@@ -81,6 +81,8 @@ def test_quotient_polynomial_obstructions():
     assert "profile" in exc.value.witness
     with pytest.raises(TruncationTooSmall):
         quotient_poincare_polynomial(pn_model(3), 4)
+    with pytest.raises(ValueError):
+        quotient_poincare_polynomial(pn_model(3), 40, "sl3")
 
 
 def test_sl2_quotient_series_values():
@@ -95,6 +97,9 @@ def test_sl2_quotient_requires_symmetric_weights():
         sl2_quotient_series(projective_space_model([2, 1, -1]), 8)
     with pytest.raises(WeylSymmetryRequired):
         sl2_quotient_series(weighted_model(2, [[[1, 0], [-1, 0]]]), 8)
+    square = weighted_model(2, [[[1, 0], [-1, 0], [0, 1], [0, -1]]])
+    with pytest.raises(WeylSymmetryRequired):
+        quotient_poincare_polynomial(square, 40, "sl2")
 
 
 def test_perfection_check_passes_on_reference_models():
