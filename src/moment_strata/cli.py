@@ -31,11 +31,10 @@ from .configs import (classify_binary_form, classify_p1_config,
                       classify_p2_config, config_of, proj_point)
 from .errors import MomentStrataError, NotCoprimeStable, TruncationTooSmall
 from .geometry import BilinearForm
-from .kirwan import (Presentation, _spans_for, betti_from_presentation,
+from .kirwan import (Presentation, betti_from_presentation,
                      line_product_presentation, projective_space_presentation,
-                     sl2_kernel_ideal, tolman_weitsman_kernel,
-                     torus_kernel_ideal, weyl_kernel_bijection_report)
-from .linalg import SpanBasis
+                     sl2_kernel_ideal, torus_kernel_ideal,
+                     two_sided_kernel_report, weyl_kernel_bijection_report)
 from .models import (WEYL_GROUPS, WeightedModel, classify_profile,
                      critical_components, index_set, profile_of_point,
                      stratum_codim, weighted_model)
@@ -396,23 +395,14 @@ def _cmd_kirwan(args) -> int:
                          "ok": r.ok} for r in rep.degrees],
         }
     else:
-        two_sided = tolman_weitsman_kernel(pres, args.max_degree)
-        spans = _spans_for(pres, kernel)
-        rows = []
-        for d in range(0, args.max_degree + 1, 2):
-            basis = two_sided.get(d, ())
-            span = SpanBasis()
-            for b in basis:
-                span.add(spans.vector_of(b, d))
-            ideal = spans.span(d)
-            contained = all(ideal.contains(spans.vector_of(b, d))
-                            for b in basis)
-            rows.append({"degree": d,
-                         "two_sided_kernel_dim": span.dim,
-                         "stratum_ideal_dim": ideal.dim,
-                         "equal": contained and span.dim == ideal.dim})
+        rep = two_sided_kernel_report(pres, args.max_degree)
         checks["two_sided_kernel"] = {
-            "ok": all(r["equal"] for r in rows), "degrees": rows}
+            "ok": rep.ok,
+            "degrees": [{"degree": r.degree,
+                         "two_sided_kernel_dim": r.two_sided_kernel_dim,
+                         "stratum_ideal_dim": r.stratum_ideal_dim,
+                         "equal": r.equal} for r in rep.degrees],
+        }
     presentation = {
         "kind": pres.kind,
         "variables": list(pres.variables),

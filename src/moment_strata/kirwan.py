@@ -35,10 +35,9 @@ from .polynomials import (
     divide_exact,
     exponents_of_degree,
     graded_piece_dim,
-    monomials,
     polynomial_division,
 )
-from .residues import fixed_components, restrict_to_component
+from .residues import fixed_components, restriction_matrix
 
 
 @dataclass(frozen=True)
@@ -180,6 +179,13 @@ def torus_kernel_ideal(pres: Presentation, max_degree: int) -> KernelIdeal:
     return KernelIdeal("torus", "semistable", max_degree, tuple(gens), pres)
 
 
+def _reflect(poly: GradedPolynomial) -> GradedPolynomial:
+    """Image under a -> -a (the last variable): terms with an odd power of a
+    change sign."""
+    return GradedPolynomial(poly.variables, tuple(
+        (e, -c if e[-1] % 2 else c) for e, c in poly.terms))
+
+
 def sl2_kernel_ideal(pres: Presentation, max_degree: int,
                      target: str = "semistable") -> KernelIdeal:
     """Folded kernel generators for the reflection quotient.
@@ -219,15 +225,14 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
                 pairs.append((label, plus, minus, 2 * size))
     gens = []
     for label, plus, minus, lam in pairs:
-        flip = {"a": a.scale(-1)}
-        if plus.substitute(flip) != minus:
+        if _reflect(plus) != minus:
             raise AssertionError("opposite lifts are not reflection images")
         diff = divide_exact(plus - minus, a).scale(Fraction(1, 4))
         total = (plus + minus).scale(Fraction(1, 4))
         for g, deg, tag in ((diff, lam - 2, "difference"), (total, lam, "sum")):
             if deg > max_degree:
                 continue
-            if g.substitute(flip) != g:
+            if _reflect(g) != g:
                 raise AssertionError("kernel generator is not invariant")
             gens.append((f"{label}:{tag}", g))
     return KernelIdeal("sl2", target, max_degree, tuple(gens), pres)
@@ -238,12 +243,18 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
 
 
 class _IdealSpans:
-    """Degreewise row spans of an ideal in the free graded ring."""
+    """Degreewise row spans of an ideal in the free graded ring.
+
+    Each degree's span, exponent index and parity-projected spans are built
+    once and kept on the instance.
+    """
 
     def __init__(self, variables: tuple[str, ...], gens: Sequence[GradedPolynomial]):
         self.variables = variables
         self.nv = len(variables)
         self.by_degree: dict[int, SpanBasis] = {}
+        self.by_parity: dict[tuple[int, int], SpanBasis] = {}
+        self.indices: dict[int, dict[Exponents, int]] = {}
         self.gens_at: dict[int, list[GradedPolynomial]] = {}
         for g in gens:
             if g.is_zero():
@@ -253,7 +264,11 @@ class _IdealSpans:
             self.gens_at.setdefault(g.degree(), []).append(g)
 
     def _index(self, d: int) -> dict[Exponents, int]:
-        return {e: i for i, e in enumerate(exponents_of_degree(self.nv, d // 2))}
+        idx = self.indices.get(d)
+        if idx is None:
+            idx = {e: i for i, e in enumerate(exponents_of_degree(self.nv, d // 2))}
+            self.indices[d] = idx
+        return idx
 
     def span(self, d: int) -> SpanBasis:
         if d % 2 or d < 0:
@@ -262,23 +277,34 @@ class _IdealSpans:
         if hit is not None:
             return hit
         sb = SpanBasis()
+        idx = self._index(d)
         if d >= 2:
             prev = self.span(d - 2)
-            prev_exps = exponents_of_degree(self.nv, (d - 2) // 2)
-            idx = self._index(d)
+            # column of each degree-(d-2) monomial times each variable
+            shift = [[idx[e[:i] + (e[i] + 1,) + e[i + 1:]] for i in range(self.nv)]
+                     for e in exponents_of_degree(self.nv, (d - 2) // 2)]
             for row in prev.basis_rows():
                 for var_i in range(self.nv):
-                    shifted: dict[int, int] = {}
-                    for col, val in row.items():
-                        e = list(prev_exps[col])
-                        e[var_i] += 1
-                        shifted[idx[tuple(e)]] = val
-                    sb.add_int_row(shifted)
-        idx = self._index(d)
+                    sb.add_int_row({shift[col][var_i]: val for col, val in row.items()})
         for g in self.gens_at.get(d, ()):
             sb.add({idx[e]: c for e, c in g.terms})
         self.by_degree[d] = sb
         return sb
+
+    def parity_span(self, d: int, parity: int) -> SpanBasis:
+        """Span of the rows' components on monomials with a-exponent of the
+        given parity; valid whenever the ideal is stable under negating a."""
+        hit = self.by_parity.get((d, parity))
+        if hit is None:
+            exps = exponents_of_degree(self.nv, d // 2)
+            hit = SpanBasis()
+            for row in self.span(d).basis_rows():
+                filtered = {col: val for col, val in row.items()
+                            if exps[col][-1] % 2 == parity}
+                if filtered:
+                    hit.add_int_row(filtered)
+            self.by_parity[(d, parity)] = hit
+        return hit
 
     def vector_of(self, poly: GradedPolynomial, d: int) -> dict[int, Fraction]:
         idx = self._index(d)
@@ -310,19 +336,6 @@ def _spans_for(pres: Presentation, kernel: KernelIdeal | None) -> _IdealSpans:
     return hit
 
 
-def _parity_projected_rank(spans: _IdealSpans, d: int, parity: int) -> SpanBasis:
-    """Span of the rows' components on monomials with a-exponent of the
-    given parity; valid whenever the ideal is stable under negating a."""
-    exps = exponents_of_degree(spans.nv, d // 2)
-    out = SpanBasis()
-    for row in spans.span(d).basis_rows():
-        filtered = {col: val for col, val in row.items()
-                    if exps[col][-1] % 2 == parity}
-        if filtered:
-            out.add_int_row(filtered)
-    return out
-
-
 def betti_from_presentation(pres: Presentation, kernel: KernelIdeal | None,
                             d: int) -> int:
     """Dimension of degree d in the presented ring modulo the kernel ideal.
@@ -339,7 +352,7 @@ def betti_from_presentation(pres: Presentation, kernel: KernelIdeal | None,
         return graded_piece_dim(spans.nv, d) - spans.span(d).dim
     inv_count = sum(1 for e in exponents_of_degree(spans.nv, d // 2)
                     if e[-1] % 2 == 0)
-    return inv_count - _parity_projected_rank(spans, d, 0).dim
+    return inv_count - spans.parity_span(d, 0).dim
 
 
 def in_relation_span(pres: Presentation, kernel: KernelIdeal | None,
@@ -404,11 +417,11 @@ def weyl_kernel_bijection_report(pres: Presentation, max_degree: int) -> WeylBij
 
     entries = []
     for d in range(0, max_degree + 1, 2):
-        zg = _parity_projected_rank(base_spans, d, 0)
-        kg = _parity_projected_rank(g_spans, d, 0)
+        zg = base_spans.parity_span(d, 0)
+        kg = g_spans.parity_span(d, 0)
         dim_ker_g = kg.dim - zg.dim
-        za = _parity_projected_rank(base_spans, d + 2, 1)
-        kt = _parity_projected_rank(t_spans, d + 2, 1)
+        za = base_spans.parity_span(d + 2, 1)
+        kt = t_spans.parity_span(d + 2, 1)
         dim_ker_t = kt.dim - za.dim
 
         lhs = SpanBasis()
@@ -450,31 +463,64 @@ def tolman_weitsman_kernel(pres: Presentation, max_degree: int
     nonnegative value. Base relations restrict to zero everywhere, so each
     graded piece automatically contains them.
     """
-    model = pres.model()
-    comps = fixed_components(model)
+    comps = fixed_components(pres.model())
     sides = ([c for c in comps if c.mu <= 0], [c for c in comps if c.mu >= 0])
     out: dict[int, tuple[GradedPolynomial, ...]] = {}
     for d in range(0, max_degree + 1, 2):
-        monos = monomials(pres.variables, d)
+        exps = exponents_of_degree(len(pres.variables), d // 2)
+        # a component with moment value zero lies on both sides; its
+        # restriction is computed once
+        rows_of = {c: restriction_matrix(c, exps) for c in comps}
         span = SpanBasis()
         for side in sides:
-            rows: list[list[Fraction]] = []
-            for comp in side:
-                restrictions = [restrict_to_component(model, mono, comp)
-                                for mono in monos]
-                keys = sorted({e for p in restrictions for e, _ in p.terms})
-                for key in keys:
-                    rows.append([p.as_dict().get(key, Fraction(0))
-                                 for p in restrictions])
-            for v in null_space(rows, len(monos)):
+            rows = [row for comp in side for row in rows_of[comp]]
+            for v in null_space(rows, len(exps)):
                 span.add({i: c for i, c in enumerate(v) if c != 0})
-        exps = exponents_of_degree(len(pres.variables), d // 2)
         basis = []
         for row in span.basis_rows():
             basis.append(GradedPolynomial.from_dict(
                 pres.variables, {exps[c]: Fraction(v) for c, v in row.items()}))
         out[d] = tuple(basis)
     return out
+
+
+@dataclass(frozen=True)
+class TwoSidedKernelDegree:
+    degree: int
+    two_sided_kernel_dim: int
+    stratum_ideal_dim: int
+    equal: bool
+
+
+@dataclass(frozen=True)
+class TwoSidedKernelReport:
+    degrees: tuple[TwoSidedKernelDegree, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(e.equal for e in self.degrees)
+
+
+def two_sided_kernel_report(pres: Presentation, max_degree: int) -> TwoSidedKernelReport:
+    """Compare the vanishing-locus kernel with the torus stratum ideal.
+
+    In each even degree d <= max_degree the two spaces are equal when every
+    two-sided kernel class lies in the ideal (relations included) and the
+    two dimensions agree.
+    """
+    spans = _spans_for(pres, torus_kernel_ideal(pres, max_degree))
+    two_sided = tolman_weitsman_kernel(pres, max_degree)
+    entries = []
+    for d in range(0, max_degree + 1, 2):
+        vectors = [spans.vector_of(b, d) for b in two_sided[d]]
+        span = SpanBasis()
+        for vec in vectors:
+            span.add(vec)
+        ideal = spans.span(d)
+        contained = all(ideal.contains(vec) for vec in vectors)
+        entries.append(TwoSidedKernelDegree(d, span.dim, ideal.dim,
+                                            contained and span.dim == ideal.dim))
+    return TwoSidedKernelReport(tuple(entries))
 
 
 def restrict_to_subspace(pres: Presentation, poly: GradedPolynomial,

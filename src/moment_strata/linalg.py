@@ -189,7 +189,14 @@ class SpanBasis:
 
     def add(self, entries: dict[int, Fraction]) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        row = self._reduce(_int_scale(entries))
+        return self._insert(_int_scale(entries))
+
+    def add_int_row(self, row: dict[int, int]) -> bool:
+        """Insert an integer vector; the same as add, without Fractions."""
+        return self._insert(_normalize(row))
+
+    def _insert(self, row: dict[int, int]) -> bool:
+        row = self._reduce(row)
         if not row:
             return False
         c = min(row)
@@ -208,9 +215,6 @@ class SpanBasis:
                 self.rows[oc] = _normalize(merged)
         self.rows[c] = row
         return True
-
-    def add_int_row(self, row: dict[int, int]) -> bool:
-        return self.add({k: Fraction(v) for k, v in row.items()})
 
     def contains(self, entries: dict[int, Fraction]) -> bool:
         return not self._reduce(_int_scale(entries))

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import WeylSymmetryRequired
 from .geometry import (
@@ -251,30 +251,49 @@ def enumerate_profiles(model: WeightedModel):
         yield tuple(profile)
 
 
+class _Scan(NamedTuple):
+    strata: tuple[IndexStratum, ...]
+    witness: Profile | None            # first semistable, not stable profile
+    betas: dict[tuple[Vector, ...], Vector]   # beta per Minkowski point set
+
+
 @lru_cache(maxsize=None)
-def _scan(model: WeightedModel) -> tuple[tuple[IndexStratum, ...], Profile | None]:
-    """One pass over the profiles: the index set, and the first profile
-    that is semistable but not stable (None when there is none)."""
+def _scan(model: WeightedModel) -> _Scan:
+    """One pass over the profiles: the index set, the first profile that is
+    semistable but not stable (None when there is none), and every
+    profile's beta."""
     found: dict[Vector, IndexStratum] = {}
+    betas: dict[tuple[Vector, ...], Vector] = {}
     witness = None
     for profile in enumerate_profiles(model):
         cls = classify_profile(model, profile)
+        betas[cls.points] = cls.beta
         if cls.beta not in found:
             found[cls.beta] = IndexStratum(cls.beta, cls.certificate,
                                            cls.profile, cls.points)
         if witness is None and cls.semistable and not cls.stable:
             witness = profile
-    return tuple(found[b] for b in sorted(found)), witness
+    return _Scan(tuple(found[b] for b in sorted(found)), witness, betas)
 
 
 def index_set(model: WeightedModel) -> tuple[IndexStratum, ...]:
     """All nearest points of Minkowski hulls of support profiles."""
-    return _scan(model)[0]
+    return _scan(model).strata
 
 
 def strictly_semistable_witness(model: WeightedModel) -> Profile | None:
     """A support profile that is semistable but not stable, or None."""
-    return _scan(model)[1]
+    return _scan(model).witness
+
+
+def profile_beta(model: WeightedModel, profile: Profile) -> Vector:
+    """The beta of any support profile, read from the model's profile scan.
+
+    Beta depends on the profile only through its Minkowski points, and every
+    profile shares its points with the scanned representative of its orbit
+    under swaps of identical factors.
+    """
+    return _scan(model).betas[minkowski_points(model, profile)]
 
 
 def index_betas(model: WeightedModel) -> tuple[Vector, ...]:

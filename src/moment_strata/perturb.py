@@ -17,9 +17,9 @@ from .errors import EpsilonSearchFailed, RefinementViolation
 from .linalg import Vector, frac, vsub
 from .models import (
     WeightedModel,
-    classify_profile,
     enumerate_profiles,
     index_set,
+    profile_beta,
     strictly_semistable_witness,
 )
 
@@ -97,7 +97,8 @@ class RefinementReport:
 def refinement_report(model: WeightedModel, epsilon: Sequence) -> RefinementReport:
     """Check that perturbed strata refine original strata, profile by profile.
 
-    Every support profile has a nearest point before and after perturbation;
+    Every support profile has a nearest point before and after perturbation,
+    both read from the two models' profile scans;
     the assignment (perturbed beta -> original beta) must be well defined.
     Two profiles sharing a perturbed beta but disagreeing on the original
     one are reported as a RefinementViolation witness.
@@ -107,8 +108,8 @@ def refinement_report(model: WeightedModel, epsilon: Sequence) -> RefinementRepo
     mapping: dict[Vector, Vector] = {}
     first_profile: dict[Vector, tuple] = {}
     for profile in enumerate_profiles(shifted):
-        eps_beta = classify_profile(shifted, profile).beta
-        orig_beta = classify_profile(model, profile).beta
+        eps_beta = profile_beta(shifted, profile)
+        orig_beta = profile_beta(model, profile)
         if eps_beta in mapping:
             if mapping[eps_beta] != orig_beta:
                 raise RefinementViolation(

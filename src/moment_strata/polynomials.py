@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import NotDivisible
@@ -74,14 +75,14 @@ class GradedPolynomial:
         self._same_ring(other)
         d = self.as_dict()
         for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) + c
+            d[e] = d[e] + c if e in d else c
         return GradedPolynomial(self.variables, _sorted_terms(d))
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._same_ring(other)
         d = self.as_dict()
         for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) - c
+            d[e] = d[e] - c if e in d else -c
         return GradedPolynomial(self.variables, _sorted_terms(d))
 
     def __neg__(self) -> "GradedPolynomial":
@@ -93,8 +94,9 @@ class GradedPolynomial:
         d: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                d[e] = d[e] + c if e in d else c
         return GradedPolynomial(self.variables, _sorted_terms(d))
 
     def scale(self, c) -> "GradedPolynomial":
@@ -236,24 +238,33 @@ def polynomial_division(f: GradedPolynomial, g: GradedPolynomial
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._same_ring(g)
-
-    def ltkey(ec):
-        return (sum(ec[0]), ec[0])
-
-    gl_e, gl_c = max(g.terms, key=ltkey)
     q: dict[Exponents, Fraction] = {}
     r: dict[Exponents, Fraction] = {}
-    rem = f
-    while not rem.is_zero():
-        fl_e, fl_c = max(rem.terms, key=ltkey)
-        diff = tuple(a - b for a, b in zip(fl_e, gl_e))
-        if any(x < 0 for x in diff):
-            r[fl_e] = r.get(fl_e, Fraction(0)) + fl_c
-            rem = rem - GradedPolynomial(f.variables, ((fl_e, fl_c),))
-            continue
-        c = fl_c / gl_c
-        q[diff] = q.get(diff, Fraction(0)) + c
-        rem = rem - GradedPolynomial(f.variables, ((diff, c),)) * g
+    if len(g.terms) == 1:
+        # a monomial divisor cancels each divisible term on its own
+        (g_e, g_c), = g.terms
+        for e, c in f.terms:
+            diff = tuple(map(sub, e, g_e))
+            if any(x < 0 for x in diff):
+                r[e] = c
+            else:
+                q[diff] = c / g_c
+    else:
+        def ltkey(ec):
+            return (sum(ec[0]), ec[0])
+
+        gl_e, gl_c = max(g.terms, key=ltkey)
+        rem = f
+        while not rem.is_zero():
+            fl_e, fl_c = max(rem.terms, key=ltkey)
+            diff = tuple(a - b for a, b in zip(fl_e, gl_e))
+            if any(x < 0 for x in diff):
+                r[fl_e] = r.get(fl_e, Fraction(0)) + fl_c
+                rem = rem - GradedPolynomial(f.variables, ((fl_e, fl_c),))
+                continue
+            c = fl_c / gl_c
+            q[diff] = q.get(diff, Fraction(0)) + c
+            rem = rem - GradedPolynomial(f.variables, ((diff, c),)) * g
     return (GradedPolynomial.from_dict(f.variables, q),
             GradedPolynomial.from_dict(f.variables, r))
 

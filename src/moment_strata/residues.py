@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .errors import NotCoprimeStable
@@ -67,6 +68,83 @@ def component_variables(model: WeightedModel) -> tuple[str, ...]:
     return tuple(f"h{i+1}" for i in range(len(model.factors))) + ("a",)
 
 
+# ---------------------------------------------------------------------------
+# Laurent bookkeeping: dict (h-exponents, a-exponent) -> Fraction
+
+_Laurent = dict[tuple[Exponents, int], Fraction]
+
+
+def _laurent_mul(x: _Laurent, y: _Laurent, sizes: tuple[int, ...]) -> _Laurent:
+    out: _Laurent = {}
+    for (he1, ae1), c1 in x.items():
+        for (he2, ae2), c2 in y.items():
+            he = tuple(a + b for a, b in zip(he1, he2))
+            if any(he[i] >= sizes[i] for i in range(len(sizes))):
+                continue
+            key = (he, ae1 + ae2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+class ComponentRestriction:
+    """Restriction to one fixed component, applied in closed form.
+
+    The ambient variables (z1..zm, a) map to (h1 - v1*a, ..., hm - vm*a, a)
+    with hi^sizei = 0, so zi^e maps to the sum over k < sizei of
+    C(e, k) * hi^k * (-vi*a)^(e-k). Images are Laurent dicts keyed by
+    (h-exponents, a-exponent); each factor's power images are kept on the
+    instance, so restricting many monomials to one component expands each
+    power once.
+    """
+
+    def __init__(self, comp: FixedComponent):
+        self.comp = comp
+        self._powers: list[dict[int, tuple[tuple[int, Fraction], ...]]] = [
+            {} for _ in comp.values]
+
+    def _power(self, i: int, e: int) -> tuple[tuple[int, Fraction], ...]:
+        hit = self._powers[i].get(e)
+        if hit is None:
+            shift = -self.comp.values[i]
+            hit = tuple((k, comb(e, k) * shift ** (e - k))
+                        for k in range(min(e + 1, self.comp.sizes[i])))
+            self._powers[i][e] = hit
+        return hit
+
+    def monomial(self, e: Exponents) -> _Laurent:
+        """Image of the monomial with exponents e over (z1..zm, a)."""
+        terms: _Laurent = {((), e[-1]): Fraction(1)}
+        for i, ei in enumerate(e[:-1]):
+            terms = {(he + (k,), ae + ei - k): c * ck
+                     for (he, ae), c in terms.items()
+                     for k, ck in self._power(i, ei)}
+        return terms
+
+    def laurent(self, poly: GradedPolynomial) -> _Laurent:
+        """Image of a polynomial over (z1..zm, a)."""
+        out: _Laurent = {}
+        for e, c in poly.terms:
+            for key, k in self.monomial(e).items():
+                out[key] = out.get(key, 0) + c * k
+        return out
+
+
+def restriction_matrix(comp: FixedComponent, exps: Sequence[Exponents]
+                       ) -> list[list[Fraction]]:
+    """Restriction to one component as a linear map on the span of the
+    monomials with exponents exps: one column per monomial, one row per
+    image term (h-exponents, a-exponent) in sorted order."""
+    restrict = ComponentRestriction(comp)
+    images = [restrict.monomial(e) for e in exps]
+    keys = sorted({key for image in images for key in image})
+    return [[image.get(key, Fraction(0)) for image in images] for key in keys]
+
+
+def _require_ambient(model: WeightedModel, variables: Sequence[str]):
+    if len(variables) != len(model.factors) + 1:
+        raise ValueError("polynomial must have one coordinate class per factor plus the parameter")
+
+
 def restrict_to_component(model: WeightedModel, poly: GradedPolynomial,
                           comp: FixedComponent) -> GradedPolynomial:
     """Image of a class under restriction to one fixed component.
@@ -75,20 +153,10 @@ def restrict_to_component(model: WeightedModel, poly: GradedPolynomial,
     hm - vm*a, a), and each hi is truncated at its component's size. Base
     relations of the ambient presentation restrict to zero.
     """
-    hvars = component_variables(model)
-    m = len(model.factors)
-    if len(poly.variables) != m + 1:
-        raise ValueError("polynomial must have one coordinate class per factor plus the parameter")
-    a = GradedPolynomial.var(hvars, "a")
-    # reinterpret the ambient exponents over (h1..hm, a), then shift each hi
-    images = {}
-    for i in range(m):
-        h = GradedPolynomial.var(hvars, hvars[i])
-        images[hvars[i]] = h - a.scale(comp.values[i])
-    moved = GradedPolynomial(hvars, poly.terms).substitute(images)
-    kept = {e: c for e, c in moved.terms
-            if all(e[i] < comp.sizes[i] for i in range(m))}
-    return GradedPolynomial.from_dict(hvars, kept)
+    _require_ambient(model, poly.variables)
+    image = ComponentRestriction(comp).laurent(poly)
+    return GradedPolynomial.from_dict(
+        component_variables(model), {he + (ae,): c for (he, ae), c in image.items()})
 
 
 def euler_class(model: WeightedModel, comp: FixedComponent) -> GradedPolynomial:
@@ -105,31 +173,6 @@ def euler_class(model: WeightedModel, comp: FixedComponent) -> GradedPolynomial:
     kept = {e: c for e, c in out.terms
             if all(e[i] < comp.sizes[i] for i in range(len(model.factors)))}
     return GradedPolynomial.from_dict(hvars, kept)
-
-
-# ---------------------------------------------------------------------------
-# Laurent bookkeeping: dict (h-exponents, a-exponent) -> Fraction
-
-_Laurent = dict[tuple[Exponents, int], Fraction]
-
-
-def _to_laurent(poly: GradedPolynomial, m: int) -> _Laurent:
-    out: _Laurent = {}
-    for e, c in poly.terms:
-        out[(e[:m], e[m])] = c
-    return out
-
-
-def _laurent_mul(x: _Laurent, y: _Laurent, sizes: tuple[int, ...]) -> _Laurent:
-    out: _Laurent = {}
-    for (he1, ae1), c1 in x.items():
-        for (he2, ae2), c2 in y.items():
-            he = tuple(a + b for a, b in zip(he1, he2))
-            if any(he[i] >= sizes[i] for i in range(len(sizes))):
-                continue
-            key = (he, ae1 + ae2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
 
 
 def _inverse_euler(model: WeightedModel, comp: FixedComponent) -> _Laurent:
@@ -151,34 +194,44 @@ def _inverse_euler(model: WeightedModel, comp: FixedComponent) -> _Laurent:
     return inv
 
 
-def _integrate_component(model: WeightedModel, comp: FixedComponent,
-                         restricted: GradedPolynomial) -> dict[int, Fraction]:
-    """Integral over the component of restricted/euler, as a Laurent series in a."""
-    m = len(model.factors)
-    num = _to_laurent(restricted, m)
-    total = _laurent_mul(num, _inverse_euler(model, comp), comp.sizes)
-    top = tuple(s - 1 for s in comp.sizes)
-    out: dict[int, Fraction] = {}
-    for (he, ae), c in total.items():
-        if he == top:
-            out[ae] = out.get(ae, Fraction(0)) + c
+def _localization(model: WeightedModel, group: str
+                  ) -> list[tuple[ComponentRestriction, _Laurent]]:
+    """Per fixed component with positive moment value: its restriction, and
+    the inverse of its Euler class (times (2a)^2 for the reflection group)."""
+    out = []
+    for comp in fixed_components(model):
+        if comp.mu <= 0:
+            continue
+        inv = _inverse_euler(model, comp)
+        if group == "sl2":
+            inv = {(he, ae + 2): 4 * c for (he, ae), c in inv.items()}
+        out.append((ComponentRestriction(comp), inv))
     return out
+
+
+def _component_residue(left: _Laurent, right: _Laurent,
+                       comp: FixedComponent) -> Fraction:
+    """Coefficient of h^(sizes-1) a^-1 in left * right: the residue of the
+    component's integral when left already carries the inverse Euler class."""
+    top = tuple(s - 1 for s in comp.sizes)
+    total = Fraction(0)
+    for (he, ae), c in right.items():
+        k = left.get((tuple(t - x for t, x in zip(top, he)), -1 - ae))
+        if k is not None:
+            total += k * c
+    return total
 
 
 def _raw_residue(model: WeightedModel, eta: GradedPolynomial,
                  zeta: GradedPolynomial, group: str) -> Fraction:
-    prod = eta * zeta
-    if group == "sl2":
-        a = GradedPolynomial.var(eta.variables, eta.variables[-1])
-        prod = prod * (a.scale(2) ** 2)
-    acc: dict[int, Fraction] = {}
-    for comp in fixed_components(model):
-        if comp.mu <= 0:
-            continue
-        restricted = restrict_to_component(model, prod, comp)
-        for ae, c in _integrate_component(model, comp, restricted).items():
-            acc[ae] = acc.get(ae, Fraction(0)) + c
-    return acc.get(-1, Fraction(0))
+    if eta.variables != zeta.variables:
+        raise ValueError("polynomials live in different rings")
+    _require_ambient(model, eta.variables)
+    total = Fraction(0)
+    for restrict, inv in _localization(model, group):
+        left = _laurent_mul(restrict.laurent(eta), inv, restrict.comp.sizes)
+        total += _component_residue(left, restrict.laurent(zeta), restrict.comp)
+    return total
 
 
 def raw_residue_sum(model: WeightedModel, eta: GradedPolynomial,
@@ -249,12 +302,18 @@ def kernel_by_pairing(model: WeightedModel, variables: Sequence[str], d: int,
         raise NotCoprimeStable("model has a strictly semistable profile",
                                witness={"profile": witness})
     v = tuple(variables)
+    _require_ambient(model, v)
     invariant = group == "sl2"
     basis = _free_basis(v, d, invariant)
     comp_basis = _free_basis(v, quotient_top_degree(model, group) - d, invariant)
-    matrix = tuple(
-        tuple(_raw_residue(model, m1, m2, group) for m2 in comp_basis)
-        for m1 in basis)
+    entries = [[Fraction(0)] * len(comp_basis) for _ in basis]
+    for restrict, inv in _localization(model, group):
+        rights = [restrict.laurent(m2) for m2 in comp_basis]
+        for row, m1 in zip(entries, basis):
+            left = _laurent_mul(restrict.laurent(m1), inv, restrict.comp.sizes)
+            for j, right in enumerate(rights):
+                row[j] += _component_residue(left, right, restrict.comp)
+    matrix = tuple(tuple(row) for row in entries)
     # kernel vectors live on the degree-d side: solve c^T M = 0
     transposed = [[matrix[i][j] for i in range(len(basis))]
                   for j in range(len(comp_basis))]

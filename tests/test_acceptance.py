@@ -24,11 +24,12 @@ from moment_strata import (NotCoprimeStable, betti_from_presentation,
                            random_special_linear, refinement_report,
                            sl2_kernel_ideal, sl2_quotient_series, sl2_weyl,
                            closest_point_to_origin, tolman_weitsman_kernel,
-                           torus_kernel_ideal, transform_config,
+                           in_relation_span, torus_kernel_ideal,
+                           transform_config, two_sided_kernel_report,
                            weighted_model, weyl_kernel_bijection_report)
 from moment_strata.configs import affine_p1, infinity_p1
-from moment_strata.kirwan import _spans_for
 from moment_strata.linalg import SpanBasis
+from moment_strata.polynomials import exponents_of_degree, graded_piece_dim
 
 
 def pn_weights(n):
@@ -191,18 +192,21 @@ def test_criterion_07_two_sided_kernel_matches_stratum_ideal():
     for n in (3, 5):
         pres = projective_space_presentation(pn_weights(n))
         kernel = torus_kernel_ideal(pres, 12)
-        spans = _spans_for(pres, kernel)
         two_sided = tolman_weitsman_kernel(pres, 12)
         for d in range(0, 13, 2):
-            ideal_span = spans.span(d)
+            basis = two_sided[d]
+            index = {e: i for i, e in enumerate(exponents_of_degree(2, d // 2))}
             tw_span = SpanBasis()
-            for poly in two_sided.get(d, ()):
-                vec = spans.vector_of(poly, d)
-                tw_span.add(vec)
-                assert ideal_span.contains(vec), (n, d)
-            for row in ideal_span.basis_rows():
-                assert tw_span.contains(dict(row)), (n, d)
-            assert tw_span.dim == ideal_span.dim, (n, d)
+            for poly in basis:
+                tw_span.add({index[e]: c for e, c in poly.terms})
+                assert in_relation_span(pres, kernel, poly), (n, d)
+            # contained and of the ideal's dimension, so equal to the ideal
+            ideal_dim = graded_piece_dim(2, d) - betti_from_presentation(pres, kernel, d)
+            assert tw_span.dim == len(basis) == ideal_dim, (n, d)
+        report = two_sided_kernel_report(pres, 12)
+        assert report.ok, n
+        assert [r.stratum_ideal_dim for r in report.degrees] == [
+            len(two_sided[d]) for d in range(0, 13, 2)], n
 
 
 def test_criterion_08_projection_certificates_on_random_instances():

@@ -28,12 +28,15 @@ MODELS = {
     "p1s": {"rank": 1, "factors": _pn(1), "weyl": "sl2"},
     "p2asym": {"rank": 1, "factors": [[["2"], ["1"], ["-1"]]]},
     "p3": {"rank": 1, "factors": _pn(3)},
+    "p3rep": {"rank": 1, "factors": [[["1"], ["1"], ["-1"], ["-1"]]]},
     "p4": {"rank": 1, "factors": _pn(4)},
+    "p5": {"rank": 1, "factors": _pn(5)},
     "p5s": {"rank": 1, "factors": _pn(5), "weyl": "sl2"},
     "p6": {"rank": 1, "factors": _pn(6)},
     "l3": {"rank": 1, "factors": _lines(3)},
     "l3s": {"rank": 1, "factors": _lines(3), "weyl": "sl2"},
     "l4": {"rank": 1, "factors": _lines(4)},
+    "l4s": {"rank": 1, "factors": _lines(4), "weyl": "sl2"},
     "l5s": {"rank": 1, "factors": _lines(5), "weyl": "sl2"},
     "a2x2": {"rank": 2, "factors": [_A2, _A2]},
 }
@@ -66,6 +69,22 @@ CASES = [
      "2d46186b7c83c0b18118500950a313dcccd4007da6f7efdd60c9494fdd6fae35"),
     (["pairing", "l3", "z1*z2", "1"], 0,
      "66240b935f5d70e5c85fcbfff1afcef01573db435639117b1b055d7b8a45c7e6"),
+    # torus kirwan: restriction to fixed components and the two-sided kernel
+    (["kirwan", "--max-degree", "8", "p4"], 0,
+     "56fb8f8da1a401f9c85eb1f6b184387e44c5af537b1219a2cb664b34159519f4"),
+    (["kirwan", "--max-degree", "8", "l3"], 0,
+     "3ff183ee06894fcfe1c79cfd850e684a90b2bf7a57637641cae4b7c1a67c86ab"),
+    # repeated weights: fixed components of size 2, truncated at h^2
+    (["kirwan", "p3rep"], 0,
+     "5ebff4ee471c9671d816da7f5f92fcbc1f85145c659c344141e9f1fb7c4407b2"),
+    (["kirwan", "--group", "sl2", "--target", "s", "l4s"], 0,
+     "1afd8a0ad03cc919ca6cb2251bc29012980a83490f2ffb73e0b6d307527b2190"),
+    (["pairing", "p5", "z^2", "z^2"], 0,
+     "29b8594ef155a974cbc5404815c65e709344b9ce17489c89bc046f0ab0b2e96f"),
+    (["pairing", "--group", "sl2", "l5s", "z1", "z2"], 0,
+     "3775676aa207168275b9ed312800e7782b85a4ffd90622d72887f51559f8dfb7"),
+    (["pairing", "--group", "sl2", "l5s", "a", "a"], 0,
+     "3a06543aee54ce52218a631e22f88fb54f84077a1b1df198174f962daedd2f33"),
 ]
 
 

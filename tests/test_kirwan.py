@@ -11,10 +11,12 @@ from moment_strata import (GradedPolynomial, WeylSymmetryRequired,
                            projective_space_presentation, restrict_to_subspace,
                            sl2_kernel_ideal, thom_gysin_lift,
                            tolman_weitsman_kernel, torus_kernel_ideal,
-                           torus_strata, weyl_kernel_bijection_report)
-from moment_strata.kirwan import (LineProductStratum, PnStratum, _spans_for,
+                           torus_strata, two_sided_kernel_report,
+                           weyl_kernel_bijection_report)
+from moment_strata.kirwan import (LineProductStratum, PnStratum,
                                   stratum_codimension)
 from moment_strata.linalg import SpanBasis
+from moment_strata.polynomials import exponents_of_degree, graded_piece_dim
 
 P3 = projective_space_presentation([3, 1, -1, -3])
 P5 = projective_space_presentation([5, 3, 1, -1, -3, -5])
@@ -161,20 +163,39 @@ def test_weyl_bijection_reports():
             assert r.injective and r.spans_equal and r.inverse_ok
 
 
+def _rank_of(pres, polys, d):
+    index = {e: i for i, e in enumerate(exponents_of_degree(len(pres.variables), d // 2))}
+    sb = SpanBasis()
+    for p in polys:
+        sb.add({index[e]: c for e, c in p.terms})
+    return sb.dim
+
+
 def test_two_sided_kernel_matches_stratum_ideal():
     kernel = torus_kernel_ideal(P3, 8)
-    spans = _spans_for(P3, kernel)
     tw = tolman_weitsman_kernel(P3, 8)
     expected_dims = {0: 0, 2: 0, 4: 2, 6: 4, 8: 5}
     for d, basis in tw.items():
-        sb = SpanBasis()
+        assert _rank_of(P3, basis, d) == len(basis) == expected_dims[d]
+        # the ideal's dimension is the free piece's minus the quotient's
+        ideal_dim = graded_piece_dim(2, d) - betti_from_presentation(P3, kernel, d)
+        assert len(basis) == ideal_dim
         for b in basis:
-            sb.add(spans.vector_of(b, d))
-        assert sb.dim == expected_dims[d]
-        ideal = spans.span(d)
-        assert sb.dim == ideal.dim
-        for b in basis:
-            assert ideal.contains(spans.vector_of(b, d))
+            assert in_relation_span(P3, kernel, b)
+    report = two_sided_kernel_report(P3, 8)
+    assert report.ok
+    assert [(r.degree, r.two_sided_kernel_dim, r.stratum_ideal_dim, r.equal)
+            for r in report.degrees] == [(d, k, k, True)
+                                         for d, k in expected_dims.items()]
+
+
+def test_two_sided_kernel_report_on_line_products():
+    kernel = torus_kernel_ideal(L3, 8)
+    report = two_sided_kernel_report(L3, 8)
+    assert report.ok
+    for r in report.degrees:
+        free = graded_piece_dim(len(L3.variables), r.degree)
+        assert r.stratum_ideal_dim == free - betti_from_presentation(L3, kernel, r.degree)
 
 
 def test_restrict_to_subspace_anchors():

@@ -138,3 +138,18 @@ def test_cone_membership():
     assert cone_contains(gens, (Fraction(0), Fraction(0)))
     assert not cone_contains(gens, (Fraction(-1), Fraction(0)))
     assert not cone_contains(gens, (Fraction(0), Fraction(1)))
+
+
+int_rows = st.lists(st.dictionaries(st.integers(0, 6), st.integers(-6, 6), max_size=5),
+                    max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_rows)
+def test_add_int_row_matches_add(rows):
+    # the integer path must build the same basis as the Fraction path
+    by_int, by_frac = SpanBasis(), SpanBasis()
+    for row in rows:
+        grew = by_int.add_int_row(row)
+        assert grew == by_frac.add({k: Fraction(v) for k, v in row.items()})
+        assert by_int.basis_rows() == by_frac.basis_rows()

@@ -1,6 +1,7 @@
 """Weighted models: profiles, stability, the index set, critical components,
 and the recursion submodels."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from moment_strata import (IndexStratum, classify_profile, critical_components,
                            projective_space_model, shifted_submodel,
                            stratum_codim, strictly_semistable_witness,
                            weighted_model)
-from moment_strata.models import enumerate_profiles, minkowski_points
+from moment_strata.models import (enumerate_profiles, minkowski_points,
+                                  profile_beta)
 
 from conftest import pn_model
 from test_acceptance import random_weight_system
@@ -167,6 +169,22 @@ def test_profile_scan_matches_direct_profile_loops():
     for m in models:
         assert index_set(m) == _index_set_by_profiles(m), m.factors
         assert strictly_semistable_witness(m) == _witness_by_profiles(m), m.factors
+
+
+def test_profile_beta_reads_any_profile_from_the_scan():
+    """Swapping identical factors or picking another index of a repeated
+    weight gives the classified beta of the same orbit."""
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    models = [pn_model(4), line_product_model(3), weighted_model(2, [a2, a2]),
+              projective_space_model([1, 1, -1, -1])]
+    for m in models:
+        supports = [[s for r in range(1, len(fac) + 1)
+                     for s in itertools.combinations(range(len(fac)), r)]
+                    for fac in m.factors]
+        for profile in itertools.product(*supports):
+            assert profile_beta(m, profile) == classify_profile(m, profile).beta
+    with pytest.raises(ValueError):
+        profile_beta(pn_model(2), ((5,),))
 
 
 def test_rank2_model_round_trip():

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from moment_strata import (index_betas, is_generic, line_product_model,
-                           perfection_check, perturbed_model, propose_epsilon,
-                           refinement_report, strictly_semistable_witness)
+from moment_strata import (classify_profile, index_betas, is_generic,
+                           line_product_model, perfection_check,
+                           perturbed_model, propose_epsilon, refinement_report,
+                           strictly_semistable_witness, weighted_model)
+from moment_strata.models import enumerate_profiles
 
 from conftest import pn_model
 
@@ -81,3 +83,21 @@ def test_explicit_epsilon_round_trip():
     shifted = perturbed_model(m, eps)
     report = refinement_report(m, eps)
     assert {pb for pb, _ in report.mapping} == set(index_betas(shifted))
+
+
+def _refinement_by_classification(model, eps):
+    shifted = perturbed_model(model, eps)
+    mapping = {}
+    for profile in enumerate_profiles(shifted):
+        eb = classify_profile(shifted, profile).beta
+        ob = classify_profile(model, profile).beta
+        assert mapping.setdefault(eb, ob) == ob
+    return tuple(sorted(mapping.items()))
+
+
+def test_refinement_map_matches_profile_classification():
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    for m in (pn_model(4), line_product_model(3), line_product_model(4),
+              weighted_model(2, [a2, a2])):
+        eps = propose_epsilon(m).epsilon
+        assert refinement_report(m, eps).mapping == _refinement_by_classification(m, eps)

@@ -129,3 +129,32 @@ def test_power_matches_repeated_product():
     p = P("x + 2*y")
     assert p ** 3 == p * p * p
     assert p ** 0 == GradedPolynomial.const(VARS, 1)
+
+
+def _divide_by_leading_terms(f, g):
+    """The general leading-term loop, kept as the reference for the
+    monomial-divisor shortcut."""
+    def ltkey(ec):
+        return (sum(ec[0]), ec[0])
+
+    gl_e, gl_c = max(g.terms, key=ltkey)
+    q, r, rem = {}, {}, f
+    while not rem.is_zero():
+        fl_e, fl_c = max(rem.terms, key=ltkey)
+        diff = tuple(a - b for a, b in zip(fl_e, gl_e))
+        if any(x < 0 for x in diff):
+            r[fl_e] = r.get(fl_e, Fraction(0)) + fl_c
+            rem = rem - GradedPolynomial(f.variables, ((fl_e, fl_c),))
+            continue
+        c = fl_c / gl_c
+        q[diff] = q.get(diff, Fraction(0)) + c
+        rem = rem - GradedPolynomial(f.variables, ((diff, c),)) * g
+    return (GradedPolynomial.from_dict(f.variables, q),
+            GradedPolynomial.from_dict(f.variables, r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=6), exps, coeffs.filter(lambda c: c != 0))
+def test_monomial_division_matches_leading_term_loop(f, e, c):
+    g = GradedPolynomial(VARS, ((e, c),))
+    assert polynomial_division(f, g) == _divide_by_leading_terms(f, g)

@@ -1,17 +1,22 @@
 """Fixed-point restriction, Euler classes, and the residue pairing with its
 normalization and nondegeneracy properties."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moment_strata import (GradedPolynomial, NotCoprimeStable,
                            WeylSymmetryRequired, kernel_by_pairing,
                            line_product_model, projective_space_model,
                            quotient_top_degree, raw_residue_sum,
                            residue_pairing, restrict_to_component,
-                           weighted_model)
-from moment_strata.residues import (component_variables, euler_class,
+                           sl2_weyl, weighted_model)
+from moment_strata.polynomials import exponents_of_degree
+from moment_strata.residues import (_inverse_euler, _laurent_mul,
+                                    component_variables, euler_class,
                                     fixed_components)
 
 from conftest import pn_model
@@ -153,3 +158,130 @@ def test_pairing_kernel_elements_pair_to_zero():
     for k in res.kernel:
         for comp_basis in res.complementary_basis:
             assert residue_pairing(m, k, comp_basis, "torus") == 0
+
+
+# ---------------------------------------------------------------------------
+# reference algorithms: restriction by substitution, and the residue of
+# each product eta*zeta restricted on its own
+
+
+def _restrict_by_substitution(model, poly, comp):
+    """Substitute zi -> hi - vi*a, expand, then drop hi^k with k >= sizei."""
+    hvars = component_variables(model)
+    m = len(model.factors)
+    a = GradedPolynomial.var(hvars, "a")
+    images = {hvars[i]: GradedPolynomial.var(hvars, hvars[i]) - a.scale(comp.values[i])
+              for i in range(m)}
+    moved = GradedPolynomial(hvars, poly.terms).substitute(images)
+    kept = {e: c for e, c in moved.terms
+            if all(e[i] < comp.sizes[i] for i in range(m))}
+    return GradedPolynomial.from_dict(hvars, kept)
+
+
+def _residue_by_pair(model, eta, zeta, group):
+    prod = eta * zeta
+    if group == "sl2":
+        a = GradedPolynomial.var(eta.variables, eta.variables[-1])
+        prod = prod * (a.scale(2) ** 2)
+    m = len(model.factors)
+    acc = Fraction(0)
+    for comp in fixed_components(model):
+        if comp.mu <= 0:
+            continue
+        restricted = _restrict_by_substitution(model, prod, comp)
+        num = {(e[:m], e[m]): c for e, c in restricted.terms}
+        total = _laurent_mul(num, _inverse_euler(model, comp), comp.sizes)
+        top = tuple(s - 1 for s in comp.sizes)
+        acc += sum((c for (he, ae), c in total.items() if he == top and ae == -1),
+                   Fraction(0))
+    return acc
+
+
+# even line counts have fixed components with moment value zero
+_RESTRICTION_CASES = (
+    [(f"p{n}", pn_model(n)) for n in range(1, 6)]
+    + [(f"l{n}", line_product_model(n)) for n in range(1, 6)]
+    + [("p3-repeated", projective_space_model([1, 1, -1, -1])),   # sizes 2
+       ("p3-zero-weight", projective_space_model([2, 0, 0, -1]))]
+)
+_RESTRICTION_MODELS = [m for _, m in _RESTRICTION_CASES]
+
+
+@st.composite
+def _model_and_class(draw):
+    model = draw(st.sampled_from(_RESTRICTION_MODELS))
+    nv = len(model.factors) + 1
+    variables = tuple(f"z{i}" for i in range(nv - 1)) + ("a",)
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * nv),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+        max_size=4))
+    comp = draw(st.sampled_from(fixed_components(model)))
+    return model, GradedPolynomial.from_dict(variables, terms), comp
+
+
+@settings(max_examples=200, deadline=None)
+@given(_model_and_class())
+def test_closed_form_restriction_matches_substitution(case):
+    model, poly, comp = case
+    assert (restrict_to_component(model, poly, comp)
+            == _restrict_by_substitution(model, poly, comp))
+
+
+def test_restriction_truncates_repeated_weights():
+    m = projective_space_model([1, 1, -1, -1])
+    comp = fixed_components(m)[-1]
+    assert comp.sizes == (2,)
+    # z^3 -> (h - a)^3 = h^3 - 3h^2 a + 3h a^2 - a^3, and h^2 = 0
+    got = restrict_to_component(m, parse(("z", "a"), "z^3"), comp)
+    assert got == parse(component_variables(m), "3*h1*a^2 - a^3")
+
+
+_BETTI_CASES = [
+    (pn_model(3), "torus"), (pn_model(5), "torus"), (line_product_model(3), "torus"),
+    (projective_space_model([3, 1, -1, -3], sl2_weyl()), "sl2"),
+    (projective_space_model([5, 3, 1, -1, -3, -5], sl2_weyl()), "sl2"),
+    (line_product_model(3, sl2_weyl()), "sl2"),
+]
+
+
+@pytest.mark.parametrize("model,group", _BETTI_CASES,
+                         ids=["p3-torus", "p5-torus", "l3-torus",
+                              "p3-sl2", "p5-sl2", "l3-sl2"])
+def test_pairing_matrix_matches_per_pair_residues(model, group):
+    variables = ("z", "a") if len(model.factors) == 1 else tuple(
+        f"z{i + 1}" for i in range(len(model.factors))) + ("a",)
+    top = quotient_top_degree(model, group)
+    for d in range(0, top + 1, 2):
+        res = kernel_by_pairing(model, variables, d, group)
+        expected = tuple(tuple(_residue_by_pair(model, m1, m2, group)
+                               for m2 in res.complementary_basis)
+                         for m1 in res.basis)
+        assert res.matrix == expected, d
+        for m1, m2 in itertools.islice(
+                itertools.product(res.basis, res.complementary_basis), 6):
+            assert raw_residue_sum(model, m1, m2, group) == _residue_by_pair(
+                model, m1, m2, group)
+
+
+@pytest.mark.parametrize("model", _RESTRICTION_MODELS,
+                         ids=[name for name, _ in _RESTRICTION_CASES])
+def test_raw_residue_sum_matches_per_pair_residue(model):
+    # every monomial of the degree that reaches a^-1, split into two
+    # factors; strictly semistable models and repeated weights included
+    nv = len(model.factors) + 1
+    variables = tuple(f"z{i}" for i in range(nv - 1)) + ("a",)
+    top = sum(len(f) - 1 for f in model.factors) - 1
+    symmetric = all(sorted(w[0] for w in f) == sorted(-w[0] for w in f)
+                    for f in model.factors)
+    for group, k in (("torus", top), ("sl2", top - 2)):
+        if group == "sl2" and not symmetric or k < 0:
+            continue
+        for e in exponents_of_degree(nv, k):
+            i = next((j for j, x in enumerate(e) if x), 0)
+            left = tuple(min(x, 1) if j == i else 0 for j, x in enumerate(e))
+            right = tuple(x - y for x, y in zip(e, left))
+            eta = GradedPolynomial(variables, ((left, Fraction(1)),))
+            zeta = GradedPolynomial(variables, ((right, Fraction(1)),))
+            assert (raw_residue_sum(model, eta, zeta, group)
+                    == _residue_by_pair(model, eta, zeta, group)), (group, e)
