@@ -41,7 +41,7 @@ from .models import (WEYL_GROUPS, WeightedModel, classify_profile,
 from .perturb import (is_generic, perturbed_model, propose_epsilon,
                       refinement_report)
 from .polynomials import GradedPolynomial
-from .residues import raw_residue_sum, residue_pairing
+from .residues import PAIRING_SCALE, residue_pairing
 from .series import (perfection_check, quotient_poincare_polynomial,
                      quotient_top_degree, semistable_series,
                      sl2_quotient_series)
@@ -434,7 +434,7 @@ def _cmd_pairing(args) -> int:
     eta = _parse_poly(pres, args.eta, "eta")
     zeta = _parse_poly(pres, args.zeta, "zeta")
     normalized = residue_pairing(model, eta, zeta, args.group)
-    raw_sum = raw_residue_sum(model, eta, zeta, args.group)
+    raw_sum = normalized / PAIRING_SCALE[args.group]
     result = {
         "group": args.group,
         "eta": str(eta),

@@ -7,10 +7,11 @@ and the inequality <p, beta> >= <beta, beta> for every input point, with
 equality on the support. The certificate is verified before it is returned,
 so a caller holding one never needs to trust the search strategy.
 
-Fast paths exist for ranks one and two (interval endpoints, planar hull);
-higher ranks fall back to enumeration of affinely independent subsets of
-size at most rank + 1, which is the reference algorithm. All paths feed the
-same canonical certificate selection, so they are interchangeable.
+The search, :func:`nearest_point`, reads rank one straight off the interval
+of values and runs Wolfe's exact active-set method in every higher rank; the
+active set it ends on is its certificate. :func:`closest_point_to_origin`
+then selects the canonical certificate of the beta it found: the
+lexicographically smallest affinely independent support on the contact face.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from typing import Iterator, Sequence
 from .linalg import (
     Vector,
     cone_contains,
+    dot,
     frac,
     lp_feasible,
     matrix_rank,
+    rref,
     solve_linear,
     vadd,
     vscale,
@@ -62,16 +65,15 @@ class BilinearForm:
         return len(self.gram)
 
     def inner(self, u: Vector, v: Vector) -> Fraction:
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.gram[i]
-            total += ui * sum((row[j] * vj for j, vj in enumerate(v) if vj != 0), Fraction(0))
-        return total
+        return dot(u, self.apply(v))
 
     def norm2(self, u: Vector) -> Fraction:
         return self.inner(u, u)
+
+    def apply(self, v: Vector) -> Vector:
+        """G v: the covector with inner(u, v) == dot(u, apply(v))."""
+        return tuple(sum((g * x for g, x in zip(row, v) if x != 0), Fraction(0))
+                     for row in self.gram)
 
 
 def identity_form(rank: int) -> BilinearForm:
@@ -107,9 +109,10 @@ class ProjectionCertificate:
             combo = vadd(combo, vscale(c, points[i]))
         if combo != self.beta:
             return False
-        nb = form.norm2(self.beta)
+        gb = form.apply(self.beta)
+        nb = dot(self.beta, gb)
         for idx, p in enumerate(points):
-            v = form.inner(p, self.beta)
+            v = dot(p, gb)
             if v < nb:
                 return False
             if idx in self.support and v != nb:
@@ -154,23 +157,22 @@ def _lex_subsets(indices: list[int], maxsize: int) -> Iterator[list[int]]:
 def _project_affine(sub_pts: list[Vector], form: BilinearForm) -> tuple[Vector, list[Fraction]] | None:
     """Foot of the origin on the affine hull of affinely independent points.
 
-    Returns (point, barycentric coordinates) or None if the normal equations
-    are singular (i.e. the points were not affinely independent after all).
+    Returns (point, barycentric coordinates), or None when the points are
+    affinely dependent, which is exactly when the Gram matrix of the
+    directions from the first point is singular.
     """
     base = sub_pts[0]
     dirs = [vsub(p, base) for p in sub_pts[1:]]
-    if not dirs:
-        return base, [Fraction(1)]
-    mat = [[form.inner(di, dj) for dj in dirs] for di in dirs]
-    rhs = [-form.inner(base, di) for di in dirs]
-    # the Gram matrix of independent directions in a definite form is invertible
-    sol = solve_linear(mat, rhs)
-    if sol is None:
+    k = len(dirs)
+    red, pivots = rref([[form.inner(di, dj) for dj in dirs] + [-form.inner(base, di)]
+                        for di in dirs])
+    if pivots[:k] != list(range(k)):
         return None
+    sol = [row[k] for row in red]
     point = base
     for c, d in zip(sol, dirs):
         point = vadd(point, vscale(c, d))
-    lam = [Fraction(1) - sum(sol, Fraction(0))] + list(sol)
+    lam = [Fraction(1) - sum(sol, Fraction(0))] + sol
     return point, lam
 
 
@@ -203,18 +205,6 @@ def _canonical_certificate(points: Sequence[Vector], form: BilinearForm,
     raise AssertionError("no certificate found for computed nearest point")
 
 
-def _closest_rank1(points: Sequence[Vector], form: BilinearForm) -> Vector:
-    g = form.gram[0][0]
-    vals = sorted(p[0] for p in points)
-    lo, hi = vals[0], vals[-1]
-    assert g > 0
-    if lo > 0:
-        return (lo,)
-    if hi < 0:
-        return (hi,)
-    return (Fraction(0),)
-
-
 def _cross(o: Vector, a: Vector, b: Vector) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -237,72 +227,74 @@ def _convex_hull_2d(pts: list[Vector]) -> list[Vector]:
     return lower[:-1] + upper[:-1]
 
 
-def _segment_closest(a: Vector, b: Vector, form: BilinearForm) -> Vector:
-    d = vsub(b, a)
-    dd = form.norm2(d)
-    if dd == 0:
-        return a
-    t = -form.inner(a, d) / dd
-    if t <= 0:
-        return a
-    if t >= 1:
-        return b
-    return vadd(a, vscale(t, d))
+def _interval_certificate(pts: Sequence[Vector]) -> ProjectionCertificate:
+    """Rank one: the endpoint nearest 0, or the two endpoints straddling 0."""
+    lo = min(range(len(pts)), key=lambda i: pts[i][0])
+    hi = max(range(len(pts)), key=lambda i: pts[i][0])
+    a, b = pts[lo][0], pts[hi][0]
+    if a >= 0:
+        return ProjectionCertificate(pts[lo], (lo,), (Fraction(1),))
+    if b <= 0:
+        return ProjectionCertificate(pts[hi], (hi,), (Fraction(1),))
+    return ProjectionCertificate((Fraction(0),), (lo, hi),
+                                 (b / (b - a), -a / (b - a)))
 
 
-def _closest_rank2(points: Sequence[Vector], form: BilinearForm) -> Vector:
-    pts = [p for p, _ in _dedupe(points)]
-    hull = _convex_hull_2d(pts)
-    if len(hull) == 1:
-        return hull[0]
-    if len(hull) == 2:
-        return _segment_closest(hull[0], hull[1], form)
-    # point-in-polygon, boundary counts as inside
-    inside = True
-    n = len(hull)
-    origin = (Fraction(0), Fraction(0))
-    for i in range(n):
-        if _cross(hull[i], hull[(i + 1) % n], origin) < 0:
-            inside = False
-            break
-    if inside:
-        return origin
-    best: Vector | None = None
-    best_norm: Fraction | None = None
-    for i in range(n):
-        cand = _segment_closest(hull[i], hull[(i + 1) % n], form)
-        nn = form.norm2(cand)
-        if best_norm is None or nn < best_norm:
-            best, best_norm = cand, nn
-    assert best is not None
-    return best
+def _wolfe_certificate(pts: Sequence[Vector], form: BilinearForm) -> ProjectionCertificate:
+    """Wolfe's active-set method in exact arithmetic ("Finding the nearest
+    point in a polytope", Math. Prog. 11, 1976).
+
+    The active set stays affinely independent, and at the end of each major
+    cycle x is the foot of the origin on its affine hull with positive
+    barycentric weights, so the final active set and weights certify x.
+    """
+    norms = [form.norm2(p) for p in pts]
+    first = norms.index(min(norms))
+    active, lam, x = [first], [Fraction(1)], pts[first]
+    while True:
+        gx = form.apply(x)
+        vals = [dot(p, gx) for p in pts]
+        j = min(range(len(pts)), key=vals.__getitem__)
+        if vals[j] >= dot(x, gx):
+            return ProjectionCertificate(x, tuple(active), tuple(lam))
+        active.append(j)
+        lam.append(Fraction(0))
+        while True:
+            proj = _project_affine([pts[i] for i in active], form)
+            if proj is None:
+                raise ArithmeticError("nearest-point search lost affine "
+                                      "independence of its active set")
+            y, alpha = proj
+            if all(a > 0 for a in alpha):
+                x, lam = y, alpha
+                break
+            # step from x towards y until the first weight reaches zero
+            theta = min(l / (l - a) for l, a in zip(lam, alpha) if a <= 0)
+            lam = [l + theta * (a - l) for l, a in zip(lam, alpha)]
+            x = vadd(x, vscale(theta, vsub(y, x)))
+            keep = [k for k, l in enumerate(lam) if l > 0]
+            active = [active[k] for k in keep]
+            lam = [lam[k] for k in keep]
 
 
-def _closest_enum(points: Sequence[Vector], form: BilinearForm) -> Vector:
-    """Reference path: scan affinely independent subsets of size <= rank+1."""
-    distinct = _dedupe(points)
-    idxs = list(range(len(distinct)))
-    best: Vector | None = None
-    best_norm: Fraction | None = None
-    for sub in _lex_subsets(idxs, form.rank + 1):
-        sub_pts = [distinct[i][0] for i in sub]
-        if not _affinely_independent(sub_pts, form.rank):
-            continue
-        proj = _project_affine(sub_pts, form)
-        if proj is None:
-            continue
-        point, lam = proj
-        if any(x < 0 for x in lam):
-            continue
-        nn = form.norm2(point)
-        if best_norm is None or nn < best_norm:
-            best, best_norm = point, nn
-    assert best is not None
-    return best
+def nearest_point(points: Sequence[Vector], form: BilinearForm) -> ProjectionCertificate:
+    """Nearest point of conv(points) to the origin, with the verified
+    certificate the search ends on (not the canonical one).
+
+    Points must already be rational tuples of the form's rank.
+    """
+    if form.rank == 1:
+        cert = _interval_certificate(points)
+    else:
+        cert = _wolfe_certificate(points, form)
+    if not cert.verify(points, form):
+        raise ArithmeticError("projection certificate failed self-verification")
+    return cert
 
 
 def closest_point_to_origin(points: Sequence[Vector], form: BilinearForm) -> ProjectionCertificate:
-    """Nearest point of conv(points) to the origin, with optimality certificate."""
+    """Nearest point of conv(points) to the origin, with the canonical
+    optimality certificate."""
     pts = [tuple(frac(x) for x in p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
@@ -310,13 +302,7 @@ def closest_point_to_origin(points: Sequence[Vector], form: BilinearForm) -> Pro
     for p in pts:
         if len(p) != r:
             raise ValueError(f"point dimension {len(p)} does not match form rank {r}")
-    if r == 1:
-        beta = _closest_rank1(pts, form)
-    elif r == 2:
-        beta = _closest_rank2(pts, form)
-    else:
-        beta = _closest_enum(pts, form)
-    return _canonical_certificate(pts, form, beta)
+    return _canonical_certificate(pts, form, nearest_point(pts, form).beta)
 
 
 def origin_in_hull(points: Sequence[Vector]) -> bool:

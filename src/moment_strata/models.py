@@ -19,11 +19,13 @@ from .errors import WeylSymmetryRequired
 from .geometry import (
     BilinearForm,
     ProjectionCertificate,
+    _canonical_certificate,
     closest_point_to_origin,
     identity_form,
+    nearest_point,
     origin_in_interior,
 )
-from .linalg import Vector, frac, vscale, vsub
+from .linalg import Vector, dot, frac, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,6 @@ def minkowski_points(model: WeightedModel, profile: Profile) -> tuple[Vector, ..
     return tuple(sorted(acc))
 
 
-@lru_cache(maxsize=None)
-def _closest_cached(points: tuple[Vector, ...], form: BilinearForm) -> ProjectionCertificate:
-    return closest_point_to_origin(points, form)
-
-
 @dataclass(frozen=True)
 class ProfileClass:
     profile: Profile
@@ -183,7 +180,7 @@ class ProfileClass:
 
 def classify_profile(model: WeightedModel, profile: Profile) -> ProfileClass:
     points = minkowski_points(model, profile)
-    cert = _closest_cached(points, model.form)
+    cert = closest_point_to_origin(points, model.form)
     semistable = all(x == 0 for x in cert.beta)
     stable = semistable and origin_in_interior(points, model.rank)
     return ProfileClass(tuple(tuple(s) for s in profile), points, cert, semistable, stable)
@@ -257,21 +254,30 @@ class _Scan(NamedTuple):
     betas: dict[tuple[Vector, ...], Vector]   # beta per Minkowski point set
 
 
-@lru_cache(maxsize=None)
 def _scan(model: WeightedModel) -> _Scan:
     """One pass over the profiles: the index set, the first profile that is
     semistable but not stable (None when there is none), and every
-    profile's beta."""
+    profile's beta. No result depends on the model's Weyl group."""
+    return _scan_weights(model.rank, model.factors, model.form)
+
+
+@lru_cache(maxsize=None)
+def _scan_weights(rank: int, factors: tuple[tuple[Vector, ...], ...],
+                  form: BilinearForm) -> _Scan:
+    model = WeightedModel(rank, factors, form)
     found: dict[Vector, IndexStratum] = {}
     betas: dict[tuple[Vector, ...], Vector] = {}
     witness = None
     for profile in enumerate_profiles(model):
-        cls = classify_profile(model, profile)
-        betas[cls.points] = cls.beta
-        if cls.beta not in found:
-            found[cls.beta] = IndexStratum(cls.beta, cls.certificate,
-                                           cls.profile, cls.points)
-        if witness is None and cls.semistable and not cls.stable:
+        points = minkowski_points(model, profile)
+        beta = nearest_point(points, form).beta
+        betas[points] = beta
+        if beta not in found:
+            # the canonical certificate of a beta is built on its first profile
+            cert = _canonical_certificate(points, form, beta)
+            found[beta] = IndexStratum(beta, cert, profile, points)
+        if (witness is None and all(x == 0 for x in beta)
+                and not origin_in_interior(points, rank)):
             witness = profile
     return _Scan(tuple(found[b] for b in sorted(found)), witness, betas)
 
@@ -322,6 +328,7 @@ class CriticalComponent:
     beta: Vector
     values: tuple[Fraction, ...]
     attaining: tuple[tuple[int, ...], ...]
+    codim: int
 
 
 def critical_components(model: WeightedModel, beta: Sequence) -> tuple[CriticalComponent, ...]:
@@ -329,40 +336,41 @@ def critical_components(model: WeightedModel, beta: Sequence) -> tuple[CriticalC
 
     One component per tuple of per-factor pairing values summing to
     <beta, beta>; the attaining sets list which coordinates realize each
-    value.
+    value, and the codimension counts the weights pairing below it.
     """
     b = tuple(frac(x) for x in beta)
     if len(b) != model.rank:
         raise ValueError("beta dimension does not match model rank")
-    target = model.form.norm2(b)
-    per_factor: list[list[Fraction]] = []
+    gb = model.form.apply(b)
+    target = dot(b, gb)
+    # per factor: each distinct pairing value with its attaining indices
+    # and the number of weights pairing below it
+    per_factor: list[list[tuple[Fraction, tuple[int, ...], int]]] = []
     for fac in model.factors:
-        vals = sorted({model.form.inner(w, b) for w in fac})
-        per_factor.append(vals)
-    mins = [v[0] for v in per_factor]
-    maxs = [v[-1] for v in per_factor]
+        pairs = [dot(w, gb) for w in fac]
+        per_factor.append([(v, tuple(k for k, p in enumerate(pairs) if p == v),
+                            sum(1 for p in pairs if p < v))
+                           for v in sorted(set(pairs))])
     suffix_min = [Fraction(0)] * (len(per_factor) + 1)
     suffix_max = [Fraction(0)] * (len(per_factor) + 1)
     for i in range(len(per_factor) - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + mins[i]
-        suffix_max[i] = suffix_max[i + 1] + maxs[i]
+        suffix_min[i] = suffix_min[i + 1] + per_factor[i][0][0]
+        suffix_max[i] = suffix_max[i + 1] + per_factor[i][-1][0]
 
     out: list[CriticalComponent] = []
 
-    def rec(i: int, acc: Fraction, chosen: list[Fraction]):
+    def rec(i: int, acc: Fraction, chosen: list):
         if i == len(per_factor):
             if acc == target:
-                attaining = tuple(
-                    tuple(k for k, w in enumerate(fac)
-                          if model.form.inner(w, b) == v)
-                    for fac, v in zip(model.factors, chosen))
-                out.append(CriticalComponent(b, tuple(chosen), attaining))
+                out.append(CriticalComponent(
+                    b, tuple(v for v, _, _ in chosen),
+                    tuple(att for _, att, _ in chosen),
+                    2 * sum(below for _, _, below in chosen)))
             return
-        for v in per_factor[i]:
-            lo = acc + v + suffix_min[i + 1]
-            hi = acc + v + suffix_max[i + 1]
-            if lo <= target <= hi:
-                chosen.append(v)
+        for entry in per_factor[i]:
+            v = entry[0]
+            if acc + v + suffix_min[i + 1] <= target <= acc + v + suffix_max[i + 1]:
+                chosen.append(entry)
                 rec(i + 1, acc + v, chosen)
                 chosen.pop()
 
@@ -374,12 +382,7 @@ def critical_components(model: WeightedModel, beta: Sequence) -> tuple[CriticalC
 def stratum_codim(model: WeightedModel, component: CriticalComponent) -> int:
     """Real codimension: twice the count of weights pairing below the
     component's value in each factor."""
-    total = 0
-    for fac, v in zip(model.factors, component.values):
-        for w in fac:
-            if model.form.inner(w, component.beta) < v:
-                total += 1
-    return 2 * total
+    return component.codim
 
 
 def shifted_submodel(model: WeightedModel, component: CriticalComponent) -> WeightedModel:

@@ -30,8 +30,8 @@ from .models import (WeightedModel, require_negation_symmetric,
 from .polynomials import Exponents, GradedPolynomial, exponents_of_degree
 from .series import quotient_top_degree
 
-_TORUS_SCALE = Fraction(-2)
-_SL2_SCALE = Fraction(1)
+# residue_pairing is the raw residue sum times this, per group
+PAIRING_SCALE = {"torus": Fraction(-2), "sl2": Fraction(1)}
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def residue_pairing(model: WeightedModel, eta: GradedPolynomial,
         raise NotCoprimeStable("model has a strictly semistable profile",
                                witness={"profile": witness})
     raw = _raw_residue(model, eta, zeta, group)
-    return raw * (_TORUS_SCALE if group == "torus" else _SL2_SCALE)
+    return raw * PAIRING_SCALE[group]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,20 @@ def test_pairing_top_degree(models, capsys):
     assert result["quotient_top_degree"] == 4
     assert result["raw_residue_sum"] == "-1/4"
     assert result["pairing"] == "1/2"
+
+
+@pytest.mark.parametrize("argv", [["z1*z2", "1"], ["--group", "sl2", "z1", "z2"]])
+def test_pairing_computes_the_residue_sum_once(models, capsys, monkeypatch, argv):
+    from moment_strata import residues
+
+    calls = []
+    raw = residues._raw_residue
+    monkeypatch.setattr(residues, "_raw_residue",
+                        lambda *args: calls.append(1) or raw(*args))
+    result = run_json(capsys, ["pairing", models["l3"], *argv])["result"]
+    assert len(calls) == 1
+    scale = residues.PAIRING_SCALE[result["group"]]
+    assert Fraction(result["raw_residue_sum"]) * scale == Fraction(result["pairing"])
 
 
 def test_pairing_strictly_semistable_is_a_math_error(models, capsys):

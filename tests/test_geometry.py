@@ -1,8 +1,11 @@
 """Closest-point certificates checked against their own optimality proof,
 brute-force enumeration, and random convex samples."""
 
+import ast
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,73 @@ from hypothesis import strategies as st
 
 from moment_strata import (BilinearForm, closest_point_to_origin,
                            identity_form, origin_in_hull, origin_in_interior)
-from moment_strata.geometry import (_closest_enum, _closest_rank1,
-                                    _closest_rank2, span_dimension)
+from moment_strata import geometry
+from moment_strata.geometry import (_canonical_certificate, _project_affine,
+                                    nearest_point, span_dimension)
+from moment_strata.linalg import (lp_feasible, matrix_rank, solve_linear,
+                                  vadd, vscale, vsub)
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+FORMS = {
+    1: [identity_form(1), BilinearForm(((Fraction(3),),))],
+    2: [identity_form(2),
+        BilinearForm(((Fraction(2), Fraction(-1)), (Fraction(-1), Fraction(2))))],
+    3: [identity_form(3),
+        BilinearForm(((Fraction(2), Fraction(1), Fraction(0)),
+                      (Fraction(1), Fraction(3), Fraction(1, 2)),
+                      (Fraction(0), Fraction(1, 2), Fraction(1))))],
+}
+
+
+def _closest_enum(points, form):
+    """Reference search. The origin when an exact LP puts it in the hull;
+    otherwise beta lies in a hyperplane, so it is the least-norm foot of the
+    origin over affinely independent subsets of at most rank distinct points
+    whose barycentric coordinates are nonnegative (Caratheodory)."""
+    distinct = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    rows = [[p[i] for p in distinct] for i in range(form.rank)] + [[Fraction(1)] * len(distinct)]
+    if lp_feasible(rows, [Fraction(0)] * form.rank + [Fraction(1)]) is not None:
+        return (Fraction(0),) * form.rank
+    best = None
+    for size in range(1, form.rank + 1):
+        for sub in itertools.combinations(distinct, size):
+            base, dirs = sub[0], [vsub(p, sub[0]) for p in sub[1:]]
+            if matrix_rank(dirs) != len(dirs):
+                continue
+            sol = solve_linear([[form.inner(a, b) for b in dirs] for a in dirs],
+                               [-form.inner(base, d) for d in dirs])
+            if sum(sol, Fraction(0)) > 1 or any(x < 0 for x in sol):
+                continue
+            point = base
+            for c, d in zip(sol, dirs):
+                point = vadd(point, vscale(c, d))
+            if best is None or form.norm2(point) < form.norm2(best):
+                best = point
+    return best
+
+
+@st.composite
+def point_sets(draw, rank):
+    """Rational point sets in general position, on a line, on a plane, or
+    symmetric about the origin, with some points repeated."""
+    kind = draw(st.sampled_from(("general", "collinear", "coplanar", "origin")))
+    vec = st.tuples(*([rationals] * rank))
+    ints = st.integers(-3, 3)
+    if kind == "general":
+        pts = draw(st.lists(vec, min_size=1, max_size=6))
+    else:
+        base = draw(vec)
+        dirs = draw(st.lists(vec, min_size=1, max_size=1 if kind == "collinear" else 2))
+        pts = []
+        for steps in draw(st.lists(st.tuples(ints, ints), min_size=1, max_size=6)):
+            p = base
+            for t, d in zip(steps, dirs):
+                p = vadd(p, vscale(Fraction(t), d))
+            pts.append(p)
+        if kind == "origin":
+            pts += [vscale(Fraction(-1), p) for p in pts]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
 
 
 def pts_strategy(rank, max_points=6):
@@ -66,17 +132,48 @@ def test_certificate_respects_non_identity_form():
 
 
 @settings(max_examples=120, deadline=None)
-@given(pts_strategy(1))
-def test_rank1_fast_path_matches_enumeration(pts):
-    form = identity_form(1)
-    assert _closest_rank1(pts, form) == _closest_enum(pts, form)
+@given(pts_strategy(1), st.sampled_from(FORMS[1]))
+def test_interval_search_matches_enumeration(pts, form):
+    cert = nearest_point(pts, form)
+    assert cert.beta == _closest_enum(pts, form)
+    assert cert.verify(pts, form)
+    assert len(cert.support) <= 2
+    assert all(c > 0 for c in cert.coefficients)
 
 
-@settings(max_examples=120, deadline=None)
-@given(pts_strategy(2))
-def test_rank2_fast_path_matches_enumeration(pts):
-    form = identity_form(2)
-    assert _closest_rank2(pts, form) == _closest_enum(pts, form)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(
+    lambda r: st.tuples(point_sets(r), st.sampled_from(FORMS[r]))))
+def test_wolfe_search_matches_enumeration(case):
+    pts, form = case
+    beta = _closest_enum(pts, form)
+    cert = nearest_point(pts, form)
+    assert cert.beta == beta
+    assert cert.verify(pts, form)
+    # Wolfe's final active set carries positive weights only
+    assert all(c > 0 for c in cert.coefficients)
+    assert closest_point_to_origin(pts, form) == _canonical_certificate(pts, form, beta)
+
+
+def test_search_rejects_a_certificate_that_does_not_verify(monkeypatch):
+    pts = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    bad = geometry.ProjectionCertificate(pts[0], (0,), (Fraction(1),))
+    monkeypatch.setattr(geometry, "_wolfe_certificate", lambda *args: bad)
+    with pytest.raises(ArithmeticError):
+        nearest_point(pts, identity_form(2))
+
+
+def test_dependent_active_set_is_detected():
+    form = FORMS[3][1]
+    p, q = (Fraction(1), Fraction(2), Fraction(0)), (Fraction(0), Fraction(1), Fraction(1))
+    assert _project_affine([p, q, vsub(vscale(Fraction(2), q), p)], form) is None
+    assert _project_affine([p, q], form) is not None
+
+
+def test_geometry_has_no_assert_statements():
+    """Checks must survive python -O."""
+    tree = ast.parse(Path(geometry.__file__).read_text())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -23,6 +23,7 @@ def _pn(n):
 
 
 _A2 = [["1", "0"], ["0", "1"], ["-1", "-1"]]
+_R3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["-1", "-1", "-1"]]
 
 MODELS = {
     "p1s": {"rank": 1, "factors": _pn(1), "weyl": "sl2"},
@@ -39,6 +40,13 @@ MODELS = {
     "l4s": {"rank": 1, "factors": _lines(4), "weyl": "sl2"},
     "l5s": {"rank": 1, "factors": _lines(5), "weyl": "sl2"},
     "a2x2": {"rank": 2, "factors": [_A2, _A2]},
+    "a2x3": {"rank": 2, "factors": [_A2, _A2, _A2]},
+    "r3": {"rank": 3, "factors": [_R3, _R3]},
+}
+
+# point files for `classify`, one coordinate array per factor
+POINTS = {
+    "r3pt": [["1", "0", "2", "3"], ["0", "5", "0", "1"]],
 }
 
 # (argv with model names in place of files, exit code, sha256 of stdout)
@@ -85,18 +93,27 @@ CASES = [
      "3775676aa207168275b9ed312800e7782b85a4ffd90622d72887f51559f8dfb7"),
     (["pairing", "--group", "sl2", "l5s", "a", "a"], 0,
      "3a06543aee54ce52218a631e22f88fb54f84077a1b1df198174f962daedd2f33"),
+    # rank 3 and the triple A2 sum: nearest points beyond the planar case
+    (["index-set", "r3"], 0,
+     "838f3cae6c780933b7d44249da686bdb6c4e819f71dca3a5acd16c6ff62267bf"),
+    (["classify", "r3", "r3pt"], 0,
+     "e17a9bc3780fecbd7fd770551a10ee8e8e5d3693ef4ab742ea73d6676d52139f"),
+    (["index-set", "a2x3"], 0,
+     "a2434fc845b767a3727f261c302e985f43c0339da19d85b6e2ed3fbafb1911a2"),
+    (["perturb", "a2x2"], 0,
+     "de7c00eb8e14ff55cfb3ead3cc94c43239642e4b10bb95c20f3756dec39f7382"),
 ]
 
 
 @pytest.fixture
 def corpus(tmp_path, monkeypatch):
-    for name, obj in MODELS.items():
+    for name, obj in {**MODELS, **POINTS}.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj, sort_keys=True))
     monkeypatch.chdir(tmp_path)
 
 
 def _argv(argv):
-    return [f"{a}.json" if a in MODELS else a for a in argv]
+    return [f"{a}.json" if a in MODELS or a in POINTS else a for a in argv]
 
 
 @pytest.mark.parametrize("argv,code,digest", CASES,

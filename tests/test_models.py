@@ -1,6 +1,7 @@
 """Weighted models: profiles, stability, the index set, critical components,
 and the recursion submodels."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,10 +14,13 @@ from moment_strata import (IndexStratum, classify_profile, critical_components,
                            projective_space_model, shifted_submodel,
                            stratum_codim, strictly_semistable_witness,
                            weighted_model)
+from moment_strata.geometry import (_canonical_certificate, form_from_rows,
+                                    origin_in_interior)
 from moment_strata.models import (enumerate_profiles, minkowski_points,
                                   profile_beta)
 
 from conftest import pn_model
+from test_geometry import _closest_enum
 from test_acceptance import random_weight_system
 
 
@@ -111,6 +115,46 @@ def test_critical_components_values_sum_to_norm():
             assert codim % 2 == 0 and codim >= 0
 
 
+def _components_by_pairing(model, beta):
+    """Reference: every tuple of distinct per-factor pairing values that sums
+    to <beta, beta>, with its attaining sets and codimension."""
+    pairs = [[model.form.inner(w, beta) for w in fac] for fac in model.factors]
+    out = []
+    for values in itertools.product(*(sorted(set(p)) for p in pairs)):
+        if sum(values) == model.form.norm2(beta):
+            attaining = tuple(tuple(k for k, x in enumerate(p) if x == v)
+                              for p, v in zip(pairs, values))
+            below = sum(1 for p, v in zip(pairs, values) for x in p if x < v)
+            out.append((values, attaining, 2 * below))
+    return out
+
+
+def test_critical_components_match_direct_pairing():
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    skew = form_from_rows([[2, -1], [-1, 2]])
+    rng = random.Random(7)
+    models = [pn_model(n) for n in range(1, 7)]
+    models += [line_product_model(n) for n in range(1, 5)]
+    models += [projective_space_model([1, 1, -1, -1]),
+               weighted_model(2, [a2, a2]), weighted_model(2, [a2, a2, a2], skew),
+               random_weight_system(rng, 2), random_weight_system(rng, 2)]
+    for m in models:
+        betas = [s.beta for s in index_set(m)]
+        betas.append(tuple(Fraction(k + 1, 3) for k in range(m.rank)))
+        for beta in betas:
+            got = [(c.values, c.attaining, stratum_codim(m, c))
+                   for c in critical_components(m, beta)]
+            assert got == _components_by_pairing(m, beta), (m.factors, beta)
+
+
+def test_profile_scan_is_shared_by_models_differing_only_in_weyl():
+    from moment_strata.models import _scan, sl2_weyl
+
+    plain, reflected = pn_model(4), projective_space_model([4, 2, 0, -2, -4], sl2_weyl())
+    assert plain.factors == reflected.factors and plain != reflected
+    assert _scan(plain) is _scan(reflected)
+
+
 def test_nonzero_strata_have_positive_codimension():
     for m in (pn_model(4), line_product_model(4)):
         for stratum in index_set(m):
@@ -137,20 +181,28 @@ def test_shifted_submodel_shrinks_weight_span():
                         assert m.form.inner(w, stratum.beta) == 0
 
 
+# the reference search, once per point set
+_beta_of = functools.lru_cache(maxsize=None)(_closest_enum)
+
+
 def _index_set_by_profiles(model):
+    """Reference betas from brute-force enumeration, and the canonical
+    certificate of each beta on its first profile."""
     found = {}
     for profile in enumerate_profiles(model):
-        cls = classify_profile(model, profile)
-        if cls.beta not in found:
-            found[cls.beta] = IndexStratum(cls.beta, cls.certificate,
-                                           cls.profile, cls.points)
+        points = minkowski_points(model, profile)
+        beta = _beta_of(points, model.form)
+        if beta not in found:
+            cert = _canonical_certificate(points, model.form, beta)
+            found[beta] = IndexStratum(beta, cert, profile, points)
     return tuple(found[b] for b in sorted(found))
 
 
 def _witness_by_profiles(model):
     for profile in enumerate_profiles(model):
-        cls = classify_profile(model, profile)
-        if cls.semistable and not cls.stable:
+        points = minkowski_points(model, profile)
+        if (all(x == 0 for x in _beta_of(points, model.form))
+                and not origin_in_interior(points, model.rank)):
             return profile
     return None
 
