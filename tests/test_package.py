@@ -1,0 +1,166 @@
+"""The package surface: lazily resolved exports, the modules each CLI
+subcommand loads in a fresh interpreter, and checks that survive python -O."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import moment_strata
+
+PACKAGE = Path(moment_strata.__file__).resolve().parent
+
+EXPORTS = [
+    "BilinearForm", "CriticalComponent", "EpsilonProposal",
+    "EpsilonSearchFailed", "FlagAmbiguity", "GradedPolynomial",
+    "IndexStratum", "KernelIdeal", "MomentStrataError", "NotCoprimeStable",
+    "NotDivisible", "PerfectionReport", "Presentation", "ProfileClass",
+    "ProjectionCertificate", "RefinementReport", "RefinementViolation",
+    "StratumLabel", "TruncatedSeries", "TruncationTooSmall",
+    "WeightedModel", "WeylGroup", "WeylSymmetryRequired", "affine_p1",
+    "betti_from_presentation", "classify_binary_form",
+    "classify_p1_config", "classify_p2_config", "classify_profile",
+    "closest_point_to_origin", "component_variables", "config_of",
+    "critical_components", "divide_exact", "euler_class",
+    "fixed_components", "identity_form", "in_relation_span", "index_betas",
+    "index_set", "infinity_p1", "is_generic", "is_semistable", "is_stable",
+    "kernel_by_pairing", "line_product_model", "line_product_presentation",
+    "model_equivariant_series", "morse_label_of_config", "origin_in_hull",
+    "origin_in_interior", "perfection_check", "perturbed_model",
+    "polynomial_division", "profile_of_point", "proj_point",
+    "projective_space_model", "projective_space_presentation",
+    "propose_epsilon", "quotient_poincare_polynomial",
+    "quotient_top_degree", "random_special_linear", "raw_residue_sum",
+    "refinement_report", "residue_pairing", "restrict_to_component",
+    "restrict_to_subspace", "restriction_matrix", "semistable_series",
+    "shifted_submodel", "sl2_kernel_ideal", "sl2_quotient_series",
+    "sl2_weyl", "sl3_torus_weyl", "stratum_codim",
+    "strictly_semistable_witness", "thom_gysin_lift",
+    "tolman_weitsman_kernel", "torus_kernel_ideal", "torus_strata",
+    "transform_config", "two_sided_kernel_report", "weighted_model",
+    "weyl_kernel_bijection_report",
+]
+
+
+def _child(code, *args, cwd=None):
+    """Run code in a fresh interpreter on this package; its stdout as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# ---------------------------------------------------------------------------
+# lazy exports
+
+
+def test_all_is_the_pinned_export_list():
+    assert len(EXPORTS) == 84
+    assert sorted(moment_strata.__all__) == EXPORTS
+
+
+def test_exports_are_the_defining_module_bindings():
+    for name in EXPORTS:
+        obj = getattr(moment_strata, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+
+
+def test_dir_lists_the_exports():
+    listed = dir(moment_strata)
+    assert "__all__" in listed
+    assert set(EXPORTS) <= set(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        moment_strata.no_such_name
+
+
+def test_star_import_binds_every_export():
+    names = _child("from moment_strata import *\n"
+                   "import json\n"
+                   "print(json.dumps(sorted(n for n in dir() "
+                   "if not n.startswith('_') and n != 'json')))")
+    assert names == EXPORTS
+
+
+def test_export_is_read_from_the_submodule_on_first_access():
+    """A rebinding made in the submodule before the first access is what the
+    package returns, as for the benchmark tracer's wrappers."""
+    got = _child("import json, moment_strata\n"
+                 "from moment_strata import models\n"
+                 "models.index_set = 'rebound'\n"
+                 "print(json.dumps(moment_strata.index_set))")
+    assert got == "rebound"
+
+
+# ---------------------------------------------------------------------------
+# modules each subcommand loads
+
+LOADED = """
+import contextlib, io, json, sys
+%s
+print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules
+                        if m.startswith("moment_strata."))))
+"""
+
+RUN_CLI = """from moment_strata import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+assert code == 0, code"""
+
+INDEX_SET = ["cli", "errors", "geometry", "linalg", "models"]
+COHOMOLOGY = ["cli", "errors", "geometry", "kirwan", "linalg", "models",
+              "polynomials", "residues", "series"]
+
+INPUTS = {
+    "p1.json": {"rank": 1, "factors": [[["1"], ["-1"]]]},
+    "point.json": [["1", "1"]],
+    "config.json": [[0, 1], [0, 1], [1, 1], [1, 0]],
+}
+
+SUBCOMMANDS = [
+    (["index-set", "p1.json"], INDEX_SET),
+    (["classify", "p1.json", "point.json"], INDEX_SET),
+    (["series", "--trunc", "4", "p1.json"], sorted(INDEX_SET + ["series"])),
+    (["perturb", "p1.json"], sorted(INDEX_SET + ["perturb"])),
+    (["config", "config.json", "--family", "p1"],
+     ["cli", "configs", "errors", "linalg"]),
+    (["kirwan", "--max-degree", "2", "p1.json"], COHOMOLOGY),
+    (["pairing", "p1.json", "z", "1"], COHOMOLOGY),
+]
+
+
+def test_package_import_loads_no_submodule():
+    assert _child(LOADED % "import moment_strata") == []
+
+
+def test_cli_import_loads_only_errors():
+    assert _child(LOADED % "import moment_strata.cli") == ["cli", "errors"]
+
+
+@pytest.mark.parametrize("argv,modules", SUBCOMMANDS,
+                         ids=[case[0][0] for case in SUBCOMMANDS])
+def test_subcommand_loads_only_what_it_runs(tmp_path, argv, modules):
+    for name, obj in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    assert _child(LOADED % RUN_CLI, *argv, cwd=tmp_path) == modules
+
+
+# ---------------------------------------------------------------------------
+# checks that python -O keeps
+
+
+def test_library_has_no_assert_statements():
+    found = [(path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found
