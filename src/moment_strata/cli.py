@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import MomentStrataError, NotCoprimeStable, TruncationTooSmall
 
 if TYPE_CHECKING:
-    from .kirwan import Presentation
     from .models import WeightedModel
     from .polynomials import GradedPolynomial
 
@@ -140,32 +139,29 @@ def _load_model(path: str) -> tuple[WeightedModel, bytes]:
     return model, data
 
 
-def _presentation_of(model: WeightedModel) -> Presentation:
-    """Cohomology presentations cover rank-1 models of two shapes: a single
-    weighted projective factor, or a product of lines with weights +1/-1."""
-    from .kirwan import (line_product_presentation,
-                         projective_space_presentation)
-
+def _ring_of(model: WeightedModel) -> tuple[tuple[str, ...], list | None]:
+    """Variables of the presented cohomology ring, with the weights of a
+    single weighted projective factor (None for a product of lines): the
+    two rank-1 shapes `kirwan` presents, named as it names them."""
     if model.rank != 1:
         raise InputError("presentations exist for rank-1 models only")
     if len(model.factors) == 1:
         weights = [w[0] for w in model.factors[0]]
-        try:
-            return projective_space_presentation(weights)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        if len(weights) < 2:
+            raise InputError("need at least two coordinates")
+        return ("z", "a"), weights
     line = {(Fraction(1),), (Fraction(-1),)}
     if all(set(fac) == line for fac in model.factors):
-        return line_product_presentation(len(model.factors))
+        return tuple(f"z{i+1}" for i in range(len(model.factors))) + ("a",), None
     raise InputError("no presentation for this model: need a single "
                      "weighted projective factor or a product of lines")
 
 
-def _parse_poly(pres: Presentation, text: str, what: str) -> GradedPolynomial:
+def _parse_poly(variables: tuple[str, ...], text: str, what: str) -> GradedPolynomial:
     from .polynomials import GradedPolynomial
 
     try:
-        return GradedPolynomial.parse(pres.variables, text)
+        return GradedPolynomial.parse(variables, text)
     except ValueError as exc:
         raise InputError(f"cannot parse {what}: {exc}") from exc
 
@@ -371,23 +367,27 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_kirwan(args) -> int:
-    from .kirwan import (betti_from_presentation, sl2_kernel_ideal,
+    from .kirwan import (betti_from_presentation, line_product_presentation,
+                         projective_space_presentation, sl2_kernel_ideal,
                          torus_kernel_ideal, two_sided_kernel_report,
                          weyl_kernel_bijection_report)
 
     model, raw = _load_model(args.model)
     if args.max_degree < 0:
         raise InputError("--max-degree must be nonnegative")
-    pres = _presentation_of(model)
+    variables, weights = _ring_of(model)
+    pres = (line_product_presentation(len(variables) - 1) if weights is None
+            else projective_space_presentation(weights))
     target = {"ss": "semistable", "s": "stable"}[args.target]
+    lifts: dict = {}    # each stratum's Thom-Gysin lift, built once
     if args.group == "torus":
         if target != "semistable":
             raise InputError("the stable target applies to the reflection "
                              "quotient only; use --group sl2")
-        kernel = torus_kernel_ideal(pres, args.max_degree)
+        kernel = torus_kernel_ideal(pres, args.max_degree, lifts)
     else:
         try:
-            kernel = sl2_kernel_ideal(pres, args.max_degree, target)
+            kernel = sl2_kernel_ideal(pres, args.max_degree, target, lifts)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     betti = []
@@ -397,7 +397,7 @@ def _cmd_kirwan(args) -> int:
                       "quotient": betti_from_presentation(pres, kernel, d)})
     checks: dict = {}
     if args.group == "sl2":
-        rep = weyl_kernel_bijection_report(pres, args.max_degree)
+        rep = weyl_kernel_bijection_report(pres, args.max_degree, lifts)
         checks["reflection_bijection"] = {
             "ok": rep.ok,
             "degrees": [{"degree": r.degree,
@@ -409,7 +409,7 @@ def _cmd_kirwan(args) -> int:
                          "ok": r.ok} for r in rep.degrees],
         }
     else:
-        rep = two_sided_kernel_report(pres, args.max_degree)
+        rep = two_sided_kernel_report(pres, args.max_degree, lifts)
         checks["two_sided_kernel"] = {
             "ok": rep.ok,
             "degrees": [{"degree": r.degree,
@@ -447,9 +447,9 @@ def _cmd_pairing(args) -> int:
     from .series import quotient_top_degree
 
     model, raw = _load_model(args.model)
-    pres = _presentation_of(model)
-    eta = _parse_poly(pres, args.eta, "eta")
-    zeta = _parse_poly(pres, args.zeta, "zeta")
+    variables, _ = _ring_of(model)
+    eta = _parse_poly(variables, args.eta, "eta")
+    zeta = _parse_poly(variables, args.zeta, "zeta")
     normalized = residue_pairing(model, eta, zeta, args.group)
     raw_sum = normalized / PAIRING_SCALE[args.group]
     result = {

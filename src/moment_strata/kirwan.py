@@ -11,7 +11,7 @@ product of the Euler factors of the coordinates the stratum kills. The
 torus-level kernel is generated by these lifts; the reflection-group kernel
 folds opposite strata into an invariant difference (divided by the
 parameter) and an invariant sum. Betti numbers fall out of exact row
-reduction of the relation ideal degree by degree.
+reduction of the kernel ideal in the presented ring, degree by degree.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .linalg import SpanBasis, frac, null_space
@@ -56,6 +57,32 @@ class Presentation:
     @property
     def alpha(self) -> GradedPolynomial:
         return GradedPolynomial.var(self.variables, "a")
+
+    def basis(self, d: int) -> tuple[Exponents, ...]:
+        """Normal-form monomials of degree d, ascending lex: z^S a^m for a set
+        S of lines, or z^j a^m with j <= n. The relations are a Groebner basis
+        (leading terms z_i^2, coprime, or the one relation's z^(n+1))."""
+        k = d // 2
+        if self.kind == "pn":
+            return tuple((j, k - j) for j in range(min(self.n, k) + 1))
+        return tuple(s + (k - sum(s),)
+                     for s in itertools.product((0, 1), repeat=self.n)
+                     if sum(s) <= k)
+
+    def normal_form(self, e: Exponents) -> dict[Exponents, Fraction]:
+        """Monomial e modulo the relations, on basis monomials of its degree;
+        commutes with times a and, for symmetric weights, with a -> -a."""
+        if self.kind == "p1n":
+            m = e[-1] + sum(x - x % 2 for x in e[:-1])
+            return {tuple(x % 2 for x in e[:-1]) + (m,): Fraction(1)}
+        k, n = sum(e), self.n
+        tail = [(f[0], -c) for f, c in self.relations[0].terms if f[0] <= n]
+        vec = {e[0]: Fraction(1)}
+        for top in range(e[0], n, -1):
+            c = vec.pop(top, 0)
+            for j, r in (tail if c else ()):
+                vec[j + top - n - 1] = vec.get(j + top - n - 1, 0) + c * r
+        return {(j, k - j): c for j, c in sorted(vec.items()) if c}
 
 
 def projective_space_presentation(weights: Sequence) -> Presentation:
@@ -152,6 +179,7 @@ def thom_gysin_lift(pres: Presentation, stratum,
 
 @dataclass(frozen=True)
 class KernelIdeal:
+    """Kernel generators up to a degree cap; the relations are not among them."""
     group: str       # "torus" or "sl2"
     target: str      # "semistable" or "stable"
     max_degree: int
@@ -159,12 +187,23 @@ class KernelIdeal:
     presentation: Presentation
 
 
-def torus_kernel_ideal(pres: Presentation, max_degree: int) -> KernelIdeal:
+def _lift(pres: Presentation, stratum, lifts: dict | None) -> GradedPolynomial:
+    """The lift of the unit class, kept in `lifts` when the caller gives one."""
+    if lifts is None:
+        return thom_gysin_lift(pres, stratum)
+    if stratum not in lifts:
+        lifts[stratum] = thom_gysin_lift(pres, stratum)
+    return lifts[stratum]
+
+
+def torus_kernel_ideal(pres: Presentation, max_degree: int,
+                       lifts: dict | None = None) -> KernelIdeal:
     """One generator per unstable stratum: the lift of the unit class.
 
     The lift of any class eta is eta times the lift of the unit, so the
     degreewise spans of this ideal coincide with the spans of per-monomial
-    lift enumerations up to the same degree cap.
+    lift enumerations up to the same degree cap. `lifts` (stratum -> lift)
+    lets callers build each lift once.
     """
     gens = []
     for stratum in torus_strata(pres):
@@ -175,7 +214,7 @@ def torus_kernel_ideal(pres: Presentation, max_degree: int) -> KernelIdeal:
             label = f"beta={stratum.beta}"
         else:
             label = f"J={','.join(map(str, stratum.subset))};sigma={stratum.sigma:+d}"
-        gens.append((label, thom_gysin_lift(pres, stratum)))
+        gens.append((label, _lift(pres, stratum, lifts)))
     return KernelIdeal("torus", "semistable", max_degree, tuple(gens), pres)
 
 
@@ -187,19 +226,21 @@ def _reflect(poly: GradedPolynomial) -> GradedPolynomial:
 
 
 def sl2_kernel_ideal(pres: Presentation, max_degree: int,
-                     target: str = "semistable") -> KernelIdeal:
+                     target: str = "semistable",
+                     lifts: dict | None = None) -> KernelIdeal:
     """Folded kernel generators for the reflection quotient.
 
     Each pair of opposite strata yields two invariant generators: the
     difference of the two lifts divided by the parameter (degree two below
     the torus codimension) and their sum. For products of lines with the
     stable target, the half-size subsets contribute the same two families.
+    Pairs above max_degree are not lifted; `lifts` as in torus_kernel_ideal.
     """
     if target not in ("semistable", "stable"):
         raise ValueError("target must be 'semistable' or 'stable'")
     require_negation_symmetric(pres.model())
     a = pres.alpha
-    pairs: list[tuple[str, GradedPolynomial, GradedPolynomial, int]] = []
+    pairs: list[tuple[str, object, object, int]] = []
     if pres.kind == "pn":
         if target == "stable":
             raise ValueError("the stable target is defined for products of lines only")
@@ -208,10 +249,8 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
             b = s.beta[0]
             if b <= 0:
                 continue
-            plus = thom_gysin_lift(pres, PnStratum(b))
-            minus = thom_gysin_lift(pres, PnStratum(-b))
             lam = stratum_codimension(pres, PnStratum(b))
-            pairs.append((f"beta={b}", plus, minus, lam))
+            pairs.append((f"beta={b}", PnStratum(b), PnStratum(-b), lam))
     else:
         n = pres.n
         low = n // 2 + 1
@@ -219,12 +258,14 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
             low = n // 2
         for size in range(low, n + 1):
             for subset in itertools.combinations(range(1, n + 1), size):
-                plus = thom_gysin_lift(pres, LineProductStratum(subset, 1))
-                minus = thom_gysin_lift(pres, LineProductStratum(subset, -1))
                 label = "J=" + ",".join(map(str, subset))
-                pairs.append((label, plus, minus, 2 * size))
+                pairs.append((label, LineProductStratum(subset, 1),
+                              LineProductStratum(subset, -1), 2 * size))
     gens = []
-    for label, plus, minus, lam in pairs:
+    for label, up, down, lam in pairs:
+        if lam - 2 > max_degree:
+            continue
+        plus, minus = _lift(pres, up, lifts), _lift(pres, down, lifts)
         if _reflect(plus) != minus:
             raise AssertionError("opposite lifts are not reflection images")
         diff = divide_exact(plus - minus, a).scale(Fraction(1, 4))
@@ -239,23 +280,26 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
 
 
 # ---------------------------------------------------------------------------
-# graded spans of relation ideals, with caching
+# graded spans of kernel ideals in the presented ring, with caching
 
 
 class _IdealSpans:
-    """Degreewise row spans of an ideal in the free graded ring.
+    """Degreewise spans of the image of an ideal in the presented ring.
 
-    Each degree's span, exponent index and parity-projected spans are built
-    once and kept on the instance.
+    Degree d is spanned over `Presentation.basis(d)`: degree d-2's rows times
+    each variable, reduced, and the generators' normal forms; relations never
+    enter a span. Spans, basis indices and parity spans are kept per degree.
     """
 
-    def __init__(self, variables: tuple[str, ...], gens: Sequence[GradedPolynomial]):
-        self.variables = variables
-        self.nv = len(variables)
+    def __init__(self, pres: Presentation, gens: Sequence[GradedPolynomial]):
+        self.pres = pres
+        self.nv = len(pres.variables)
         self.by_degree: dict[int, SpanBasis] = {}
         self.by_parity: dict[tuple[int, int], SpanBasis] = {}
         self.indices: dict[int, dict[Exponents, int]] = {}
         self.gens_at: dict[int, list[GradedPolynomial]] = {}
+        # scaling products by the relations' denominators keeps rows integer
+        self.scale = lcm(*(c.denominator for r in pres.relations for _, c in r.terms))
         for g in gens:
             if g.is_zero():
                 continue
@@ -263,10 +307,10 @@ class _IdealSpans:
                 raise ValueError("ideal generators must be homogeneous")
             self.gens_at.setdefault(g.degree(), []).append(g)
 
-    def _index(self, d: int) -> dict[Exponents, int]:
+    def index(self, d: int) -> dict[Exponents, int]:
         idx = self.indices.get(d)
         if idx is None:
-            idx = {e: i for i, e in enumerate(exponents_of_degree(self.nv, d // 2))}
+            idx = {e: i for i, e in enumerate(self.pres.basis(d))}
             self.indices[d] = idx
         return idx
 
@@ -277,17 +321,20 @@ class _IdealSpans:
         if hit is not None:
             return hit
         sb = SpanBasis()
-        idx = self._index(d)
-        if d >= 2:
-            prev = self.span(d - 2)
-            # column of each degree-(d-2) monomial times each variable
-            shift = [[idx[e[:i] + (e[i] + 1,) + e[i + 1:]] for i in range(self.nv)]
-                     for e in exponents_of_degree(self.nv, (d - 2) // 2)]
-            for row in prev.basis_rows():
+        idx = self.index(d)
+        if d >= 2 and self.span(d - 2).dim:
+            table = [[[(idx[f], int(c * self.scale)) for f, c in
+                       self.pres.normal_form(e[:i] + (e[i] + 1,) + e[i + 1:]).items()]
+                      for i in range(self.nv)] for e in self.index(d - 2)]
+            for row in self.span(d - 2).basis_rows():
                 for var_i in range(self.nv):
-                    sb.add_int_row({shift[col][var_i]: val for col, val in row.items()})
+                    out: dict[int, int] = {}
+                    for col, val in row.items():
+                        for c, k in table[col][var_i]:
+                            out[c] = out.get(c, 0) + val * k
+                    sb.add_int_row(out)
         for g in self.gens_at.get(d, ()):
-            sb.add({idx[e]: c for e, c in g.terms})
+            sb.add(self.vector_of(g, d))
         self.by_degree[d] = sb
         return sb
 
@@ -296,7 +343,7 @@ class _IdealSpans:
         given parity; valid whenever the ideal is stable under negating a."""
         hit = self.by_parity.get((d, parity))
         if hit is None:
-            exps = exponents_of_degree(self.nv, d // 2)
+            exps = self.pres.basis(d)
             hit = SpanBasis()
             for row in self.span(d).basis_rows():
                 filtered = {col: val for col, val in row.items()
@@ -307,18 +354,15 @@ class _IdealSpans:
         return hit
 
     def vector_of(self, poly: GradedPolynomial, d: int) -> dict[int, Fraction]:
-        idx = self._index(d)
+        """Normal form of a polynomial homogeneous of degree d."""
+        idx = self.index(d)
         out: dict[int, Fraction] = {}
         for e, c in poly.terms:
             if 2 * sum(e) != d:
                 raise ValueError("polynomial is not homogeneous of the requested degree")
-            out[idx[e]] = c
+            for f, k in ({e: 1} if e in idx else self.pres.normal_form(e)).items():
+                out[idx[f]] = out.get(idx[f], 0) + c * k
         return out
-
-    def poly_of(self, row: dict[int, int | Fraction], d: int) -> GradedPolynomial:
-        exps = exponents_of_degree(self.nv, d // 2)
-        return GradedPolynomial.from_dict(
-            self.variables, {exps[col]: Fraction(val) for col, val in row.items()})
 
 
 _SPANS_CACHE: dict = {}
@@ -328,10 +372,8 @@ def _spans_for(pres: Presentation, kernel: KernelIdeal | None) -> _IdealSpans:
     key = (pres, kernel)
     hit = _SPANS_CACHE.get(key)
     if hit is None:
-        gens = list(pres.relations)
-        if kernel is not None:
-            gens += [g for _, g in kernel.generators]
-        hit = _IdealSpans(pres.variables, gens)
+        gens = [g for _, g in kernel.generators] if kernel is not None else []
+        hit = _IdealSpans(pres, gens)
         _SPANS_CACHE[key] = hit
     return hit
 
@@ -349,9 +391,8 @@ def betti_from_presentation(pres: Presentation, kernel: KernelIdeal | None,
     spans = _spans_for(pres, kernel)
     group = kernel.group if kernel is not None else "torus"
     if group == "torus":
-        return graded_piece_dim(spans.nv, d) - spans.span(d).dim
-    inv_count = sum(1 for e in exponents_of_degree(spans.nv, d // 2)
-                    if e[-1] % 2 == 0)
+        return len(pres.basis(d)) - spans.span(d).dim
+    inv_count = sum(1 for e in pres.basis(d) if e[-1] % 2 == 0)
     return inv_count - spans.parity_span(d, 0).dim
 
 
@@ -397,7 +438,8 @@ class WeylBijectionReport:
         return all(e.ok for e in self.degrees)
 
 
-def weyl_kernel_bijection_report(pres: Presentation, max_degree: int) -> WeylBijectionReport:
+def weyl_kernel_bijection_report(pres: Presentation, max_degree: int,
+                                 lifts: dict | None = None) -> WeylBijectionReport:
     """Certify that multiplication by twice the parameter identifies the
     reflection-group kernel with the anti-invariant torus kernel.
 
@@ -405,52 +447,56 @@ def weyl_kernel_bijection_report(pres: Presentation, max_degree: int) -> WeylBij
     kernel, taken modulo relations, must map bijectively onto the
     anti-invariant part of the torus kernel in degree d + 2: the map is
     checked to be injective modulo relations, to land exactly on the
-    anti-invariant span, and to be inverted by exact division.
+    anti-invariant span, and to be inverted by exact division (on basis
+    monomials, both maps shift the power of a). `lifts` as in torus_kernel_ideal.
     """
     require_negation_symmetric(pres.model())
-    torus = torus_kernel_ideal(pres, max_degree + 2)
-    folded = sl2_kernel_ideal(pres, max_degree)
-    base_spans = _spans_for(pres, None)
+    torus = torus_kernel_ideal(pres, max_degree + 2, lifts)
+    folded = sl2_kernel_ideal(pres, max_degree, lifts=lifts)
     g_spans = _spans_for(pres, folded)
     t_spans = _spans_for(pres, torus)
-    a2 = pres.alpha.scale(2)
 
     entries = []
     for d in range(0, max_degree + 1, 2):
-        zg = base_spans.parity_span(d, 0)
         kg = g_spans.parity_span(d, 0)
-        dim_ker_g = kg.dim - zg.dim
-        za = base_spans.parity_span(d + 2, 1)
         kt = t_spans.parity_span(d + 2, 1)
-        dim_ker_t = kt.dim - za.dim
-
+        above = t_spans.index(d + 2)
+        up = {i: above[e[:-1] + (e[-1] + 1,)] for e, i in g_spans.index(d).items()}
+        down = {j: i for i, j in up.items()}
         lhs = SpanBasis()
-        for row in za.basis_rows():
-            lhs.add_int_row(dict(row))
         for row in kg.basis_rows():
-            shifted = (g_spans.poly_of(row, d) * a2)
-            lhs.add(t_spans.vector_of(shifted, d + 2))
-        injective = (lhs.dim - za.dim) == dim_ker_g
-
+            lhs.add_int_row({up[c]: v for c, v in row.items()})
         spans_equal = lhs.dim == kt.dim and all(
-            lhs.contains({c: Fraction(v) for c, v in row.items()})
-            for row in kt.basis_rows())
-
-        inverse_ok = True
-        for row in kt.basis_rows():
-            u = t_spans.poly_of(row, d + 2)
-            q = divide_exact(u, a2)
-            if not kg.contains(g_spans.vector_of(q, d)):
-                inverse_ok = False
-                break
-
-        entries.append(WeylBijectionDegree(d, dim_ker_g, dim_ker_t,
-                                           injective, spans_equal, inverse_ok))
+            lhs.contains(row) for row in kt.basis_rows())
+        inverse_ok = all(kg.contains({down[c]: v for c, v in row.items()})
+                         for row in kt.basis_rows())
+        entries.append(WeylBijectionDegree(d, kg.dim, kt.dim, lhs.dim == kg.dim,
+                                           spans_equal, inverse_ok))
     return WeylBijectionReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
 # the vanishing-locus kernel
+
+
+def _two_sided_spans(pres: Presentation, max_degree: int) -> dict[int, SpanBasis]:
+    """Per even degree, the vanishing-locus kernel in the presented ring;
+    the kernel in the free ring is this one plus the relations."""
+    comps = fixed_components(pres.model())
+    sides = ([c for c in comps if c.mu <= 0], [c for c in comps if c.mu >= 0])
+    out: dict[int, SpanBasis] = {}
+    for d in range(0, max_degree + 1, 2):
+        basis = pres.basis(d)
+        # a component with moment value zero lies on both sides; its
+        # restriction is computed once
+        rows_of = {c: restriction_matrix(c, basis) for c in comps}
+        span = SpanBasis()
+        for side in sides:
+            rows = [row for comp in side for row in rows_of[comp]]
+            for v in null_space(rows, len(basis)):
+                span.add({i: c for i, c in enumerate(v) if c != 0})
+        out[d] = span
+    return out
 
 
 def tolman_weitsman_kernel(pres: Presentation, max_degree: int
@@ -460,27 +506,23 @@ def tolman_weitsman_kernel(pres: Presentation, max_degree: int
     In each even degree the kernel is the sum of two spaces: classes
     restricting to zero on every fixed component with nonpositive moment
     value, and classes restricting to zero on every component with
-    nonnegative value. Base relations restrict to zero everywhere, so each
-    graded piece automatically contains them.
+    nonnegative value. Relations restrict to zero, so the basis is the
+    kernel in the presented ring on normal-form monomials, followed by the
+    relations e - nf(e) for each monomial e outside the normal-form basis.
     """
-    comps = fixed_components(pres.model())
-    sides = ([c for c in comps if c.mu <= 0], [c for c in comps if c.mu >= 0])
+    v = pres.variables
     out: dict[int, tuple[GradedPolynomial, ...]] = {}
-    for d in range(0, max_degree + 1, 2):
-        exps = exponents_of_degree(len(pres.variables), d // 2)
-        # a component with moment value zero lies on both sides; its
-        # restriction is computed once
-        rows_of = {c: restriction_matrix(c, exps) for c in comps}
-        span = SpanBasis()
-        for side in sides:
-            rows = [row for comp in side for row in rows_of[comp]]
-            for v in null_space(rows, len(exps)):
-                span.add({i: c for i, c in enumerate(v) if c != 0})
-        basis = []
-        for row in span.basis_rows():
-            basis.append(GradedPolynomial.from_dict(
-                pres.variables, {exps[c]: Fraction(v) for c, v in row.items()}))
-        out[d] = tuple(basis)
+    for d, span in _two_sided_spans(pres, max_degree).items():
+        basis = pres.basis(d)
+        polys = [GradedPolynomial.from_dict(
+            v, {basis[c]: Fraction(x) for c, x in row.items()})
+            for row in span.basis_rows()]
+        for e in exponents_of_degree(len(v), d // 2):
+            nf = pres.normal_form(e)
+            if nf != {e: 1}:
+                nf = {f: -c for f, c in nf.items()}
+                polys.append(GradedPolynomial.from_dict(v, {e: Fraction(1), **nf}))
+        out[d] = tuple(polys)
     return out
 
 
@@ -501,25 +543,23 @@ class TwoSidedKernelReport:
         return all(e.equal for e in self.degrees)
 
 
-def two_sided_kernel_report(pres: Presentation, max_degree: int) -> TwoSidedKernelReport:
+def two_sided_kernel_report(pres: Presentation, max_degree: int,
+                            lifts: dict | None = None) -> TwoSidedKernelReport:
     """Compare the vanishing-locus kernel with the torus stratum ideal.
 
     In each even degree d <= max_degree the two spaces are equal when every
     two-sided kernel class lies in the ideal (relations included) and the
-    two dimensions agree.
+    two dimensions agree, compared in the presented ring; the dimensions
+    reported are those in the free ring. `lifts` as in torus_kernel_ideal.
     """
-    spans = _spans_for(pres, torus_kernel_ideal(pres, max_degree))
-    two_sided = tolman_weitsman_kernel(pres, max_degree)
+    spans = _spans_for(pres, torus_kernel_ideal(pres, max_degree, lifts))
     entries = []
-    for d in range(0, max_degree + 1, 2):
-        vectors = [spans.vector_of(b, d) for b in two_sided[d]]
-        span = SpanBasis()
-        for vec in vectors:
-            span.add(vec)
+    for d, two_sided in _two_sided_spans(pres, max_degree).items():
         ideal = spans.span(d)
-        contained = all(ideal.contains(vec) for vec in vectors)
-        entries.append(TwoSidedKernelDegree(d, span.dim, ideal.dim,
-                                            contained and span.dim == ideal.dim))
+        contained = all(ideal.contains(row) for row in two_sided.basis_rows())
+        rel = graded_piece_dim(spans.nv, d) - len(pres.basis(d))
+        entries.append(TwoSidedKernelDegree(d, two_sided.dim + rel, ideal.dim + rel,
+                                            contained and two_sided.dim == ideal.dim))
     return TwoSidedKernelReport(tuple(entries))
 
 

@@ -209,6 +209,36 @@ def test_pairing_computes_the_residue_sum_once(models, capsys, monkeypatch, argv
     assert Fraction(result["raw_residue_sum"]) * scale == Fraction(result["pairing"])
 
 
+@pytest.mark.parametrize("factors,message", [
+    ([[["1", "0"], ["0", "1"]]], "presentations exist for rank-1 models only"),
+    ([[["1"]]], "need at least two coordinates"),
+    ([[["1"], ["-1"]], [["2"], ["-1"]]], "no presentation for this model"),
+])
+@pytest.mark.parametrize("command", ["kirwan", "pairing"])
+def test_presentation_shape_errors(tmp_path, capsys, command, factors, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rank": len(factors[0][0]), "factors": factors}))
+    extra = ["1", "1"] if command == "pairing" else []
+    code, out, err = run(capsys, [command, str(path), *extra])
+    assert code == 2 and not out
+    assert err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("factors,pres", [
+    ([[["3"], ["1/2"], ["-1"]]], ("projective_space_presentation", ["3", "1/2", "-1"])),
+    ([[["1"], ["-1"]]] * 3, ("line_product_presentation", 3)),
+])
+def test_pairing_ring_matches_the_presentation(factors, pres):
+    from moment_strata import kirwan
+    from moment_strata.models import weighted_model
+
+    name, arg = pres
+    pres = getattr(kirwan, name)(arg)
+    variables, weights = cli._ring_of(weighted_model(1, factors))
+    assert variables == pres.variables
+    assert weights is None or tuple(weights) == pres.weights
+
+
 def test_pairing_strictly_semistable_is_a_math_error(models, capsys):
     code, out, err = run(capsys, ["pairing", models["l4"], "1", "1"])
     assert code == 3

@@ -38,7 +38,14 @@ MODELS = {
     "l3s": {"rank": 1, "factors": _lines(3), "weyl": "sl2"},
     "l4": {"rank": 1, "factors": _lines(4)},
     "l4s": {"rank": 1, "factors": _lines(4), "weyl": "sl2"},
+    "l5": {"rank": 1, "factors": _lines(5)},
     "l5s": {"rank": 1, "factors": _lines(5), "weyl": "sl2"},
+    "l6s": {"rank": 1, "factors": _lines(6), "weyl": "sl2"},
+    "p1d": {"rank": 1, "factors": _pn(1)},
+    # rational, zero and non-integral weights for the presented-ring kernels
+    "p3half": {"rank": 1, "factors": [[["3/2"], ["1/2"], ["-1/2"], ["-3/2"]]]},
+    "p4zero": {"rank": 1, "factors": [[["2"], ["1"], ["0"], ["-1"], ["-2"]]]},
+    "p3rat": {"rank": 1, "factors": [[["5/2"], ["1/3"], ["-1"], ["-2"]]]},
     "a2x2": {"rank": 2, "factors": [_A2, _A2]},
     "a2x3": {"rank": 2, "factors": [_A2, _A2, _A2]},
     "r3": {"rank": 3, "factors": [_R3, _R3]},
@@ -120,6 +127,22 @@ CASES = [
      "7dec6dd9ca41876b21b9fcc3b49c814ea50f84f2232b26c829e225c5540dce44"),
     (["config", "p2t1", "--family", "p2"], 0,
      "97e76a3f6cfebca2a4c836d2660b3db18b5a3ad23814502fb865d52bd174bc6d"),
+    # kernels in the presented ring: larger line products, rational and zero
+    # weights, and a high degree on P^1
+    (["kirwan", "l5"], 0,
+     "3510083e5c7581b5eae5f6f0af726c647ff72461b276116748cdf2729a51cafc"),
+    (["kirwan", "--group", "sl2", "--target", "s", "--max-degree", "10", "l6s"], 0,
+     "8c4fb9e52021db4b2a9ecf6898f38efddef3c5ccc39f15c007728a8921ceaac8"),
+    (["kirwan", "p3half"], 0,
+     "bcd38d968d2190137f1c878566d47aeeaa81abff04094923c869e84a090aa9eb"),
+    (["kirwan", "--group", "sl2", "p3half"], 0,
+     "ffdbed70cdb14d5d133973184bc554c12587d4d3f9175f0a0894802426373d48"),
+    (["kirwan", "--group", "sl2", "p4zero"], 0,
+     "8757243df50ffc509d294cc25fe82606d490ea6a7b5156c74e674ce70ad0824a"),
+    (["kirwan", "--max-degree", "14", "p3rat"], 0,
+     "aabbf3c1526b9348e19e38482fb9bcc0be2d34a5cd6b5333bb68d932d53d730c"),
+    (["kirwan", "--max-degree", "200", "p1d"], 0,
+     "f666c4786f42cd7a52ac10fc523fd134cb632ecc20d9958c650fee23c8eebc55"),
     # input errors: exit 2 prints nothing to stdout, exit 3 prints the witness
     (["index-set", "float"], 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -1,6 +1,9 @@
 """Cohomology presentations, stratum-ideal kernels, Betti numbers, the
 reflection-group bijection, and the two-sided vanishing kernel."""
 
+import dataclasses
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,10 +16,14 @@ from moment_strata import (GradedPolynomial, WeylSymmetryRequired,
                            tolman_weitsman_kernel, torus_kernel_ideal,
                            torus_strata, two_sided_kernel_report,
                            weyl_kernel_bijection_report)
-from moment_strata.kirwan import (LineProductStratum, PnStratum,
+from moment_strata.kirwan import (KernelIdeal, LineProductStratum, PnStratum,
+                                  TwoSidedKernelDegree, TwoSidedKernelReport,
+                                  WeylBijectionDegree, WeylBijectionReport,
                                   stratum_codimension)
-from moment_strata.linalg import SpanBasis
-from moment_strata.polynomials import exponents_of_degree, graded_piece_dim
+from moment_strata.linalg import SpanBasis, null_space
+from moment_strata.polynomials import (divide_exact, exponents_of_degree,
+                                       graded_piece_dim)
+from moment_strata.residues import fixed_components, restriction_matrix
 
 P3 = projective_space_presentation([3, 1, -1, -3])
 P5 = projective_space_presentation([5, 3, 1, -1, -3, -5])
@@ -209,3 +216,282 @@ def test_restrict_to_subspace_anchors():
     assert restrict_to_subspace(P3, z, (0, 1)) == z
     with pytest.raises(ValueError):
         restrict_to_subspace(L3, parse(L3, "z1"), (0,))
+
+
+# ---------------------------------------------------------------------------
+# the free-ring reference: every span taken in Q[z, a], with the relations
+# as extra rows
+
+
+class FreeSpans:
+    """Degreewise row spans of an ideal in the free graded ring."""
+
+    def __init__(self, variables, gens):
+        self.variables = variables
+        self.nv = len(variables)
+        self.by_degree = {}
+        self.gens_at = {}
+        for g in gens:
+            if not g.is_zero():
+                self.gens_at.setdefault(g.degree(), []).append(g)
+
+    def index(self, d):
+        return {e: i for i, e in enumerate(exponents_of_degree(self.nv, d // 2))}
+
+    def span(self, d):
+        hit = self.by_degree.get(d)
+        if hit is not None:
+            return hit
+        sb = SpanBasis()
+        idx = self.index(d)
+        if d >= 2:
+            prev = exponents_of_degree(self.nv, (d - 2) // 2)
+            for row in self.span(d - 2).basis_rows():
+                for i in range(self.nv):
+                    sb.add_int_row({idx[prev[c][:i] + (prev[c][i] + 1,) + prev[c][i + 1:]]: v
+                                    for c, v in row.items()})
+        for g in self.gens_at.get(d, ()):
+            sb.add(self.vector_of(g, d))
+        self.by_degree[d] = sb
+        return sb
+
+    def parity_span(self, d, parity):
+        exps = exponents_of_degree(self.nv, d // 2)
+        out = SpanBasis()
+        for row in self.span(d).basis_rows():
+            filtered = {c: v for c, v in row.items() if exps[c][-1] % 2 == parity}
+            if filtered:
+                out.add_int_row(filtered)
+        return out
+
+    def vector_of(self, poly, d):
+        idx = self.index(d)
+        return {idx[e]: c for e, c in poly.terms}
+
+    def poly_of(self, row, d):
+        exps = exponents_of_degree(self.nv, d // 2)
+        return GradedPolynomial.from_dict(
+            self.variables, {exps[c]: Fraction(v) for c, v in row.items()})
+
+
+def free_spans(pres, kernel):
+    gens = list(pres.relations)
+    if kernel is not None:
+        gens += [g for _, g in kernel.generators]
+    return FreeSpans(pres.variables, gens)
+
+
+def free_betti(pres, kernel, d):
+    spans = free_spans(pres, kernel)
+    if kernel is None or kernel.group == "torus":
+        return graded_piece_dim(spans.nv, d) - spans.span(d).dim
+    inv = sum(1 for e in exponents_of_degree(spans.nv, d // 2) if e[-1] % 2 == 0)
+    return inv - spans.parity_span(d, 0).dim
+
+
+def free_in_span(spans, poly):
+    return all(spans.span(d).contains(spans.vector_of(poly.graded_piece(d), d))
+               for d in {2 * sum(e) for e, _ in poly.terms})
+
+
+def free_bijection(pres, max_degree, folded, torus):
+    base = free_spans(pres, None)
+    g_spans = free_spans(pres, folded)
+    t_spans = free_spans(pres, torus)
+    a2 = pres.alpha.scale(2)
+    out = []
+    for d in range(0, max_degree + 1, 2):
+        zg, kg = base.parity_span(d, 0), g_spans.parity_span(d, 0)
+        za, kt = base.parity_span(d + 2, 1), t_spans.parity_span(d + 2, 1)
+        lhs = SpanBasis()
+        for row in za.basis_rows():
+            lhs.add_int_row(row)
+        for row in kg.basis_rows():
+            lhs.add(t_spans.vector_of(g_spans.poly_of(row, d) * a2, d + 2))
+        injective = lhs.dim - za.dim == kg.dim - zg.dim
+        spans_equal = lhs.dim == kt.dim and all(
+            lhs.contains(row) for row in kt.basis_rows())
+        inverse_ok = all(
+            kg.contains(g_spans.vector_of(divide_exact(t_spans.poly_of(row, d + 2), a2), d))
+            for row in kt.basis_rows())
+        out.append(WeylBijectionDegree(d, kg.dim - zg.dim, kt.dim - za.dim,
+                                       injective, spans_equal, inverse_ok))
+    return WeylBijectionReport(tuple(out))
+
+
+def free_two_sided_kernel(pres, d):
+    """The vanishing-locus kernel over all free monomials of degree d."""
+    comps = fixed_components(pres.model())
+    exps = exponents_of_degree(len(pres.variables), d // 2)
+    span = SpanBasis()
+    for side in ([c for c in comps if c.mu <= 0], [c for c in comps if c.mu >= 0]):
+        rows = [row for c in side for row in restriction_matrix(c, exps)]
+        for v in null_space(rows, len(exps)):
+            span.add({i: c for i, c in enumerate(v) if c != 0})
+    return span
+
+
+def free_two_sided(pres, max_degree):
+    """The two-sided kernel report, and the kernel per degree."""
+    spans = free_spans(pres, torus_kernel_ideal(pres, max_degree))
+    entries, kernels = [], {}
+    for d in range(0, max_degree + 1, 2):
+        tw = kernels[d] = free_two_sided_kernel(pres, d)
+        ideal = spans.span(d)
+        contained = all(ideal.contains(row) for row in tw.basis_rows())
+        entries.append(TwoSidedKernelDegree(d, tw.dim, ideal.dim,
+                                            contained and tw.dim == ideal.dim))
+    return TwoSidedKernelReport(tuple(entries)), kernels
+
+
+# P^1..P^6 with symmetric, repeated, zero and rational weights, and L^1..L^6;
+# each with the degree cap the oracle comparisons run to
+SYMMETRIC = [
+    (projective_space_presentation([1, -1]), 8),
+    (projective_space_presentation([1, 0, -1]), 8),
+    (projective_space_presentation(["3/2", "1/2", "-1/2", "-3/2"]), 10),
+    (projective_space_presentation([1, 1, -1, -1]), 10),
+    (projective_space_presentation([2, 1, 0, -1, -2]), 12),
+    (projective_space_presentation([1, 1, 0, -1, -1]), 12),
+    (projective_space_presentation([5, 3, 1, -1, -3, -5]), 14),
+    (projective_space_presentation([3, 2, 1, 0, -1, -2, -3]), 16),
+] + [(line_product_presentation(n), min(2 * n + 2, 8)) for n in range(1, 7)]
+ASYMMETRIC = [
+    (projective_space_presentation([2, 1]), 6),
+    (projective_space_presentation([2, 1, -1]), 8),
+    (projective_space_presentation(["5/2", "1/3", -1, -2]), 12),
+    (projective_space_presentation([3, "1/2", 0, 0, -1, "-7/3"]), 14),
+]
+ALL = SYMMETRIC + ASYMMETRIC
+
+
+def _name(case):
+    pres, _ = case
+    if pres.kind == "p1n":
+        return f"L{pres.n}"
+    return "P(" + ",".join(map(str, pres.weights)) + ")"
+
+
+def _kernels(pres, top):
+    # beside the stratum ideals, the ideal of the first coordinate class,
+    # whose spans need the relations' lower terms in every degree
+    z = GradedPolynomial.var(pres.variables, pres.variables[0])
+    out = [None, torus_kernel_ideal(pres, top),
+           KernelIdeal("torus", "semistable", top, (("z", z),), pres)]
+    if (pres, top) in SYMMETRIC:
+        out += [sl2_kernel_ideal(pres, top),
+                KernelIdeal("sl2", "semistable", top, (("z^2", z * z),), pres)]
+        if pres.kind == "p1n":
+            out.append(sl2_kernel_ideal(pres, top, "stable"))
+    return out
+
+
+def _random_poly(rng, pres, d):
+    """A random combination of free monomials of degree d."""
+    v = pres.variables
+    terms = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+             for e in rng.sample(exponents_of_degree(len(v), d // 2),
+                                 k=min(3, graded_piece_dim(len(v), d)))}
+    return GradedPolynomial.from_dict(v, terms)
+
+
+@pytest.mark.parametrize("case", ALL, ids=_name)
+def test_normal_form_against_the_free_ring(case):
+    pres, top = case
+    relations = free_spans(pres, None)
+    reflection_stable = (pres, top) in SYMMETRIC
+    for d in range(0, top + 1, 2):
+        basis = pres.basis(d)
+        assert list(basis) == sorted(basis)
+        assert all(2 * sum(b) == d for b in basis)
+        # Q_d has the dimension of the free piece modulo the relations
+        assert len(basis) == graded_piece_dim(len(pres.variables), d) - relations.span(d).dim
+        for b in basis:
+            assert pres.normal_form(b) == {b: 1}
+        for e in exponents_of_degree(len(pres.variables), d // 2):
+            nf = pres.normal_form(e)
+            assert set(nf) <= set(basis)
+            rel = {f: -c for f, c in nf.items()}
+            rel[e] = rel.get(e, 0) + 1
+            assert free_in_span(relations, GradedPolynomial.from_dict(pres.variables, rel))
+            # multiplication by a shifts the a-exponent of every term
+            up = pres.normal_form(e[:-1] + (e[-1] + 1,))
+            assert up == {f[:-1] + (f[-1] + 1,): c for f, c in nf.items()}
+            if reflection_stable:
+                assert all(f[-1] % 2 == e[-1] % 2 for f in nf)
+
+
+@pytest.mark.parametrize("case", ALL, ids=_name)
+def test_betti_and_membership_match_the_free_ring(case):
+    pres, top = case
+    rng = random.Random(2024)
+    for kernel in _kernels(pres, top):
+        spans = free_spans(pres, kernel)
+        gens = list(pres.relations) + [g for _, g in getattr(kernel, "generators", ())]
+        for d in range(0, top + 1, 2):
+            assert betti_from_presentation(pres, kernel, d) == free_betti(pres, kernel, d)
+            polys = [_random_poly(rng, pres, d) for _ in range(3)]
+            for g in gens:
+                if g.degree() <= d:
+                    e = rng.choice(exponents_of_degree(len(pres.variables), (d - g.degree()) // 2))
+                    polys.append(g * GradedPolynomial(pres.variables, ((e, Fraction(1)),)))
+            polys.append(polys[-1] + polys[0])
+            for poly in polys:
+                assert in_relation_span(pres, kernel, poly) == free_in_span(spans, poly)
+
+
+@pytest.mark.parametrize("case", SYMMETRIC, ids=_name)
+def test_weyl_bijection_matches_the_free_ring(case):
+    pres, top = case
+    expected = free_bijection(pres, top - 2, sl2_kernel_ideal(pres, top - 2),
+                              torus_kernel_ideal(pres, top))
+    assert weyl_kernel_bijection_report(pres, top - 2) == expected
+
+
+@pytest.mark.parametrize("case", [c for c in SYMMETRIC if _name(c) in (
+    "P(3/2,1/2,-1/2,-3/2)", "P(5,3,1,-1,-3,-5)", "L4")], ids=_name)
+def test_weyl_bijection_flags_a_folded_kernel_with_too_few_generators(case, monkeypatch):
+    from moment_strata import kirwan
+
+    pres, top = case
+    folded = sl2_kernel_ideal(pres, top - 2)
+    broken = dataclasses.replace(folded, generators=folded.generators[:1])
+    monkeypatch.setattr(kirwan, "sl2_kernel_ideal", lambda *args, **kw: broken)
+    report = weyl_kernel_bijection_report(pres, top - 2)
+    assert report == free_bijection(pres, top - 2, broken, torus_kernel_ideal(pres, top))
+    assert not all(r.inverse_ok for r in report.degrees)
+
+
+@pytest.mark.parametrize("case", ALL, ids=_name)
+def test_two_sided_kernel_matches_the_free_ring(case):
+    pres, top = case
+    report, kernels = free_two_sided(pres, top)
+    assert two_sided_kernel_report(pres, top) == report
+    for d, basis in tolman_weitsman_kernel(pres, top).items():
+        index = {e: i for i, e in enumerate(exponents_of_degree(len(pres.variables), d // 2))}
+        span = SpanBasis()
+        for poly in basis:
+            assert span.add({index[e]: c for e, c in poly.terms})
+        reference = kernels[d]
+        assert span.dim == reference.dim
+        assert all(reference.contains(row) for row in span.basis_rows())
+
+
+def test_kirwan_command_builds_each_lift_once(tmp_path, monkeypatch, capsys):
+    from moment_strata import cli, kirwan
+
+    built = []
+    lift = kirwan.thom_gysin_lift
+    monkeypatch.setattr(kirwan, "thom_gysin_lift",
+                        lambda pres, s, eta=None: built.append(s) or lift(pres, s, eta))
+    model = tmp_path / "l6.json"
+    model.write_text(json.dumps({"rank": 1, "factors": [[["1"], ["-1"]]] * 6}))
+    argv = ["kirwan", str(model), "--group", "sl2", "--target", "s", "--max-degree", "8"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # subsets of 3, 4 and 5 lines on both poles: the stable generators of
+    # degree <= 8 and the torus generators of degree <= 10
+    assert len(built) == len(set(built)) == 2 * (20 + 15 + 6)
+    built.clear()
+    assert cli.main(["kirwan", str(model), "--max-degree", "8"]) == 0
+    assert len(built) == len(set(built)) == 2 * 15
