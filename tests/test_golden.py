@@ -49,6 +49,14 @@ MODELS = {
     "a2x2": {"rank": 2, "factors": [_A2, _A2]},
     "a2x3": {"rank": 2, "factors": [_A2, _A2, _A2]},
     "r3": {"rank": 3, "factors": [_R3, _R3]},
+    # weights with denominators 2 and 3, a zero and a repeated weight, and a
+    # non-identity rational form: the cases that clear denominators
+    "rat2form": {"rank": 2,
+                 "factors": [[["1/2", "0"], ["0", "1/3"], ["-1/2", "-1/3"],
+                              ["0", "0"]],
+                             [["1", "1/2"], ["-1/3", "0"], ["0", "-1"],
+                              ["-1/3", "0"]]],
+                 "form": [["2", "1"], ["1", "3/2"]]},
     # input errors: a float weight (exit 2), asymmetric sl2 weights (exit 3)
     "float": {"rank": 1, "factors": [[[1.5], [-1]]]},
     "asym": {"rank": 1, "factors": [[[2], [0], [-1]]], "weyl": "sl2"},
@@ -57,6 +65,7 @@ MODELS = {
 # point files for `classify`, one coordinate array per factor
 POINTS = {
     "r3pt": [["1", "0", "2", "3"], ["0", "5", "0", "1"]],
+    "rat2pt": [["1", "0", "2", "0"], ["0", "3", "0", "1"]],
 }
 
 # configuration files for `config`: the worked P^1 (T,2), binary-form and
@@ -143,6 +152,21 @@ CASES = [
      "aabbf3c1526b9348e19e38482fb9bcc0be2d34a5cd6b5333bb68d932d53d730c"),
     (["kirwan", "--max-degree", "200", "p1d"], 0,
      "f666c4786f42cd7a52ac10fc523fd134cb632ecc20d9958c650fee23c8eebc55"),
+    # stratification on rational weights and a rational form
+    (["index-set", "rat2form"], 0,
+     "293fe77873366eda6a568a4e0496cae21568413c17a63c6985250d0206195611"),
+    (["series", "--trunc", "16", "rat2form"], 0,
+     "7ec1540c709520c9c89c2cf7169efd69b23a80e3a0bf47c2bbf7edfdff245f56"),
+    (["perturb", "rat2form"], 0,
+     "12ee46aafe0375320080ca73444895d33ec6525ecf4e2a62696248616171b778"),
+    (["classify", "rat2form", "rat2pt"], 0,
+     "32ffdffad805f9022637690cdca1531a4530ef5af74095e19e4149d10d5aad42"),
+    (["index-set", "p3rat"], 0,
+     "3af2ec4c18632d9e425955af4fbe8fe54a512e660c6a417e341c870782341213"),
+    (["series", "p3rat"], 0,
+     "2af424e35f2943986ef2c2e84b960163793e96fdabb11237d4c09461934f82fd"),
+    (["perturb", "p3rat"], 0,
+     "7e703b04eeb066dba896339b471876673d51d8db1c27a33e8ca70c8419f2b34e"),
     # input errors: exit 2 prints nothing to stdout, exit 3 prints the witness
     (["index-set", "float"], 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
