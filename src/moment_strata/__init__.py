@@ -24,7 +24,7 @@ _EXPORTS = {
                 "transform_config"),
     "errors": ("EpsilonSearchFailed FlagAmbiguity MomentStrataError "
                "NotCoprimeStable NotDivisible RefinementViolation "
-               "TruncationTooSmall WeylSymmetryRequired"),
+               "TruncationTooSmall VerificationFailed WeylSymmetryRequired"),
     "geometry": ("BilinearForm ProjectionCertificate closest_point_to_origin "
                  "identity_form origin_in_hull origin_in_interior"),
     "kirwan": ("KernelIdeal Presentation betti_from_presentation "

@@ -47,3 +47,8 @@ class WeylSymmetryRequired(MomentStrataError):
 class FlagAmbiguity(MomentStrataError):
     """A configuration admits more than one destabilizing flag, which the
     classifier assumes cannot happen; the witness lists the competing flags."""
+
+
+class VerificationFailed(MomentStrataError, ArithmeticError):
+    """An exact self-check failed: a search or canonical certificate, or a
+    measure the stratum recursion relies on. The witness names the check."""

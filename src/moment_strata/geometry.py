@@ -7,28 +7,31 @@ and the inequality <p, beta> >= <beta, beta> for every input point, with
 equality on the support. The certificate is verified before it is returned,
 so a caller holding one never needs to trust the search strategy.
 
-The search, :func:`nearest_point`, reads rank one straight off the interval
-of values and runs Wolfe's exact active-set method in every higher rank; the
-active set it ends on is its certificate. :func:`closest_point_to_origin`
-then selects the canonical certificate of the beta it found: the
-lexicographically smallest affinely independent support on the contact face.
+The search, :func:`lattice_nearest_point`, runs on points and a Gram matrix
+cleared of denominators, which scales the nearest point by the points' lcm
+D. It reads rank one off the interval of values, runs Wolfe's exact
+active-set method in every higher rank, and verifies the active set it ends
+on in integers. :func:`closest_point_to_origin` then selects the canonical
+certificate of the beta it found, the lexicographically smallest affinely
+independent support on the contact face, and checks it in Fractions with
+:meth:`ProjectionCertificate.verify`. Interior tests are integer too.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from math import lcm
+from operator import mul
+from typing import Iterator, NamedTuple, Sequence
 
+from .errors import VerificationFailed
 from .linalg import (
     Vector,
-    cone_contains,
     dot,
     frac,
-    lp_feasible,
     matrix_rank,
-    rref,
-    solve_linear,
     vadd,
     vscale,
     vsub,
@@ -42,23 +45,15 @@ class BilinearForm:
     gram: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        n = len(self.gram)
-        for row in self.gram:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        # positive definiteness: all pivots positive under symmetric elimination
-        m = [list(row) for row in self.gram]
-        for k in range(n):
-            if m[k][k] <= 0:
-                raise ValueError("form is not positive definite")
-            for i in range(k + 1, n):
-                f = m[i][k] / m[k][k]
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
+        if any(len(row) != len(self.gram) for row in self.gram):
+            raise ValueError("Gram matrix must be square")
+        if tuple(map(tuple, self.gram)) != tuple(zip(*self.gram)):
+            raise ValueError("Gram matrix must be symmetric")
+        gram = clear_denominators(self.gram)[1]
+        # Sylvester's criterion: every leading principal minor is positive
+        if any(_det([row[:k] for row in gram[:k]]) <= 0
+               for k in range(1, len(gram) + 1)):
+            raise ValueError("form is not positive definite")
 
     @property
     def rank(self) -> int:
@@ -96,13 +91,9 @@ class ProjectionCertificate:
     coefficients: tuple[Fraction, ...]
 
     def verify(self, points: Sequence[Vector], form: BilinearForm) -> bool:
-        if len(self.support) != len(self.coefficients):
-            return False
-        if not self.support:
-            return False
-        if any(c < 0 for c in self.coefficients):
-            return False
-        if sum(self.coefficients) != 1:
+        if (len(self.support) != len(self.coefficients) or not self.support
+                or any(c < 0 for c in self.coefficients)
+                or sum(self.coefficients) != 1):
             return False
         combo = tuple(Fraction(0) for _ in self.beta)
         for i, c in zip(self.support, self.coefficients):
@@ -143,6 +134,11 @@ def _dedupe(points: Sequence[Vector]) -> list[tuple[Vector, int]]:
     return [(p, i) for p, i in seen.items()]
 
 
+def _witness(cert) -> dict:
+    return {"beta": cert.beta, "support": cert.support,
+            "coefficients": cert.coefficients}
+
+
 def _lex_subsets(indices: list[int], maxsize: int) -> Iterator[list[int]]:
     """All nonempty subsets of size <= maxsize, in lex order on sorted tuples."""
     def rec(prefix: list[int], start: int):
@@ -154,142 +150,196 @@ def _lex_subsets(indices: list[int], maxsize: int) -> Iterator[list[int]]:
     yield from rec([], 0)
 
 
-def _project_affine(sub_pts: list[Vector], form: BilinearForm) -> tuple[Vector, list[Fraction]] | None:
-    """Foot of the origin on the affine hull of affinely independent points.
-
-    Returns (point, barycentric coordinates), or None when the points are
-    affinely dependent, which is exactly when the Gram matrix of the
-    directions from the first point is singular.
-    """
-    base = sub_pts[0]
-    dirs = [vsub(p, base) for p in sub_pts[1:]]
-    k = len(dirs)
-    red, pivots = rref([[form.inner(di, dj) for dj in dirs] + [-form.inner(base, di)]
-                        for di in dirs])
-    if pivots[:k] != list(range(k)):
-        return None
-    sol = [row[k] for row in red]
-    point = base
-    for c, d in zip(sol, dirs):
-        point = vadd(point, vscale(c, d))
-    lam = [Fraction(1) - sum(sol, Fraction(0))] + sol
-    return point, lam
-
-
 def _canonical_certificate(points: Sequence[Vector], form: BilinearForm,
                            beta: Vector) -> ProjectionCertificate:
     """Lexicographically smallest affinely independent support realizing beta.
 
     Only points on the contact face <p, beta> = <beta, beta> can appear in a
-    valid support, which keeps the subset search small.
+    valid support, which keeps the subset search small. The face lies in the
+    hyperplane whose nearest point is beta, so a face subset realizes beta
+    exactly when beta is the foot of the origin on its affine hull. The
+    search runs on the lattice; the certificate is verified in Fractions.
     """
-    nb = form.norm2(beta)
-    distinct = _dedupe(points)
-    face = [idx for p, idx in distinct if form.inner(p, beta) == nb]
-    face.sort()
+    d, lattice = clear_denominators([*points, beta])
+    gram = clear_denominators(form.gram)[1]
+    x = lattice.pop()
+    gx = _iapply(gram, x)
+    nx = _idot(x, gx)
+    face = sorted(i for p, i in _dedupe(lattice) if _idot(p, gx) == nx)
     for sub in _lex_subsets(face, form.rank + 1):
-        sub_pts = [points[i] for i in sub]
-        if not _affinely_independent(sub_pts, form.rank):
+        proj = _project_affine([lattice[i] for i in sub], gram)
+        if (proj is None or min(proj[0]) < 0
+                or _combine(lattice, sub, proj[0]) != tuple(proj[1] * v for v in x)):
             continue
-        # solve sum(l_i p_i) = beta, sum(l_i) = 1
-        r = form.rank
-        a = [[p[c] for p in sub_pts] for c in range(r)] + [[Fraction(1)] * len(sub)]
-        b = list(beta) + [Fraction(1)]
-        lam = solve_linear(a, b)
-        if lam is None or any(x < 0 for x in lam):
-            continue
-        cert = ProjectionCertificate(beta, tuple(sub), tuple(lam))
+        cert = ProjectionCertificate(beta, tuple(sub),
+                                     tuple(Fraction(a, proj[1]) for a in proj[0]))
         if not cert.verify(points, form):
-            raise AssertionError("projection certificate failed self-verification")
+            raise VerificationFailed("canonical certificate failed "
+                                     "self-verification", witness=_witness(cert))
         return cert
-    raise AssertionError("no certificate found for computed nearest point")
+    raise VerificationFailed("no canonical certificate for the computed "
+                             "nearest point", witness={"beta": beta})
 
 
-def _cross(o: Vector, a: Vector, b: Vector) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+# ---------------------------------------------------------------------------
+# the nearest-point search on the integer lattice
 
 
-def _convex_hull_2d(pts: list[Vector]) -> list[Vector]:
-    """Monotone chain; returns hull vertices in counterclockwise order."""
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Vector] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vector] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def clear_denominators(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, [D p]) for D the lcm of all denominators: the scaled points keep
+    their lexicographic order and their distinctness."""
+    d = lcm(*(x.denominator for p in points for x in p))
+    return d, [tuple(x.numerator * (d // x.denominator) for x in p) for p in points]
 
 
-def _interval_certificate(pts: Sequence[Vector]) -> ProjectionCertificate:
+def _idot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _iapply(gram, v) -> tuple[int, ...]:
+    return tuple(_idot(row, v) for row in gram)
+
+
+def _combine(pts, support, weights) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*([w * x for x in pts[i]]
+                                for i, w in zip(support, weights)))))
+
+
+def _det(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968)."""
+    m, sign, det = [list(row) for row in m], 1, 1
+    for i in range(len(m)):
+        k = next((k for k in range(i, len(m)) if m[k][i]), None)
+        if k is None:
+            return 0
+        if k != i:
+            m[i], m[k], sign = m[k], m[i], -sign
+        for row in m[i + 1:]:
+            row[i + 1:] = [(m[i][i] * x - row[i] * y) // det
+                           for x, y in zip(row[i + 1:], m[i][i + 1:])]
+        det = m[i][i]
+    return sign * det
+
+
+class LatticeCertificate(NamedTuple):
+    """A certificate on lattice points with integer weights over their sum e:
+    the nearest point is beta / e."""
+
+    beta: tuple[int, ...]
+    support: tuple[int, ...]
+    coefficients: tuple[int, ...]
+
+
+def _project_affine(sub_pts, gram) -> tuple[list[int], int] | None:
+    """Foot of the origin on the affine hull of lattice points: barycentric
+    numerators over a positive denominator, by Cramer's rule on the Gram
+    matrix of the directions from the first point; None when the points are
+    affinely dependent, which is exactly when that matrix is singular."""
+    base = sub_pts[0]
+    dirs = [vsub(p, base) for p in sub_pts[1:]]
+    gdirs = [_iapply(gram, v) for v in dirs]
+    m = [[_idot(u, gv) for gv in gdirs] for u in dirs]
+    rhs = [-_idot(base, gv) for gv in gdirs]
+    det = _det(m)
+    if det == 0:
+        return None
+    sol = [_det([row[:i] + [b] + row[i + 1:] for row, b in zip(m, rhs)])
+           for i in range(len(m))]
+    return [det - sum(sol)] + sol, det
+
+
+def _interval_certificate(pts) -> LatticeCertificate:
     """Rank one: the endpoint nearest 0, or the two endpoints straddling 0."""
-    lo = min(range(len(pts)), key=lambda i: pts[i][0])
-    hi = max(range(len(pts)), key=lambda i: pts[i][0])
-    a, b = pts[lo][0], pts[hi][0]
+    vals = [p[0] for p in pts]
+    a, b = min(vals), max(vals)
+    lo, hi = vals.index(a), vals.index(b)
     if a >= 0:
-        return ProjectionCertificate(pts[lo], (lo,), (Fraction(1),))
+        return LatticeCertificate(pts[lo], (lo,), (1,))
     if b <= 0:
-        return ProjectionCertificate(pts[hi], (hi,), (Fraction(1),))
-    return ProjectionCertificate((Fraction(0),), (lo, hi),
-                                 (b / (b - a), -a / (b - a)))
+        return LatticeCertificate(pts[hi], (hi,), (1,))
+    return LatticeCertificate((0,), (lo, hi), (b, -a))
 
 
-def _wolfe_certificate(pts: Sequence[Vector], form: BilinearForm) -> ProjectionCertificate:
+def _wolfe_certificate(pts, gram) -> LatticeCertificate:
     """Wolfe's active-set method in exact arithmetic ("Finding the nearest
     point in a polytope", Math. Prog. 11, 1976).
 
     The active set stays affinely independent, and at the end of each major
     cycle x is the foot of the origin on its affine hull with positive
     barycentric weights, so the final active set and weights certify x.
+    The weights are integers over their sum; x is their integer combination.
     """
-    norms = [form.norm2(p) for p in pts]
-    first = norms.index(min(norms))
-    active, lam, x = [first], [Fraction(1)], pts[first]
+    norms = [_idot(p, _iapply(gram, p)) for p in pts]
+    active, lam = [norms.index(min(norms))], [1]
     while True:
-        gx = form.apply(x)
-        vals = [dot(p, gx) for p in pts]
-        j = min(range(len(pts)), key=vals.__getitem__)
-        if vals[j] >= dot(x, gx):
-            return ProjectionCertificate(x, tuple(active), tuple(lam))
-        active.append(j)
-        lam.append(Fraction(0))
+        x = _combine(pts, active, lam)
+        gx = _iapply(gram, x)
+        vals = [_idot(p, gx) for p in pts]
+        low = min(vals)
+        if low * sum(lam) >= _idot(x, gx):
+            return LatticeCertificate(x, tuple(active), tuple(lam))
+        active.append(vals.index(low))
+        lam.append(0)
         while True:
-            proj = _project_affine([pts[i] for i in active], form)
+            proj = _project_affine([pts[i] for i in active], gram)
             if proj is None:
-                raise ArithmeticError("nearest-point search lost affine "
-                                      "independence of its active set")
-            y, alpha = proj
+                raise VerificationFailed("nearest-point search lost affine "
+                                         "independence", witness={"active": active})
+            alpha, d = proj
             if all(a > 0 for a in alpha):
-                x, lam = y, alpha
+                lam = alpha
                 break
-            # step from x towards y until the first weight reaches zero
-            theta = min(l / (l - a) for l, a in zip(lam, alpha) if a <= 0)
-            lam = [l + theta * (a - l) for l, a in zip(lam, alpha)]
-            x = vadd(x, vscale(theta, vsub(y, x)))
-            keep = [k for k, l in enumerate(lam) if l > 0]
-            active = [active[k] for k in keep]
-            lam = [lam[k] for k in keep]
+            # step towards the foot until the first weight reaches zero:
+            # theta = p/q is the least l/(l - a) over a <= 0, for the
+            # weights l = L/e and a = A/d
+            e, p, q = sum(lam), 1, 1
+            for l, a in zip(lam, alpha):
+                if a <= 0 and l * d * q < p * (l * d - a * e):
+                    p, q = l * d, l * d - a * e
+            lam = [q * d * l + p * (a * e - l * d) for l, a in zip(lam, alpha)]
+            active = [i for i, l in zip(active, lam) if l > 0]
+            lam = [l for l in lam if l > 0]
+
+
+def _verify_lattice(pts, gram, cert: LatticeCertificate) -> bool:
+    """ProjectionCertificate.verify in integers: for X = beta, e = sum(L):
+    L >= 0, e > 0, sum(L_i P_i) = X, and e <P, G X> >= <X, G X> for every
+    point, with equality on an affinely independent support."""
+    x, support, lam = cert.beta, cert.support, cert.coefficients
+    if (len(support) != len(lam) or not support or min(lam) < 0
+            or sum(lam) <= 0 or _combine(pts, support, lam) != tuple(x)):
+        return False
+    gx = _iapply(gram, x)
+    nx, e = _idot(x, gx), sum(lam)
+    vals = [e * _idot(p, gx) for p in pts]
+    return (min(vals) >= nx and all(vals[i] == nx for i in support)
+            and _project_affine([pts[i] for i in support], gram) is not None)
+
+
+def lattice_nearest_point(points, gram) -> LatticeCertificate:
+    """Nearest point of conv(points) to the origin under an integer Gram
+    matrix, with the certificate the search ends on, verified in integers."""
+    if len(gram) == 1:
+        cert = _interval_certificate(points)
+    else:
+        cert = _wolfe_certificate(points, gram)
+    if not _verify_lattice(points, gram, cert):
+        raise VerificationFailed("projection certificate failed "
+                                 "self-verification", witness=_witness(cert))
+    return cert
 
 
 def nearest_point(points: Sequence[Vector], form: BilinearForm) -> ProjectionCertificate:
     """Nearest point of conv(points) to the origin, with the verified
-    certificate the search ends on (not the canonical one).
-
-    Points must already be rational tuples of the form's rank.
-    """
-    if form.rank == 1:
-        cert = _interval_certificate(points)
-    else:
-        cert = _wolfe_certificate(points, form)
-    if not cert.verify(points, form):
-        raise ArithmeticError("projection certificate failed self-verification")
-    return cert
+    certificate the search ends on (not the canonical one). Points must
+    already be rational tuples of the form's rank."""
+    d, lattice = clear_denominators(points)
+    cert = lattice_nearest_point(lattice, clear_denominators(form.gram)[1])
+    e = sum(cert.coefficients)
+    return ProjectionCertificate(tuple(Fraction(x, d * e) for x in cert.beta),
+                                 cert.support,
+                                 tuple(Fraction(l, e) for l in cert.coefficients))
 
 
 def closest_point_to_origin(points: Sequence[Vector], form: BilinearForm) -> ProjectionCertificate:
@@ -306,57 +356,31 @@ def closest_point_to_origin(points: Sequence[Vector], form: BilinearForm) -> Pro
 
 
 def origin_in_hull(points: Sequence[Vector]) -> bool:
-    """Exact test 0 in conv(points); independent of any choice of form."""
+    """Exact test 0 in conv(points): the nearest point is 0 in any form."""
     pts = [tuple(frac(x) for x in p) for p in points]
     if not pts:
         return False
-    r = len(pts[0])
-    if r == 1:
-        vals = [p[0] for p in pts]
-        return min(vals) <= 0 <= max(vals)
-    if r == 2:
-        hull = _convex_hull_2d([p for p, _ in _dedupe(pts)])
-        origin = (Fraction(0), Fraction(0))
-        if len(hull) == 1:
-            return hull[0] == origin
-        if len(hull) == 2:
-            a, b = hull
-            if _cross(a, b, origin) != 0:
-                return False
-            t = [(p[0], p[1]) for p in (a, b)]
-            lo = min(t)
-            hi = max(t)
-            return lo <= (Fraction(0), Fraction(0)) <= hi
-        return all(_cross(hull[i], hull[(i + 1) % len(hull)], origin) >= 0
-                   for i in range(len(hull)))
-    rows = [[p[i] for p in pts] for i in range(r)] + [[Fraction(1)] * len(pts)]
-    rhs = [Fraction(0)] * r + [Fraction(1)]
-    return lp_feasible(rows, rhs) is not None
+    gram = clear_denominators(identity_form(len(pts[0])).gram)[1]
+    return not any(lattice_nearest_point(clear_denominators(pts)[1], gram).beta)
 
 
 def origin_in_interior(points: Sequence[Vector], rank: int) -> bool:
     """Exact test 0 in the full-dimensional interior of conv(points).
 
-    Characterization used: the origin is interior iff the convex cone spanned
-    by the points is all of Q^rank, i.e. contains +e_i and -e_i for every
-    coordinate direction.
+    The origin is interior iff the points' cone is all of Q^rank. Any other
+    cone lies in a linear hyperplane spanned by rank - 1 independent points,
+    or has one as a facet; so the origin is interior iff such hyperplanes
+    exist and each has points strictly on both sides.
     """
-    pts = [tuple(frac(x) for x in p) for p in points]
-    if not pts:
-        return False
-    if rank == 1:
-        vals = [p[0] for p in pts]
-        return min(vals) < 0 < max(vals)
-    if rank == 2:
-        hull = _convex_hull_2d([p for p, _ in _dedupe(pts)])
-        if len(hull) < 3:
-            return False
-        origin = (Fraction(0), Fraction(0))
-        return all(_cross(hull[i], hull[(i + 1) % len(hull)], origin) > 0
-                   for i in range(len(hull)))
-    for i in range(rank):
-        for s in (1, -1):
-            target = tuple(Fraction(s) if j == i else Fraction(0) for j in range(rank))
-            if not cone_contains(pts, target):
+    pts = clear_denominators([tuple(x if type(x) is int else frac(x) for x in p)
+                              for p in points])[1]
+    pts = list(dict.fromkeys(p for p in pts if any(p)))
+    spanned = False
+    for sub in itertools.combinations(pts, rank - 1):
+        normal = [(-1) ** i * _det([p[:i] + p[i + 1:] for p in sub]) for i in range(rank)]
+        if any(normal):
+            spanned = True
+            vals = [_idot(normal, p) for p in pts]
+            if min(vals, default=0) >= 0 or max(vals, default=0) <= 0:
                 return False
-    return True
+    return spanned

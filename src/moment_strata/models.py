@@ -5,6 +5,10 @@ torus action on the underlying coordinates, together with a positive definite
 form on the (rank-dimensional) parameter space. Supports of points give
 profiles; Minkowski sums of the chosen weights give the finite point sets
 whose exact convex projections stratify the model.
+
+The profile scan and the critical components run on integer weights and an
+integer form, each scaled by the lcm of its denominators; Fractions appear
+only in what leaves them: betas, certificates and component values.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import WeylSymmetryRequired
@@ -20,12 +25,15 @@ from .geometry import (
     BilinearForm,
     ProjectionCertificate,
     _canonical_certificate,
+    _iapply,
+    _idot,
+    clear_denominators,
     closest_point_to_origin,
     identity_form,
-    nearest_point,
+    lattice_nearest_point,
     origin_in_interior,
 )
-from .linalg import Vector, dot, frac, vscale, vsub
+from .linalg import Vector, frac, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -155,14 +163,31 @@ def _check_profile(model: WeightedModel, profile: Profile):
             raise ValueError("support index out of range")
 
 
+Lattice = tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _lattice(factors: tuple[tuple[Vector, ...], ...]) -> tuple[int, Lattice]:
+    """(D, the weights times D) for D the lcm of the weight denominators."""
+    d, flat = clear_denominators([w for fac in factors for w in fac])
+    it = iter(flat)
+    return d, tuple(tuple(next(it) for _ in fac) for fac in factors)
+
+
+def _lattice_points(weights: Lattice, profile: Profile) -> tuple[tuple[int, ...], ...]:
+    """Deduplicated sums of one selected lattice weight per factor, sorted."""
+    acc = {(0,) * len(weights[0][0])}
+    for supp, fac in zip(profile, weights):
+        step = {fac[k] for k in supp}
+        acc = {tuple(map(add, s, w)) for s in acc for w in step}
+    return tuple(sorted(acc))
+
+
 def minkowski_points(model: WeightedModel, profile: Profile) -> tuple[Vector, ...]:
     """Deduplicated sums of one selected weight per factor, sorted."""
     _check_profile(model, profile)
-    acc: set[Vector] = {tuple(Fraction(0) for _ in range(model.rank))}
-    for supp, fac in zip(profile, model.factors):
-        step = {fac[k] for k in supp}
-        acc = {tuple(a + b for a, b in zip(s, w)) for s in acc for w in step}
-    return tuple(sorted(acc))
+    d, weights = _lattice(model.factors)
+    return tuple(tuple(Fraction(x, d) for x in p)
+                 for p in _lattice_points(weights, profile))
 
 
 @dataclass(frozen=True)
@@ -251,7 +276,8 @@ def enumerate_profiles(model: WeightedModel):
 class _Scan(NamedTuple):
     strata: tuple[IndexStratum, ...]
     witness: Profile | None            # first semistable, not stable profile
-    betas: dict[tuple[Vector, ...], Vector]   # beta per Minkowski point set
+    betas: dict[tuple[tuple[int, ...], ...], Vector]   # beta per lattice point set
+    weights: Lattice
 
 
 def _scan(model: WeightedModel) -> _Scan:
@@ -265,21 +291,27 @@ def _scan(model: WeightedModel) -> _Scan:
 def _scan_weights(rank: int, factors: tuple[tuple[Vector, ...], ...],
                   form: BilinearForm) -> _Scan:
     model = WeightedModel(rank, factors, form)
+    d, weights = _lattice(factors)
+    gram = clear_denominators(form.gram)[1]
     found: dict[Vector, IndexStratum] = {}
-    betas: dict[tuple[Vector, ...], Vector] = {}
+    betas: dict[tuple[tuple[int, ...], ...], Vector] = {}
     witness = None
     for profile in enumerate_profiles(model):
-        points = minkowski_points(model, profile)
-        beta = nearest_point(points, form).beta
-        betas[points] = beta
-        if beta not in found:
+        points = _lattice_points(weights, profile)
+        search = lattice_nearest_point(points, gram)
+        scale = d * sum(search.coefficients)
+        beta = tuple(Fraction(x, scale) for x in search.beta)
+        stratum = found.get(beta)
+        if stratum is None:
             # the canonical certificate of a beta is built on its first profile
-            cert = _canonical_certificate(points, form, beta)
-            found[beta] = IndexStratum(beta, cert, profile, points)
-        if (witness is None and all(x == 0 for x in beta)
+            fpoints = tuple(tuple(Fraction(x, d) for x in p) for p in points)
+            cert = _canonical_certificate(fpoints, form, beta)
+            stratum = found[beta] = IndexStratum(beta, cert, profile, fpoints)
+        betas[points] = stratum.beta
+        if (witness is None and not any(search.beta)
                 and not origin_in_interior(points, rank)):
             witness = profile
-    return _Scan(tuple(found[b] for b in sorted(found)), witness, betas)
+    return _Scan(tuple(found[b] for b in sorted(found)), witness, betas, weights)
 
 
 def index_set(model: WeightedModel) -> tuple[IndexStratum, ...]:
@@ -299,7 +331,9 @@ def profile_beta(model: WeightedModel, profile: Profile) -> Vector:
     profile shares its points with the scanned representative of its orbit
     under swaps of identical factors.
     """
-    return _scan(model).betas[minkowski_points(model, profile)]
+    _check_profile(model, profile)
+    scan = _scan(model)
+    return scan.betas[_lattice_points(scan.weights, profile)]
 
 
 def index_betas(model: WeightedModel) -> tuple[Vector, ...]:
@@ -337,46 +371,32 @@ def critical_components(model: WeightedModel, beta: Sequence) -> tuple[CriticalC
     One component per tuple of per-factor pairing values summing to
     <beta, beta>; the attaining sets list which coordinates realize each
     value, and the codimension counts the weights pairing below it.
+    With weights W / D, form G / c and beta B / s, every pairing times
+    D c s^2 is an integer; only the returned values are Fractions.
     """
     b = tuple(frac(x) for x in beta)
     if len(b) != model.rank:
         raise ValueError("beta dimension does not match model rank")
-    gb = model.form.apply(b)
-    target = dot(b, gb)
+    s, (bl,) = clear_denominators([b])
+    c, gram = clear_denominators(model.form.gram)
+    gb = _iapply(gram, bl)
+    d, weights = _lattice(model.factors)
+    scale = d * c * s * s
+    target = d * _idot(bl, gb)
     # per factor: each distinct pairing value with its attaining indices
     # and the number of weights pairing below it
-    per_factor: list[list[tuple[Fraction, tuple[int, ...], int]]] = []
-    for fac in model.factors:
-        pairs = [dot(w, gb) for w in fac]
+    per_factor: list[list[tuple[int, tuple[int, ...], int]]] = []
+    for fac in weights:
+        pairs = [s * _idot(w, gb) for w in fac]
         per_factor.append([(v, tuple(k for k, p in enumerate(pairs) if p == v),
                             sum(1 for p in pairs if p < v))
                            for v in sorted(set(pairs))])
-    suffix_min = [Fraction(0)] * (len(per_factor) + 1)
-    suffix_max = [Fraction(0)] * (len(per_factor) + 1)
-    for i in range(len(per_factor) - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + per_factor[i][0][0]
-        suffix_max[i] = suffix_max[i + 1] + per_factor[i][-1][0]
-
-    out: list[CriticalComponent] = []
-
-    def rec(i: int, acc: Fraction, chosen: list):
-        if i == len(per_factor):
-            if acc == target:
-                out.append(CriticalComponent(
-                    b, tuple(v for v, _, _ in chosen),
-                    tuple(att for _, att, _ in chosen),
-                    2 * sum(below for _, _, below in chosen)))
-            return
-        for entry in per_factor[i]:
-            v = entry[0]
-            if acc + v + suffix_min[i + 1] <= target <= acc + v + suffix_max[i + 1]:
-                chosen.append(entry)
-                rec(i + 1, acc + v, chosen)
-                chosen.pop()
-
-    rec(0, Fraction(0), [])
-    out.sort(key=lambda c: c.values)
-    return tuple(out)
+    # per-factor values ascend, so the product runs in order of value tuples
+    return tuple(CriticalComponent(b, tuple(Fraction(v, scale) for v, _, _ in chosen),
+                                   tuple(att for _, att, _ in chosen),
+                                   2 * sum(below for _, _, below in chosen))
+                 for chosen in itertools.product(*per_factor)
+                 if sum(v for v, _, _ in chosen) == target)
 
 
 def stratum_codim(model: WeightedModel, component: CriticalComponent) -> int:

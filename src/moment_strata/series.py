@@ -6,9 +6,10 @@ critical component, the component's submodel series shifted by the stratum
 codimension. Termination is guaranteed because the linear span of a shifted
 submodel's weights is strictly smaller than the parent's (the submodel
 weights are orthogonal to a nonzero vector of the parent span); the
-recursion asserts that measure decreases at every descent. The quotient by
-the reflection group runs the same descent over the positive strata only,
-each codimension lowered by two.
+recursion checks that the measure decreases at every descent and raises
+VerificationFailed where it does not. The quotient by the reflection group
+runs the same descent over the positive strata only, each codimension
+lowered by two.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotCoprimeStable, TruncationTooSmall
+from .errors import NotCoprimeStable, TruncationTooSmall, VerificationFailed
 from .geometry import span_dimension
 from .models import (
     WeightedModel,
@@ -159,12 +160,14 @@ def _descend(model: WeightedModel, trunc: int, drop: int):
         for comp in critical_components(model, beta):
             lam = stratum_codim(model, comp) - drop
             if lam < 0:
-                raise AssertionError("negative group-level codimension")
+                raise VerificationFailed("negative group-level codimension",
+                                         witness={"beta": beta, "drop": drop})
             if lam > trunc:
                 continue
             sub = shifted_submodel(model, comp)
             if not _weights_span(sub) < parent_span:
-                raise AssertionError("recursion measure failed to decrease")
+                raise VerificationFailed("recursion measure failed to decrease",
+                                         witness={"beta": beta})
             yield lam, sub
 
 

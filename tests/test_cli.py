@@ -247,6 +247,22 @@ def test_pairing_strictly_semistable_is_a_math_error(models, capsys):
     assert payload["witness"]["profile"] == [[1], [1], [0], [0]]
 
 
+def test_failed_verification_exits_3_with_a_witness(tmp_path, capsys, monkeypatch):
+    """A certificate that fails its own check is a typed error with a JSON
+    witness, not a traceback."""
+    from moment_strata import geometry, models
+
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps({"rank": 1, "factors": [[["3"], ["1"], ["-2"]]]}))
+    monkeypatch.setattr(geometry, "_verify_lattice", lambda *args: False)
+    models._scan_weights.cache_clear()
+    code, out, err = run(capsys, ["index-set", str(path)])
+    assert code == 3 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "VerificationFailed"
+    assert set(error["witness"]) == {"beta", "support", "coefficients"}
+
+
 def test_config_families(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text('[["1","0"],["1","0"],["1","1"],["1","2"]]')

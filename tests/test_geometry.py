@@ -13,7 +13,8 @@ from moment_strata import (BilinearForm, closest_point_to_origin,
                            identity_form, origin_in_hull, origin_in_interior)
 from moment_strata import geometry
 from moment_strata.geometry import (_canonical_certificate, _project_affine,
-                                    nearest_point, span_dimension)
+                                    clear_denominators, nearest_point,
+                                    span_dimension)
 from moment_strata.linalg import (lp_feasible, matrix_rank, solve_linear,
                                   vadd, vscale, vsub)
 
@@ -162,10 +163,10 @@ def test_search_rejects_a_certificate_that_does_not_verify(monkeypatch):
 
 
 def test_dependent_active_set_is_detected():
-    form = FORMS[3][1]
-    p, q = (Fraction(1), Fraction(2), Fraction(0)), (Fraction(0), Fraction(1), Fraction(1))
-    assert _project_affine([p, q, vsub(vscale(Fraction(2), q), p)], form) is None
-    assert _project_affine([p, q], form) is not None
+    gram = clear_denominators(FORMS[3][1].gram)[1]
+    p, q = (1, 2, 0), (0, 1, 1)
+    assert _project_affine([p, q, vsub(vscale(2, q), p)], gram) is None
+    assert _project_affine([p, q], gram) is not None
 
 
 @settings(max_examples=80, deadline=None)

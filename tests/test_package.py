@@ -21,7 +21,8 @@ EXPORTS = [
     "NotDivisible", "PerfectionReport", "Presentation", "ProfileClass",
     "ProjectionCertificate", "RefinementReport", "RefinementViolation",
     "StratumLabel", "TruncatedSeries", "TruncationTooSmall",
-    "WeightedModel", "WeylGroup", "WeylSymmetryRequired", "affine_p1",
+    "VerificationFailed", "WeightedModel", "WeylGroup",
+    "WeylSymmetryRequired", "affine_p1",
     "betti_from_presentation", "classify_binary_form",
     "classify_p1_config", "classify_p2_config", "classify_profile",
     "closest_point_to_origin", "component_variables", "config_of",
@@ -62,7 +63,7 @@ def _child(code, *args, cwd=None):
 
 
 def test_all_is_the_pinned_export_list():
-    assert len(EXPORTS) == 84
+    assert len(EXPORTS) == 85
     assert sorted(moment_strata.__all__) == EXPORTS
 
 
