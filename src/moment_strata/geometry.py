@@ -367,10 +367,11 @@ def origin_in_hull(points: Sequence[Vector]) -> bool:
 def origin_in_interior(points: Sequence[Vector], rank: int) -> bool:
     """Exact test 0 in the full-dimensional interior of conv(points).
 
-    The origin is interior iff the points' cone is all of Q^rank. Any other
-    cone lies in a linear hyperplane spanned by rank - 1 independent points,
-    or has one as a facet; so the origin is interior iff such hyperplanes
-    exist and each has points strictly on both sides.
+    The origin is interior iff the points' cone is all of Q^rank. Otherwise
+    the points span less, or the cone has a facet: a hyperplane through 0,
+    spanned by rank - 1 independent points, with every point on one side.
+    So the origin is interior iff such hyperplanes exist and each has
+    points strictly on both sides.
     """
     pts = clear_denominators([tuple(x if type(x) is int else frac(x) for x in p)
                               for p in points])[1]

@@ -391,12 +391,20 @@ def critical_components(model: WeightedModel, beta: Sequence) -> tuple[CriticalC
         per_factor.append([(v, tuple(k for k, p in enumerate(pairs) if p == v),
                             sum(1 for p in pairs if p < v))
                            for v in sorted(set(pairs))])
-    # per-factor values ascend, so the product runs in order of value tuples
+    # extend only the choices that the remaining factors' least and greatest
+    # sums can complete to the target; values ascend, so paths stay in order
+    low, high = [0], [0]
+    for entries in reversed(per_factor):
+        low.insert(0, low[0] + entries[0][0])
+        high.insert(0, high[0] + entries[-1][0])
+    paths: list[tuple[int, tuple]] = [(0, ())]
+    for entries, lo, hi in zip(per_factor, low[1:], high[1:]):
+        paths = [(acc + e[0], chosen + (e,)) for acc, chosen in paths
+                 for e in entries if lo <= target - acc - e[0] <= hi]
     return tuple(CriticalComponent(b, tuple(Fraction(v, scale) for v, _, _ in chosen),
                                    tuple(att for _, att, _ in chosen),
                                    2 * sum(below for _, _, below in chosen))
-                 for chosen in itertools.product(*per_factor)
-                 if sum(v for v, _, _ in chosen) == target)
+                 for _, chosen in paths)
 
 
 def stratum_codim(model: WeightedModel, component: CriticalComponent) -> int:
