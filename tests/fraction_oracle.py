@@ -141,10 +141,6 @@ def scan(model):
     return tuple(found[b] for b in sorted(found)), witness, betas
 
 
-def profile_beta(model, profile):
-    return scan(model)[2][minkowski_points(model, profile)]
-
-
 def critical_components(model: WeightedModel, beta):
     """Per-factor pairing values summing to <beta, beta>, in Fractions."""
     b = tuple(Fraction(x) for x in beta)
