@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import FlagAmbiguity
+from .errors import FlagAmbiguity, VerificationFailed
 from .linalg import frac
 
 
@@ -237,16 +237,18 @@ def classify_binary_form(roots: Iterable) -> StratumLabel:
     moved = transform_config(_move_to_zero(p), config)
     coeffs = _form_coefficients(moved)
     if any(coeffs[i] != 0 for i in range(m)) or coeffs[m] == 0:
-        raise ArithmeticError("moved form does not vanish to order exactly "
-                              "half its degree at the origin")
+        raise VerificationFailed("moved form does not vanish to order exactly "
+                                 "half its degree at the origin",
+                                 witness={"coefficients": coeffs})
     shear = -coeffs[m + 1] / (m * coeffs[m])
     coeffs = _shear_second_coordinate(coeffs, shear)
     if coeffs[m + 1] != 0:
-        raise ArithmeticError("unipotent shear left the next coefficient "
-                              "nonzero")
+        raise VerificationFailed("unipotent shear left the next coefficient "
+                                 "nonzero", witness={"coefficients": coeffs})
     k = next(i - m for i in range(m + 2, n + 1) if coeffs[i] != 0)
     if not 2 <= k <= m:
-        raise ArithmeticError(f"coefficient gap {k} outside [2, {m}]")
+        raise VerificationFailed(f"coefficient gap {k} outside [2, {m}]",
+                                 witness={"gap": k, "half_degree": m})
     return StratumLabel(_ray("T", 2 * k), coarse)
 
 
@@ -411,14 +413,16 @@ def classify_p2_config(points: Iterable) -> StratumLabel:
     special_points = [p for p, c in counts.items() if 3 * c == n]
     special_lines = [line for line, c in lines.items() if 3 * c == 2 * n]
     a, b = len(special_points), len(special_lines)
+    special = {"points": [p.coords for p in special_points],
+               "lines": [line.coords for line in special_lines]}
     if a == 3:
         return StratumLabel("(T)", coarse)
     if a == 2:
         if b == 1:
             return StratumLabel(_ray("T", "(1/2,1/2,-1)"), coarse)
         if b != 2:
-            raise ArithmeticError(f"two special points with {b} special "
-                                  "lines")
+            raise VerificationFailed(f"two special points with {b} special "
+                                     "lines", witness=special)
         return StratumLabel(_ray("T", "(1,0,-1)"), coarse)
     if a == 1:
         p = special_points[0]
@@ -429,11 +433,12 @@ def classify_p2_config(points: Iterable) -> StratumLabel:
                 return StratumLabel(_ray("T", "(1/2,0,-1/2)"), coarse)
             return StratumLabel("(T1)", coarse)
         if b != 2 or not all(on_line(p, line) for line in special_lines):
-            raise ArithmeticError("one special point needs two special "
-                                  "lines through it")
+            raise VerificationFailed("one special point needs two special "
+                                     "lines through it", witness=special)
         return StratumLabel(_ray("T", "(1,-1/2,-1/2)"), coarse)
     if a != 0 or b > 1:
-        raise ArithmeticError(f"{a} special points with {b} special lines")
+        raise VerificationFailed(f"{a} special points with {b} special lines",
+                                 witness=special)
     if b == 1:
         return StratumLabel("(T1,3)", coarse)
     return StratumLabel("Stable", coarse)

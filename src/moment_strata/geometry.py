@@ -27,15 +27,7 @@ from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import VerificationFailed
-from .linalg import (
-    Vector,
-    dot,
-    frac,
-    matrix_rank,
-    vadd,
-    vscale,
-    vsub,
-)
+from .linalg import Vector, dot, frac, matrix_rank, vadd, vscale, vsub
 
 
 @dataclass(frozen=True)
@@ -114,15 +106,14 @@ class ProjectionCertificate:
 
 def span_dimension(points: Sequence[Vector]) -> int:
     """Dimension of the linear span (affine hull through the origin)."""
-    return matrix_rank([list(p) for p in points])
+    return matrix_rank(points)
 
 
 def _affinely_independent(pts: Sequence[Vector], rank: int) -> bool:
     if not pts:
         return False
     base = pts[0]
-    diffs = [list(vsub(p, base)) for p in pts[1:]]
-    return matrix_rank(diffs) == len(pts) - 1
+    return matrix_rank([vsub(p, base) for p in pts[1:]]) == len(pts) - 1
 
 
 def _dedupe(points: Sequence[Vector]) -> list[tuple[Vector, int]]:
@@ -269,15 +260,24 @@ def _wolfe_certificate(pts, gram) -> LatticeCertificate:
     cycle x is the foot of the origin on its affine hull with positive
     barycentric weights, so the final active set and weights certify x.
     The weights are integers over their sum; x is their integer combination.
+    Each major cycle strictly lowers |x|^2, so no active set repeats and the
+    search ends; a cycle that does not is a failed check.
     """
     norms = [_idot(p, _iapply(gram, p)) for p in pts]
     active, lam = [norms.index(min(norms))], [1]
+    last = None
     while True:
         x = _combine(pts, active, lam)
         gx = _iapply(gram, x)
+        nx, e = _idot(x, gx), sum(lam)
+        # |x / e|^2 = nx / e^2 must fall below the last cycle's
+        if last is not None and nx * last[1] ** 2 >= last[0] * e * e:
+            raise VerificationFailed("nearest-point search made no progress",
+                                     witness={"active": active})
+        last = nx, e
         vals = [_idot(p, gx) for p in pts]
         low = min(vals)
-        if low * sum(lam) >= _idot(x, gx):
+        if low * e >= nx:
             return LatticeCertificate(x, tuple(active), tuple(lam))
         active.append(vals.index(low))
         lam.append(0)

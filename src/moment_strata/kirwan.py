@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .errors import VerificationFailed
 from .linalg import SpanBasis, frac, null_space
 from .models import (
     WeightedModel,
@@ -267,14 +268,16 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
             continue
         plus, minus = _lift(pres, up, lifts), _lift(pres, down, lifts)
         if _reflect(plus) != minus:
-            raise AssertionError("opposite lifts are not reflection images")
+            raise VerificationFailed("opposite lifts are not reflection images",
+                                     witness={"stratum": label})
         diff = divide_exact(plus - minus, a).scale(Fraction(1, 4))
         total = (plus + minus).scale(Fraction(1, 4))
         for g, deg, tag in ((diff, lam - 2, "difference"), (total, lam, "sum")):
             if deg > max_degree:
                 continue
             if _reflect(g) != g:
-                raise AssertionError("kernel generator is not invariant")
+                raise VerificationFailed("kernel generator is not invariant",
+                                         witness={"generator": f"{label}:{tag}"})
             gens.append((f"{label}:{tag}", g))
     return KernelIdeal("sl2", target, max_degree, tuple(gens), pres)
 

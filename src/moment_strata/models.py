@@ -38,35 +38,21 @@ from .linalg import Vector, frac, vscale, vsub
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """A finite group of exact linear symmetries with determinant signs."""
+    """A Weyl group by name and the rank of the torus it acts on. No result
+    depends on more of it: the reflection-group computations read the
+    negation symmetry of the weights instead."""
 
     name: str
-    elements: tuple[tuple[tuple[tuple[Fraction, ...], ...], int], ...]
+    rank: int
 
 
 def sl2_weyl() -> WeylGroup:
-    one = ((Fraction(1),),)
-    neg = ((Fraction(-1),),)
-    return WeylGroup("sl2", ((one, 1), (neg, -1)))
+    return WeylGroup("sl2", 1)
 
 
 def sl3_torus_weyl() -> WeylGroup:
-    """Symmetric group S3 acting on the rank-2 root space of SL(3).
-
-    Matrices are written in the simple-root basis v1 = (1,-1,0),
-    v2 = (0,1,-1); signs are determinants (transpositions negative).
-    """
-    def m(rows):
-        return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-    return WeylGroup("sl3-torus-weyl", (
-        (m([[1, 0], [0, 1]]), 1),
-        (m([[-1, 1], [0, 1]]), -1),
-        (m([[1, 0], [1, -1]]), -1),
-        (m([[0, -1], [-1, 0]]), -1),
-        (m([[0, -1], [1, -1]]), 1),
-        (m([[-1, 1], [-1, 0]]), 1),
-    ))
+    """Symmetric group S3 acting on the rank-2 root space of SL(3)."""
+    return WeylGroup("sl3-torus-weyl", 2)
 
 
 WEYL_GROUPS = {
@@ -95,9 +81,7 @@ class WeightedModel:
             for w in fac:
                 if len(w) != self.rank:
                     raise ValueError("weight dimension does not match rank")
-        if self.weyl is not None and any(
-                len(mat) != self.rank or any(len(row) != self.rank for row in mat)
-                for mat, _ in self.weyl.elements):
+        if self.weyl is not None and self.weyl.rank != self.rank:
             raise ValueError(f"weyl group {self.weyl.name!r} does not act "
                              f"on rank {self.rank}")
 

@@ -24,7 +24,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import NotCoprimeStable
-from .linalg import matrix_rank, null_space
+from .linalg import null_space
 from .models import (WeightedModel, require_negation_symmetric,
                      strictly_semistable_witness)
 from .polynomials import Exponents, GradedPolynomial, exponents_of_degree
@@ -318,7 +318,7 @@ def kernel_by_pairing(model: WeightedModel, variables: Sequence[str], d: int,
     transposed = [[matrix[i][j] for i in range(len(basis))]
                   for j in range(len(comp_basis))]
     kern_vecs = null_space(transposed, len(basis))
-    rank = matrix_rank(transposed) if transposed else 0
+    rank = len(basis) - len(kern_vecs)
     kernel = []
     for vecs in kern_vecs:
         p = GradedPolynomial.zero(v)

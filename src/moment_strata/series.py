@@ -240,11 +240,13 @@ def quotient_poincare_polynomial(model: WeightedModel, trunc: int,
     top = max(top, -1)
     for d in range(top + 1, trunc + 1):
         if series.coeffs[d] != 0:
-            raise ArithmeticError(
-                f"series fails to terminate at degree {d}; quotient data inconsistent")
+            raise VerificationFailed(
+                f"series fails to terminate at degree {d}; quotient data inconsistent",
+                witness={"degree": d, "coefficient": series.coeffs[d]})
     poly = list(series.coeffs[:top + 1])
     if any(c < 0 for c in poly):
-        raise ArithmeticError("negative coefficient in quotient polynomial")
+        raise VerificationFailed("negative coefficient in quotient polynomial",
+                                 witness={"polynomial": poly})
     return poly
 
 

@@ -1,20 +1,156 @@
 """Reference implementations in Fraction arithmetic.
 
 The library runs the profile scan, the nearest-point search and the critical
-components on the integer lattice of a model. These are the earlier
-Fraction versions of the same algorithms, kept as test oracles: every
-quantity is computed on the rational weights and the rational form
-directly, with no common denominator.
+components on the integer lattice of a model, and its one row reduction on
+integer rows. These are the earlier Fraction versions of the same
+algorithms, kept as test oracles: every quantity is computed on the rational
+weights and the rational form directly, with no common denominator. The
+dense reduced row echelon form, a linear solver and a phase-one simplex
+come first; the searches below are built on them.
 """
 
 from fractions import Fraction
 
 from moment_strata.geometry import (ProjectionCertificate, _affinely_independent,
                                     _dedupe, _lex_subsets)
-from moment_strata.linalg import (cone_contains, dot, rref, solve_linear, vadd,
-                                  vscale, vsub)
+from moment_strata.linalg import dot, vadd, vscale, vsub
 from moment_strata.models import (CriticalComponent, IndexStratum, WeightedModel,
                                   _check_profile, enumerate_profiles)
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (matrix, pivot column list).
+
+    Deterministic: in each column the first row with a nonzero entry is used
+    as the pivot.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def rref_null_space(rows, ncols):
+    """Basis of {x : A x = 0}: one vector per free column of the rref."""
+    red, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def solve_linear(a, b):
+    """One solution of A x = b, or None if the system is inconsistent.
+
+    When the solution space is positive-dimensional the free variables are
+    set to zero, which keeps the output deterministic.
+    """
+    rows = [list(ra) + [rb] for ra, rb in zip(a, b, strict=True)]
+    if not rows:
+        return []
+    n = len(a[0]) if a else 0
+    red, pivots = rref(rows)
+    for row in red:
+        if all(x == 0 for x in row[:n]) and row[n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        if c < n:
+            x[c] = red[i][n]
+        elif red[i][n] != 0:
+            return None
+    return x
+
+
+def lp_feasible(a_eq, b_eq):
+    """A nonnegative solution x of A x = b, or None if none exists: phase-one
+    simplex with Bland's rule."""
+    m = len(a_eq)
+    n = len(a_eq[0]) if m else 0
+    if m == 0:
+        return []
+    tab = []
+    for i in range(m):
+        row = list(a_eq[i])
+        rhs = b_eq[i]
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        art = [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        tab.append(row + art + [rhs])
+    basis = [n + i for i in range(m)]
+    total = n + m
+
+    def reduced_costs():
+        # phase-one objective: sum of artificial variables
+        costs = []
+        for j in range(total):
+            cj = Fraction(1) if j >= n else Fraction(0)
+            z = sum((tab[i][j] for i in range(m) if basis[i] >= n), Fraction(0))
+            costs.append(cj - z)
+        return costs
+
+    while True:
+        costs = reduced_costs()
+        enter = next((j for j in range(total) if costs[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][total] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            raise ArithmeticError("phase-one objective unbounded; inconsistent tableau")
+        pv = tab[leave][enter]
+        tab[leave] = [x / pv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        basis[leave] = enter
+
+    if any(basis[i] >= n and tab[i][total] != 0 for i in range(m)):
+        return None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][total]
+    return x
+
+
+def cone_contains(points, target):
+    """Does the convex cone generated by ``points`` contain ``target``?"""
+    if not points:
+        return all(x == 0 for x in target)
+    a = [[p[i] for p in points] for i in range(len(target))]
+    return lp_feasible(a, list(target)) is not None
 
 
 def minkowski_points(model, profile):

@@ -263,6 +263,45 @@ def test_failed_verification_exits_3_with_a_witness(tmp_path, capsys, monkeypatc
     assert set(error["witness"]) == {"beta", "support", "coefficients"}
 
 
+def _exits_3_with_verification_failed(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 3 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "VerificationFailed" and message in error["message"]
+    return error["witness"]
+
+
+def test_inconsistent_quotient_series_exits_3(models, capsys, monkeypatch):
+    from moment_strata import series
+
+    monkeypatch.setattr(series, "quotient_top_degree", lambda model, group: -1)
+    witness = _exits_3_with_verification_failed(
+        capsys, ["series", models["p3"], "--trunc", "6"], "fails to terminate")
+    assert witness == {"degree": 0, "coefficient": 1}
+
+
+def test_failed_binary_form_check_exits_3(capsys, tmp_path, monkeypatch):
+    from moment_strata import configs
+
+    conf = tmp_path / "conf.json"
+    conf.write_text('[["1","0"],["1","0"],["1","1"],["1","2"]]')
+    monkeypatch.setattr(configs, "_form_coefficients",
+                        lambda config: [Fraction(0)] * (len(config) + 1))
+    witness = _exits_3_with_verification_failed(
+        capsys, ["config", "--family", "binary", str(conf)], "does not vanish")
+    assert witness == {"coefficients": ["0"] * 5}
+
+
+def test_failed_reflection_check_exits_3(models, capsys, monkeypatch):
+    from moment_strata import kirwan
+
+    monkeypatch.setattr(kirwan, "_reflect", lambda poly: poly)
+    witness = _exits_3_with_verification_failed(
+        capsys, ["kirwan", models["p3"], "--group", "sl2", "--max-degree", "4"],
+        "reflection images")
+    assert set(witness) == {"stratum"}
+
+
 def test_config_families(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text('[["1","0"],["1","0"],["1","1"],["1","2"]]')

@@ -15,8 +15,8 @@ from moment_strata import geometry
 from moment_strata.geometry import (_canonical_certificate, _project_affine,
                                     clear_denominators, nearest_point,
                                     span_dimension)
-from moment_strata.linalg import (lp_feasible, matrix_rank, solve_linear,
-                                  vadd, vscale, vsub)
+from fraction_oracle import lp_feasible, rref, solve_linear
+from moment_strata.linalg import vadd, vscale, vsub
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -44,7 +44,7 @@ def _closest_enum(points, form):
     for size in range(1, form.rank + 1):
         for sub in itertools.combinations(distinct, size):
             base, dirs = sub[0], [vsub(p, sub[0]) for p in sub[1:]]
-            if matrix_rank(dirs) != len(dirs):
+            if len(rref(dirs)[1]) != len(dirs):
                 continue
             sol = solve_linear([[form.inner(a, b) for b in dirs] for a in dirs],
                                [-form.inner(base, d) for d in dirs])

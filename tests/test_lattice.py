@@ -9,8 +9,13 @@ integer certificate check must accept exactly what
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,7 @@ from moment_strata import (BilinearForm, VerificationFailed,
                            closest_point_to_origin, critical_components,
                            identity_form, index_set, origin_in_interior,
                            strictly_semistable_witness, weighted_model)
+import moment_strata
 from moment_strata import geometry, series
 from moment_strata.geometry import (LatticeCertificate, ProjectionCertificate,
                                     _canonical_certificate, _combine,
@@ -193,3 +199,29 @@ def test_recursion_checks_are_typed(monkeypatch):
     monkeypatch.setattr(series, "_weights_span", lambda m: 1)
     with pytest.raises(VerificationFailed, match="measure"):
         list(series._descend(model, 8, 0))
+
+
+STUCK_SEARCH = textwrap.dedent("""
+    import sys
+    from moment_strata import VerificationFailed, geometry
+    # a projection that never moves off the first active point
+    geometry._project_affine = lambda pts, gram: ([1] + [0] * (len(pts) - 1), 1)
+    try:
+        geometry.lattice_nearest_point([(2, 0), (0, 1)], [[1, 0], [0, 1]])
+    except VerificationFailed as exc:
+        print(exc.witness)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+def test_search_without_progress_fails_instead_of_hanging():
+    # run apart, so that a search that loops forever fails at the timeout
+    # instead of hanging the suite
+    env = dict(os.environ)
+    src = str(Path(moment_strata.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", STUCK_SEARCH], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "{'active': [1]}"

@@ -1,14 +1,16 @@
-"""Exact linear algebra: row reduction, kernels, incremental spans, and the
-nonnegative feasibility solver."""
+"""Exact linear algebra: the integer row reduction behind spans, rank and
+null space, checked against the Fraction row reduction, solver and
+nonnegative feasibility solver of ``fraction_oracle``, which are tested here
+too."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moment_strata.linalg import (SpanBasis, cone_contains, dot, frac,
-                                  lp_feasible, matrix_rank, null_space, rref,
-                                  solve_linear)
+from fraction_oracle import (cone_contains, lp_feasible, rref, rref_null_space,
+                             solve_linear)
+from moment_strata.linalg import SpanBasis, dot, frac, matrix_rank, null_space
 
 entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
 
@@ -74,6 +76,53 @@ def test_solve_linear_solutions_check_out(rows, x):
 def test_solve_linear_detects_inconsistency():
     rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
     assert solve_linear(rows, [Fraction(1), Fraction(3)]) is None
+
+
+# rows from a few random rows and their combinations, so that dependent and
+# zero rows are common; an empty row list has no column count of its own
+@st.composite
+def dependent_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    seeds = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                          min_size=1, max_size=4))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(seeds), max_size=len(seeds))
+    combos = draw(st.lists(coeffs, max_size=4))
+    rows = seeds + [[sum((Fraction(c) * r[i] for c, r in zip(cs, seeds)), Fraction(0))
+                     for i in range(ncols)] for cs in combos]
+    rows = draw(st.permutations(rows))
+    return draw(st.integers(0, len(rows)).map(lambda k: rows[:k])), ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_matrices())
+def test_rank_and_null_space_match_the_rref_oracle(case):
+    rows, ncols = case
+    assert matrix_rank(rows) == len(rref(rows)[1])
+    assert null_space(rows, ncols) == rref_null_space(rows, ncols)
+
+
+def test_rank_and_null_space_of_empty_and_zero_rows():
+    zero = [[Fraction(0)] * 3, [Fraction(0)] * 3]
+    identity = [tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)]
+    for rows in ([], zero):
+        assert matrix_rank(rows) == 0
+        assert null_space(rows, 3) == rref_null_space(rows, 3) == identity
+
+
+@settings(max_examples=100, deadline=None)
+@given(dependent_matrices())
+def test_reduced_rows_are_zero_at_every_other_pivot(case):
+    rows, _ = case
+    sb = SpanBasis()
+    for row in rows:
+        sb.add({i: v for i, v in enumerate(row) if v})
+    reduced = sb.reduced_rows()
+    assert set(reduced) == set(sb.rows)
+    for c, row in reduced.items():
+        assert min(row) == c and row[c] > 0
+        assert not any(k in reduced for k in row if k != c)
+        # the same span, row by row
+        assert sb.contains({k: Fraction(v) for k, v in row.items()})
 
 
 def test_span_basis_scales_whole_row_during_reduction():
