@@ -379,25 +379,24 @@ def _cmd_kirwan(args) -> int:
     pres = (line_product_presentation(len(variables) - 1) if weights is None
             else projective_space_presentation(weights))
     target = {"ss": "semistable", "s": "stable"}[args.target]
-    lifts: dict = {}    # each stratum's Thom-Gysin lift, built once
     if args.group == "torus":
         if target != "semistable":
             raise InputError("the stable target applies to the reflection "
                              "quotient only; use --group sl2")
-        kernel = torus_kernel_ideal(pres, args.max_degree, lifts)
+        kernel = torus_kernel_ideal(pres, args.max_degree)
     else:
         try:
-            kernel = sl2_kernel_ideal(pres, args.max_degree, target, lifts)
+            kernel = sl2_kernel_ideal(pres, args.max_degree, target)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     betti = []
     for d in range(0, args.max_degree + 1, 2):
         betti.append({"degree": d,
-                      "ambient": betti_from_presentation(pres, None, d),
+                      "ambient": len(pres.basis(d)),
                       "quotient": betti_from_presentation(pres, kernel, d)})
     checks: dict = {}
     if args.group == "sl2":
-        rep = weyl_kernel_bijection_report(pres, args.max_degree, lifts)
+        rep = weyl_kernel_bijection_report(pres, args.max_degree)
         checks["reflection_bijection"] = {
             "ok": rep.ok,
             "degrees": [{"degree": r.degree,
@@ -409,7 +408,7 @@ def _cmd_kirwan(args) -> int:
                          "ok": r.ok} for r in rep.degrees],
         }
     else:
-        rep = two_sided_kernel_report(pres, args.max_degree, lifts)
+        rep = two_sided_kernel_report(pres, args.max_degree)
         checks["two_sided_kernel"] = {
             "ok": rep.ok,
             "degrees": [{"degree": r.degree,

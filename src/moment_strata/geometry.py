@@ -104,11 +104,6 @@ class ProjectionCertificate:
         # support minimality beyond affine independence is not required
 
 
-def span_dimension(points: Sequence[Vector]) -> int:
-    """Dimension of the linear span (affine hull through the origin)."""
-    return matrix_rank(points)
-
-
 def _affinely_independent(pts: Sequence[Vector], rank: int) -> bool:
     if not pts:
         return False

@@ -7,18 +7,21 @@ cases every variable has cohomological degree two and `a` is the
 equivariant parameter of the (rank-one) torus.
 
 Each unstable stratum contributes the Thom-Gysin image of its closure: the
-product of the Euler factors of the coordinates the stratum kills. The
-torus-level kernel is generated by these lifts; the reflection-group kernel
-folds opposite strata into an invariant difference (divided by the
-parameter) and an invariant sum. Betti numbers fall out of exact row
-reduction of the kernel ideal in the presented ring, degree by degree.
+product of the Euler factors of the coordinates the stratum kills, which is
+all a `Stratum` records besides its label. The torus-level kernel is
+generated by these lifts; the reflection-group kernel folds opposite strata
+into an invariant difference (divided by the parameter) and an invariant
+sum. Betti numbers fall out of exact row reduction of the kernel ideal in
+the presented ring, degree by degree. Each presentation memoizes the lifts
+and kernel ideals built on it, and each kernel ideal its degreewise spans.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -26,7 +29,6 @@ from .errors import VerificationFailed
 from .linalg import SpanBasis, frac, null_space
 from .models import (
     WeightedModel,
-    index_set,
     line_product_model,
     projective_space_model,
     require_negation_symmetric,
@@ -49,6 +51,9 @@ class Presentation:
     weights: tuple[Fraction, ...]   # pn: coordinate weights; p1n: empty
     n: int                          # pn: projective dimension; p1n: line count
     relations: tuple[GradedPolynomial, ...]
+    # the kernel layer's memo: lifts by Stratum and kernel ideals by
+    # (group, target, max_degree); dataclasses.replace starts a fresh one
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def model(self) -> WeightedModel:
         if self.kind == "pn":
@@ -114,63 +119,53 @@ def line_product_presentation(n: int) -> Presentation:
 
 
 @dataclass(frozen=True)
-class PnStratum:
-    beta: Fraction
+class Stratum:
+    """An unstable stratum (or, for the stable target, a half-size subset of
+    lines) by the (variable, weight) Euler factors z + w*a of the coordinates
+    it kills; its complex codimension is the number of factors."""
+    label: str
+    kills: tuple[tuple[str, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class LineProductStratum:
-    subset: tuple[int, ...]   # 1-based factor positions, matching z-names
-    sigma: int                # +1 or -1: which pole the subset sits on
+def _pn_stratum(pres: Presentation, beta: Fraction) -> Stratum:
+    return Stratum(f"beta={beta}", tuple(("z", w) for w in pres.weights
+                                         if w * beta < beta * beta))
 
 
-def torus_strata(pres: Presentation):
+def _line_stratum(subset: tuple[int, ...], sigma: int) -> Stratum:
+    """The stratum where the lines in `subset` (1-based) sit on pole sigma."""
+    return Stratum(f"J={','.join(map(str, subset))};sigma={sigma:+d}",
+                   tuple((f"z{j}", Fraction(sigma)) for j in subset))
+
+
+def torus_strata(pres: Presentation) -> tuple[Stratum, ...]:
+    """The unstable strata, on P^n in ascending order of beta.
+
+    On P^n the betas are the distinct nonzero weights, without a profile
+    scan. A profile is a nonempty set S of weights, and its hull is the
+    interval [min S, max S]; the point of it nearest the origin is 0 when
+    the interval contains 0, and otherwise the endpoint nearer 0, which is a
+    weight. A one-value profile {w} has beta w. So every nonzero beta is a
+    weight and every nonzero weight is a beta.
+    """
     if pres.kind == "pn":
-        model = pres.model()
-        return tuple(PnStratum(s.beta[0]) for s in index_set(model)
-                     if s.beta[0] != 0)
-    out = []
+        return tuple(_pn_stratum(pres, b)
+                     for b in sorted(set(pres.weights)) if b != 0)
     n = pres.n
-    for size in range(n // 2 + 1, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            for sigma in (1, -1):
-                out.append(LineProductStratum(subset, sigma))
-    return tuple(out)
+    return tuple(_line_stratum(subset, sigma)
+                 for size in range(n // 2 + 1, n + 1)
+                 for subset in itertools.combinations(range(1, n + 1), size)
+                 for sigma in (1, -1))
 
 
-def stratum_codimension(pres: Presentation, stratum) -> int:
-    if isinstance(stratum, PnStratum):
-        b = stratum.beta
-        return 2 * sum(1 for w in pres.weights if w * b < b * b)
-    return 2 * len(stratum.subset)
-
-
-def thom_gysin_lift(pres: Presentation, stratum,
-                    eta: GradedPolynomial | None = None) -> GradedPolynomial:
-    """Pushforward of eta from a stratum closure: eta times the product of
-    Euler factors of the coordinates the stratum kills."""
+def thom_gysin_lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
+    """Pushforward of the unit class from a stratum closure: the product of
+    the Euler factors of the coordinates the stratum kills."""
     v = pres.variables
     a = pres.alpha
-    if isinstance(stratum, PnStratum):
-        b = stratum.beta
-        if b == 0:
-            raise ValueError("the zero stratum has no lift")
-        out = GradedPolynomial.const(v, 1)
-        for w in pres.weights:
-            if w * b < b * b:
-                out = out * (GradedPolynomial.var(v, "z") + a.scale(w))
-    elif isinstance(stratum, LineProductStratum):
-        if stratum.sigma not in (1, -1):
-            raise ValueError("sigma must be +1 or -1")
-        out = GradedPolynomial.const(v, 1)
-        for j in stratum.subset:
-            if not 1 <= j <= pres.n:
-                raise ValueError("subset entry out of range")
-            out = out * (GradedPolynomial.var(v, f"z{j}") + a.scale(stratum.sigma))
-    else:
-        raise TypeError("unknown stratum descriptor")
-    if eta is not None:
-        out = out * eta
+    out = GradedPolynomial.const(v, 1)
+    for var, w in stratum.kills:
+        out = out * (GradedPolynomial.var(v, var) + a.scale(w))
     return out
 
 
@@ -187,36 +182,30 @@ class KernelIdeal:
     generators: tuple[tuple[str, GradedPolynomial], ...]
     presentation: Presentation
 
-
-def _lift(pres: Presentation, stratum, lifts: dict | None) -> GradedPolynomial:
-    """The lift of the unit class, kept in `lifts` when the caller gives one."""
-    if lifts is None:
-        return thom_gysin_lift(pres, stratum)
-    if stratum not in lifts:
-        lifts[stratum] = thom_gysin_lift(pres, stratum)
-    return lifts[stratum]
+    @cached_property
+    def _spans(self) -> _IdealSpans:
+        return _IdealSpans(self.presentation, [g for _, g in self.generators])
 
 
-def torus_kernel_ideal(pres: Presentation, max_degree: int,
-                       lifts: dict | None = None) -> KernelIdeal:
+def _lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
+    if stratum not in pres.memo:
+        pres.memo[stratum] = thom_gysin_lift(pres, stratum)
+    return pres.memo[stratum]
+
+
+def torus_kernel_ideal(pres: Presentation, max_degree: int) -> KernelIdeal:
     """One generator per unstable stratum: the lift of the unit class.
 
     The lift of any class eta is eta times the lift of the unit, so the
     degreewise spans of this ideal coincide with the spans of per-monomial
-    lift enumerations up to the same degree cap. `lifts` (stratum -> lift)
-    lets callers build each lift once.
+    lift enumerations up to the same degree cap.
     """
-    gens = []
-    for stratum in torus_strata(pres):
-        lam = stratum_codimension(pres, stratum)
-        if lam > max_degree:
-            continue
-        if isinstance(stratum, PnStratum):
-            label = f"beta={stratum.beta}"
-        else:
-            label = f"J={','.join(map(str, stratum.subset))};sigma={stratum.sigma:+d}"
-        gens.append((label, _lift(pres, stratum, lifts)))
-    return KernelIdeal("torus", "semistable", max_degree, tuple(gens), pres)
+    key = ("torus", "semistable", max_degree)
+    if key not in pres.memo:
+        pres.memo[key] = KernelIdeal("torus", "semistable", max_degree, tuple(
+            (s.label, _lift(pres, s)) for s in torus_strata(pres)
+            if 2 * len(s.kills) <= max_degree), pres)
+    return pres.memo[key]
 
 
 def _reflect(poly: GradedPolynomial) -> GradedPolynomial:
@@ -227,46 +216,40 @@ def _reflect(poly: GradedPolynomial) -> GradedPolynomial:
 
 
 def sl2_kernel_ideal(pres: Presentation, max_degree: int,
-                     target: str = "semistable",
-                     lifts: dict | None = None) -> KernelIdeal:
+                     target: str = "semistable") -> KernelIdeal:
     """Folded kernel generators for the reflection quotient.
 
     Each pair of opposite strata yields two invariant generators: the
     difference of the two lifts divided by the parameter (degree two below
     the torus codimension) and their sum. For products of lines with the
     stable target, the half-size subsets contribute the same two families.
-    Pairs above max_degree are not lifted; `lifts` as in torus_kernel_ideal.
+    Pairs above max_degree are not lifted.
     """
     if target not in ("semistable", "stable"):
         raise ValueError("target must be 'semistable' or 'stable'")
     require_negation_symmetric(pres.model())
-    a = pres.alpha
-    pairs: list[tuple[str, object, object, int]] = []
+    if pres.kind == "pn" and target == "stable":
+        raise ValueError("the stable target is defined for products of lines only")
+    key = ("sl2", target, max_degree)
+    if key in pres.memo:
+        return pres.memo[key]
     if pres.kind == "pn":
-        if target == "stable":
-            raise ValueError("the stable target is defined for products of lines only")
-        model = pres.model()
-        for s in index_set(model):
-            b = s.beta[0]
-            if b <= 0:
-                continue
-            lam = stratum_codimension(pres, PnStratum(b))
-            pairs.append((f"beta={b}", PnStratum(b), PnStratum(-b), lam))
+        pairs = [(f"beta={b}", _pn_stratum(pres, b), _pn_stratum(pres, -b))
+                 for b in sorted(set(pres.weights)) if b > 0]
     else:
         n = pres.n
-        low = n // 2 + 1
-        if target == "stable" and n % 2 == 0:
-            low = n // 2
-        for size in range(low, n + 1):
-            for subset in itertools.combinations(range(1, n + 1), size):
-                label = "J=" + ",".join(map(str, subset))
-                pairs.append((label, LineProductStratum(subset, 1),
-                              LineProductStratum(subset, -1), 2 * size))
+        low = n // 2 if target == "stable" and n % 2 == 0 else n // 2 + 1
+        pairs = [("J=" + ",".join(map(str, subset)),
+                  _line_stratum(subset, 1), _line_stratum(subset, -1))
+                 for size in range(low, n + 1)
+                 for subset in itertools.combinations(range(1, n + 1), size)]
+    a = pres.alpha
     gens = []
-    for label, up, down, lam in pairs:
+    for label, up, down in pairs:
+        lam = 2 * len(up.kills)
         if lam - 2 > max_degree:
             continue
-        plus, minus = _lift(pres, up, lifts), _lift(pres, down, lifts)
+        plus, minus = _lift(pres, up), _lift(pres, down)
         if _reflect(plus) != minus:
             raise VerificationFailed("opposite lifts are not reflection images",
                                      witness={"stratum": label})
@@ -279,11 +262,12 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
                 raise VerificationFailed("kernel generator is not invariant",
                                          witness={"generator": f"{label}:{tag}"})
             gens.append((f"{label}:{tag}", g))
-    return KernelIdeal("sl2", target, max_degree, tuple(gens), pres)
+    pres.memo[key] = KernelIdeal("sl2", target, max_degree, tuple(gens), pres)
+    return pres.memo[key]
 
 
 # ---------------------------------------------------------------------------
-# graded spans of kernel ideals in the presented ring, with caching
+# graded spans of kernel ideals in the presented ring
 
 
 class _IdealSpans:
@@ -311,14 +295,12 @@ class _IdealSpans:
             self.gens_at.setdefault(g.degree(), []).append(g)
 
     def index(self, d: int) -> dict[Exponents, int]:
-        idx = self.indices.get(d)
-        if idx is None:
-            idx = {e: i for i, e in enumerate(self.pres.basis(d))}
-            self.indices[d] = idx
-        return idx
+        if d not in self.indices:
+            self.indices[d] = {e: i for i, e in enumerate(self.pres.basis(d))}
+        return self.indices[d]
 
     def span(self, d: int) -> SpanBasis:
-        if d % 2 or d < 0:
+        if d % 2 or d < 0 or not self.gens_at:
             return SpanBasis()
         hit = self.by_degree.get(d)
         if hit is not None:
@@ -368,17 +350,13 @@ class _IdealSpans:
         return out
 
 
-_SPANS_CACHE: dict = {}
-
-
-def _spans_for(pres: Presentation, kernel: KernelIdeal | None) -> _IdealSpans:
-    key = (pres, kernel)
-    hit = _SPANS_CACHE.get(key)
-    if hit is None:
-        gens = [g for _, g in kernel.generators] if kernel is not None else []
-        hit = _IdealSpans(pres, gens)
-        _SPANS_CACHE[key] = hit
-    return hit
+def _spans_of(pres: Presentation, kernel: KernelIdeal | None) -> _IdealSpans:
+    """The kernel's spans; None is the zero ideal."""
+    if kernel is None:
+        return _IdealSpans(pres, ())
+    if kernel.presentation is not pres and kernel.presentation != pres:
+        raise ValueError("the kernel ideal belongs to another presentation")
+    return kernel._spans
 
 
 def betti_from_presentation(pres: Presentation, kernel: KernelIdeal | None,
@@ -389,28 +367,21 @@ def betti_from_presentation(pres: Presentation, kernel: KernelIdeal | None,
     (even powers of a) subspace; the ideal is reflection-stable, so its
     invariant part is spanned by the even projections of any basis.
     """
+    spans = _spans_of(pres, kernel)
     if d < 0 or d % 2:
         return 0
-    spans = _spans_for(pres, kernel)
-    group = kernel.group if kernel is not None else "torus"
-    if group == "torus":
-        return len(pres.basis(d)) - spans.span(d).dim
-    inv_count = sum(1 for e in pres.basis(d) if e[-1] % 2 == 0)
-    return inv_count - spans.parity_span(d, 0).dim
+    basis = pres.basis(d)
+    if kernel is None or kernel.group == "torus":
+        return len(basis) - spans.span(d).dim
+    return sum(1 for e in basis if e[-1] % 2 == 0) - spans.parity_span(d, 0).dim
 
 
 def in_relation_span(pres: Presentation, kernel: KernelIdeal | None,
                      poly: GradedPolynomial) -> bool:
     """Membership of a polynomial in the ideal, checked degree by degree."""
-    if poly.is_zero():
-        return True
-    spans = _spans_for(pres, kernel)
-    degrees = {2 * sum(e) for e, _ in poly.terms}
-    for d in degrees:
-        piece = poly.graded_piece(d)
-        if not spans.span(d).contains(spans.vector_of(piece, d)):
-            return False
-    return True
+    spans = _spans_of(pres, kernel)
+    return all(spans.span(d).contains(spans.vector_of(poly.graded_piece(d), d))
+               for d in {2 * sum(e) for e, _ in poly.terms})
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +412,8 @@ class WeylBijectionReport:
         return all(e.ok for e in self.degrees)
 
 
-def weyl_kernel_bijection_report(pres: Presentation, max_degree: int,
-                                 lifts: dict | None = None) -> WeylBijectionReport:
+def weyl_kernel_bijection_report(pres: Presentation, max_degree: int
+                                 ) -> WeylBijectionReport:
     """Certify that multiplication by twice the parameter identifies the
     reflection-group kernel with the anti-invariant torus kernel.
 
@@ -451,13 +422,11 @@ def weyl_kernel_bijection_report(pres: Presentation, max_degree: int,
     anti-invariant part of the torus kernel in degree d + 2: the map is
     checked to be injective modulo relations, to land exactly on the
     anti-invariant span, and to be inverted by exact division (on basis
-    monomials, both maps shift the power of a). `lifts` as in torus_kernel_ideal.
+    monomials, both maps shift the power of a).
     """
     require_negation_symmetric(pres.model())
-    torus = torus_kernel_ideal(pres, max_degree + 2, lifts)
-    folded = sl2_kernel_ideal(pres, max_degree, lifts=lifts)
-    g_spans = _spans_for(pres, folded)
-    t_spans = _spans_for(pres, torus)
+    t_spans = torus_kernel_ideal(pres, max_degree + 2)._spans
+    g_spans = sl2_kernel_ideal(pres, max_degree)._spans
 
     entries = []
     for d in range(0, max_degree + 1, 2):
@@ -546,16 +515,16 @@ class TwoSidedKernelReport:
         return all(e.equal for e in self.degrees)
 
 
-def two_sided_kernel_report(pres: Presentation, max_degree: int,
-                            lifts: dict | None = None) -> TwoSidedKernelReport:
+def two_sided_kernel_report(pres: Presentation, max_degree: int
+                            ) -> TwoSidedKernelReport:
     """Compare the vanishing-locus kernel with the torus stratum ideal.
 
     In each even degree d <= max_degree the two spaces are equal when every
     two-sided kernel class lies in the ideal (relations included) and the
     two dimensions agree, compared in the presented ring; the dimensions
-    reported are those in the free ring. `lifts` as in torus_kernel_ideal.
+    reported are those in the free ring.
     """
-    spans = _spans_for(pres, torus_kernel_ideal(pres, max_degree, lifts))
+    spans = torus_kernel_ideal(pres, max_degree)._spans
     entries = []
     for d, two_sided in _two_sided_spans(pres, max_degree).items():
         ideal = spans.span(d)

@@ -23,12 +23,10 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .errors import NotCoprimeStable
 from .linalg import null_space
-from .models import (WeightedModel, require_negation_symmetric,
-                     strictly_semistable_witness)
+from .models import WeightedModel, require_negation_symmetric
 from .polynomials import Exponents, GradedPolynomial, exponents_of_degree
-from .series import quotient_top_degree
+from .series import quotient_top_degree, require_quotient
 
 # residue_pairing is the raw residue sum times this, per group
 PAIRING_SCALE = {"torus": Fraction(-2), "sl2": Fraction(1)}
@@ -255,14 +253,7 @@ def residue_pairing(model: WeightedModel, eta: GradedPolynomial,
     Requires every semistable profile to be stable, so the quotient carries
     a rational fundamental class against which the residue sum pairs.
     """
-    if group not in ("torus", "sl2"):
-        raise ValueError("group must be 'torus' or 'sl2'")
-    if group == "sl2":
-        require_negation_symmetric(model)
-    witness = strictly_semistable_witness(model)
-    if witness is not None:
-        raise NotCoprimeStable("model has a strictly semistable profile",
-                               witness={"profile": witness})
+    require_quotient(model, group)
     raw = _raw_residue(model, eta, zeta, group)
     return raw * PAIRING_SCALE[group]
 
@@ -293,14 +284,7 @@ def kernel_by_pairing(model: WeightedModel, variables: Sequence[str], d: int,
                       group: str = "torus") -> PairingKernelResult:
     """Null space of the degree-d pairing matrix against the complementary
     degree, over the free (invariant, for the reflection case) monomials."""
-    if group not in ("torus", "sl2"):
-        raise ValueError("group must be 'torus' or 'sl2'")
-    if group == "sl2":
-        require_negation_symmetric(model)
-    witness = strictly_semistable_witness(model)
-    if witness is not None:
-        raise NotCoprimeStable("model has a strictly semistable profile",
-                               witness={"profile": witness})
+    require_quotient(model, group)
     v = tuple(variables)
     _require_ambient(model, v)
     invariant = group == "sl2"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotCoprimeStable, TruncationTooSmall, VerificationFailed
-from .geometry import span_dimension
+from .linalg import matrix_rank
 from .models import (
     WeightedModel,
     critical_components,
@@ -142,7 +142,7 @@ _SS_MEMO: dict = {}
 
 
 def _weights_span(model: WeightedModel) -> int:
-    return span_dimension([w for fac in model.factors for w in fac])
+    return matrix_rank([w for fac in model.factors for w in fac])
 
 
 def _descend(model: WeightedModel, trunc: int, drop: int):
@@ -209,6 +209,20 @@ def quotient_top_degree(model: WeightedModel, group: str) -> int:
     return 2 * (sum(s - 1 for s in model.factor_sizes) - drop)
 
 
+def require_quotient(model: WeightedModel, group: str):
+    """The preconditions of a quotient with a fundamental class: a known
+    group, negation symmetry for the reflection group, and semistable ==
+    stable (else NotCoprimeStable, with the first such profile)."""
+    if group not in ("torus", "sl2"):
+        raise ValueError("group must be 'torus' or 'sl2'")
+    if group == "sl2":
+        require_negation_symmetric(model)
+    witness = strictly_semistable_witness(model)
+    if witness is not None:
+        raise NotCoprimeStable("model has a strictly semistable profile",
+                               witness={"profile": witness})
+
+
 def quotient_poincare_polynomial(model: WeightedModel, trunc: int,
                                  group: str = "torus") -> list[int]:
     """Betti numbers of the torus or reflection quotient, when the quotient
@@ -219,15 +233,7 @@ def quotient_poincare_polynomial(model: WeightedModel, trunc: int,
     terminate (else TruncationTooSmall). A quotient of negative dimension
     is empty and has the empty polynomial.
     """
-    if group not in ("torus", "sl2"):
-        raise ValueError("group must be 'torus' or 'sl2'")
-    if group == "sl2":
-        require_negation_symmetric(model)
-    witness = strictly_semistable_witness(model)
-    if witness is not None:
-        raise NotCoprimeStable(
-            "model has a strictly semistable profile",
-            witness={"profile": witness})
+    require_quotient(model, group)
     top = quotient_top_degree(model, group)
     if trunc <= top:
         raise TruncationTooSmall(

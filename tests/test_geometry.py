@@ -13,10 +13,9 @@ from moment_strata import (BilinearForm, closest_point_to_origin,
                            identity_form, origin_in_hull, origin_in_interior)
 from moment_strata import geometry
 from moment_strata.geometry import (_canonical_certificate, _project_affine,
-                                    clear_denominators, nearest_point,
-                                    span_dimension)
+                                    clear_denominators, nearest_point)
 from fraction_oracle import lp_feasible, rref, solve_linear
-from moment_strata.linalg import vadd, vscale, vsub
+from moment_strata.linalg import matrix_rank, vadd, vscale, vsub
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -234,5 +233,5 @@ def test_duplicate_points_leave_projection_unchanged():
 def test_affine_and_span_dimension():
     a = (Fraction(1), Fraction(0))
     b = (Fraction(0), Fraction(1))
-    assert span_dimension([a, b]) == 2
-    assert span_dimension([a, (Fraction(2), Fraction(0))]) == 1
+    assert matrix_rank([a, b]) == 2
+    assert matrix_rank([a, (Fraction(2), Fraction(0))]) == 1

@@ -9,17 +9,16 @@ from fractions import Fraction
 import pytest
 
 from moment_strata import (GradedPolynomial, WeylSymmetryRequired,
-                           betti_from_presentation, in_relation_span,
+                           betti_from_presentation, in_relation_span, index_set,
                            line_product_presentation,
                            projective_space_presentation, restrict_to_subspace,
                            sl2_kernel_ideal, thom_gysin_lift,
                            tolman_weitsman_kernel, torus_kernel_ideal,
                            torus_strata, two_sided_kernel_report,
                            weyl_kernel_bijection_report)
-from moment_strata.kirwan import (KernelIdeal, LineProductStratum, PnStratum,
-                                  TwoSidedKernelDegree, TwoSidedKernelReport,
-                                  WeylBijectionDegree, WeylBijectionReport,
-                                  stratum_codimension)
+from moment_strata.kirwan import (KernelIdeal, Stratum, TwoSidedKernelDegree,
+                                  TwoSidedKernelReport, WeylBijectionDegree,
+                                  WeylBijectionReport)
 from moment_strata.linalg import SpanBasis, null_space
 from moment_strata.polynomials import (divide_exact, exponents_of_degree,
                                        graded_piece_dim)
@@ -56,24 +55,51 @@ def test_presentation_rejects_bad_input():
         line_product_presentation(0)
 
 
+def stratum(pres, label):
+    return {s.label: s for s in torus_strata(pres)}[label]
+
+
+def codimension(s):
+    return 2 * len(s.kills)
+
+
 def test_torus_strata_and_codimensions():
-    betas = sorted(s.beta for s in torus_strata(P3))
-    assert betas == [Fraction(-3), Fraction(-1), Fraction(1), Fraction(3)]
-    assert stratum_codimension(P3, PnStratum(Fraction(3))) == 6
-    assert stratum_codimension(P3, PnStratum(Fraction(1))) == 4
+    assert [s.label for s in torus_strata(P3)] == ["beta=-3", "beta=-1",
+                                                   "beta=1", "beta=3"]
+    top = stratum(P3, "beta=3")
+    assert top.kills == (("z", 1), ("z", -1), ("z", -3))
+    assert codimension(top) == 6
+    assert codimension(stratum(P3, "beta=1")) == 4
     l4_strata = list(torus_strata(L4))
     assert len(l4_strata) == 10  # subsets of size 3 and 4, two signs each
-    assert stratum_codimension(L4, LineProductStratum((1, 2, 3), 1)) == 6
+    s123 = stratum(L4, "J=1,2,3;sigma=+1")
+    assert s123 == Stratum("J=1,2,3;sigma=+1", (("z1", 1), ("z2", 1), ("z3", 1)))
+    assert codimension(s123) == 6
+
+
+# P^1..P^8 with the weights n, n-2, ..., -n, and the golden weight sets
+# p3rep, p4zero, p3half, p3rat and p2asym
+SCAN_CASES = [list(range(n, -n - 1, -2)) for n in range(1, 9)] + [
+    [1, 1, -1, -1], [2, 1, 0, -1, -2], ["3/2", "1/2", "-1/2", "-3/2"],
+    ["5/2", "1/3", -1, -2], [2, 1, -1]]
+
+
+@pytest.mark.parametrize("weights", SCAN_CASES, ids=str)
+def test_pn_strata_match_the_profile_scan(weights):
+    pres = projective_space_presentation(weights)
+    expected = [(f"beta={b}", 2 * sum(1 for w in pres.weights if w * b < b * b))
+                for b in (s.beta[0] for s in index_set(pres.model())) if b != 0]
+    assert [(s.label, codimension(s)) for s in torus_strata(pres)] == expected
 
 
 def test_thom_gysin_lift_anchors():
-    lift3 = thom_gysin_lift(P3, PnStratum(Fraction(3)))
+    lift3 = thom_gysin_lift(P3, stratum(P3, "beta=3"))
     assert str(lift3) == "3*a^3 - z*a^2 - 3*z^2*a + z^3"
     # product of Euler factors z + w*a over the killed weights
     z, a = (GradedPolynomial.var(P3.variables, v) for v in ("z", "a"))
     expected = (z + a) * (z - a) * (z - a.scale(3))
     assert lift3 == expected
-    lift_l = thom_gysin_lift(L4, LineProductStratum((1, 2, 3), 1))
+    lift_l = thom_gysin_lift(L4, stratum(L4, "J=1,2,3;sigma=+1"))
     zs = [GradedPolynomial.var(L4.variables, f"z{j}") for j in (1, 2, 3)]
     a4 = GradedPolynomial.var(L4.variables, "a")
     prod = (zs[0] + a4) * (zs[1] + a4) * (zs[2] + a4)
@@ -81,12 +107,11 @@ def test_thom_gysin_lift_anchors():
 
 
 def test_lift_degree_matches_codimension():
-    for pres, strata in ((P3, (PnStratum(Fraction(1)), PnStratum(Fraction(-3)))),
-                         (L4, (LineProductStratum((1, 2, 4), -1),
-                               LineProductStratum((1, 2, 3, 4), 1)))):
-        for s in strata:
-            lift = thom_gysin_lift(pres, s)
-            assert lift.degree() == stratum_codimension(pres, s)
+    for pres, labels in ((P3, ("beta=1", "beta=-3")),
+                         (L4, ("J=1,2,4;sigma=-1", "J=1,2,3,4;sigma=+1"))):
+        for label in labels:
+            s = stratum(pres, label)
+            assert thom_gysin_lift(pres, s).degree() == codimension(s)
 
 
 def test_torus_kernel_ideal_generators():
@@ -155,6 +180,31 @@ def test_in_relation_span_membership():
     assert not in_relation_span(P3, None, parse(P3, "z^2"))
 
 
+def test_kernel_of_another_presentation_is_rejected():
+    kernel = torus_kernel_ideal(P3, 8)
+    # same variables and basis as P3, so the spans would otherwise apply
+    other = projective_space_presentation([2, 1, -1, -2])
+    with pytest.raises(ValueError, match="another presentation"):
+        betti_from_presentation(other, kernel, 4)
+    with pytest.raises(ValueError, match="another presentation"):
+        in_relation_span(other, kernel, parse(other, "z^2"))
+    # an equal presentation built separately is the same presentation
+    assert betti_from_presentation(projective_space_presentation([3, 1, -1, -3]),
+                                   kernel, 4) == 1
+
+
+def test_presentation_memo_is_per_object():
+    pres = projective_space_presentation([3, 1, -1, -3])
+    kernel = torus_kernel_ideal(pres, 8)
+    assert torus_kernel_ideal(pres, 8) is kernel
+    assert pres.memo
+    copy = dataclasses.replace(pres)
+    assert copy == pres and hash(copy) == hash(pres)
+    assert copy.memo == {} and copy.memo is not pres.memo
+    assert torus_kernel_ideal(copy, 8) == kernel
+    assert torus_kernel_ideal(copy, 8) is not kernel
+
+
 def test_weyl_bijection_reports():
     expected = {
         "P3": [(0, 0), (2, 1), (4, 2), (6, 2), (8, 2), (10, 2), (12, 2)],
@@ -210,7 +260,7 @@ def test_restrict_to_subspace_anchors():
     rel = P3.relations[0]
     assert restrict_to_subspace(P3, rel, (0, 1)).is_zero()
     # killing all but the top coordinate turns the top lift into its Euler class
-    lift3 = thom_gysin_lift(P3, PnStratum(Fraction(3)))
+    lift3 = thom_gysin_lift(P3, stratum(P3, "beta=3"))
     assert str(restrict_to_subspace(P3, lift3, (0,))) == "-48*a^3"
     z = parse(P3, "z")
     assert restrict_to_subspace(P3, z, (0, 1)) == z
@@ -483,7 +533,7 @@ def test_kirwan_command_builds_each_lift_once(tmp_path, monkeypatch, capsys):
     built = []
     lift = kirwan.thom_gysin_lift
     monkeypatch.setattr(kirwan, "thom_gysin_lift",
-                        lambda pres, s, eta=None: built.append(s) or lift(pres, s, eta))
+                        lambda pres, s: built.append(s) or lift(pres, s))
     model = tmp_path / "l6.json"
     model.write_text(json.dumps({"rank": 1, "factors": [[["1"], ["-1"]]] * 6}))
     argv = ["kirwan", str(model), "--group", "sl2", "--target", "s", "--max-degree", "8"]

@@ -167,3 +167,32 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found
+
+
+def _module_memos(path):
+    """Names bound at module level to an empty dict or set, and module-level
+    functions decorated with lru_cache or cache."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            value = node.value
+            empty = ((isinstance(value, ast.Dict) and not value.keys)
+                     or (isinstance(value, ast.Call) and not value.args
+                         and not value.keywords
+                         and getattr(value.func, "id", None) in ("dict", "set")))
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if empty:
+                yield from (t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(dec, "id", getattr(dec, "attr", None)) in ("lru_cache", "cache"):
+                    yield node.name
+
+
+def test_module_level_memos_are_declared():
+    """A new global cache must be added here: per-object state (such as the
+    kernel layer's Presentation.memo) is the default."""
+    found = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _module_memos(path)}
+    assert found == {"models._scan_weights", "series._SS_MEMO",
+                     "polynomials.exponents_of_degree"}
