@@ -222,36 +222,25 @@ def _error_payload(exc: MomentStrataError) -> dict:
             "witness": _jsonify(exc.witness)}
 
 
-def _cert_dict(cert) -> dict:
-    return {"beta": list(cert.beta), "support": list(cert.support),
-            "coefficients": list(cert.coefficients)}
-
-
-def _beta_key(beta):
-    return tuple(beta)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_index_set(args) -> int:
+    from dataclasses import asdict
+
     from .models import critical_components, index_set, stratum_codim
 
     model, raw = _load_model(args.model)
     entries = []
-    for stratum in sorted(index_set(model), key=lambda s: _beta_key(s.beta)):
-        comps = []
-        for comp in critical_components(model, stratum.beta):
-            comps.append({
-                "values": list(comp.values),
-                "attaining": [list(t) for t in comp.attaining],
-                "codimension": stratum_codim(model, comp),
-            })
+    for stratum in index_set(model):
+        comps = [{"values": comp.values, "attaining": comp.attaining,
+                  "codimension": stratum_codim(model, comp)}
+                 for comp in critical_components(model, stratum.beta)]
         entries.append({
             "beta": list(stratum.beta),
             "norm_squared": model.form.norm2(stratum.beta),
-            "certificate": _cert_dict(stratum.certificate),
+            "certificate": asdict(stratum.certificate),
             "witness_profile": [list(s) for s in stratum.witness_profile],
             "components": comps,
         })
@@ -263,6 +252,8 @@ def _cmd_index_set(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from dataclasses import asdict
+
     from .models import classify_profile, profile_of_point
 
     model, raw_model = _load_model(args.model)
@@ -283,7 +274,7 @@ def _cmd_classify(args) -> int:
         "hull_points": [list(p) for p in cls.points],
         "beta": list(cls.beta),
         "norm_squared": model.form.norm2(cls.beta),
-        "certificate": _cert_dict(cls.certificate),
+        "certificate": asdict(cls.certificate),
         "semistable": cls.semistable,
         "stable": cls.stable,
     }
@@ -292,6 +283,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from dataclasses import asdict
+
     from .series import (perfection_check, quotient_poincare_polynomial,
                          semistable_series, sl2_quotient_series)
 
@@ -313,10 +306,7 @@ def _cmd_series(args) -> int:
         "group": args.group,
         "truncation": args.trunc,
         "series": list(series.coeffs),
-        "perfection": {"ok": perf.ok,
-                       "truncation": perf.truncation,
-                       "strata_checked": perf.strata_checked,
-                       "failures": list(perf.failures)},
+        "perfection": asdict(perf),
         **quotient,
     }
     arguments = {"model": args.model, "trunc": args.trunc,
@@ -325,6 +315,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    from dataclasses import asdict
+
     from .models import index_set
     from .perturb import (is_generic, perturbed_model, propose_epsilon,
                           refinement_report)
@@ -347,26 +339,25 @@ def _cmd_perturb(args) -> int:
     perturbed_strata = [
         {"beta": list(s.beta),
          "norm_squared": shifted.form.norm2(s.beta),
-         "certificate": _cert_dict(s.certificate)}
-        for s in sorted(index_set(shifted), key=lambda s: _beta_key(s.beta))]
+         "certificate": asdict(s.certificate)}
+        for s in index_set(shifted)]
     report = refinement_report(model, eps)
-    mapping = sorted(([list(pb), list(ob)] for pb, ob in report.mapping),
-                     key=lambda pair: tuple(pair[0]))
-    fibers = [{"beta": list(parent), "perturbed_betas": [list(b) for b in bs]}
-              for parent, bs in sorted(report.fibers,
-                                       key=lambda f: _beta_key(f[0]))]
+    fibers = [{"beta": parent, "perturbed_betas": bs}
+              for parent, bs in report.fibers]
     result = {
         "epsilon": list(eps),
         "proposal": proposal,
         "generic": generic,
         "perturbed_index_set": perturbed_strata,
-        "refinement": {"mapping": mapping, "fibers": fibers},
+        "refinement": {"mapping": report.mapping, "fibers": fibers},
     }
     arguments = {"model": args.model, "epsilon": args.epsilon}
     return _emit("perturb", arguments, _digest(raw), result)
 
 
 def _cmd_kirwan(args) -> int:
+    from dataclasses import asdict
+
     from .kirwan import (betti_from_presentation, line_product_presentation,
                          projective_space_presentation, sl2_kernel_ideal,
                          torus_kernel_ideal, two_sided_kernel_report,
@@ -389,32 +380,21 @@ def _cmd_kirwan(args) -> int:
             kernel = sl2_kernel_ideal(pres, args.max_degree, target)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    betti = []
-    for d in range(0, args.max_degree + 1, 2):
-        betti.append({"degree": d,
-                      "ambient": len(pres.basis(d)),
-                      "quotient": betti_from_presentation(pres, kernel, d)})
+    betti = [{"degree": d, "ambient": len(pres.basis(d)),
+              "quotient": betti_from_presentation(pres, kernel, d)}
+             for d in range(0, args.max_degree + 1, 2)]
     checks: dict = {}
     if args.group == "sl2":
         rep = weyl_kernel_bijection_report(pres, args.max_degree)
         checks["reflection_bijection"] = {
             "ok": rep.ok,
-            "degrees": [{"degree": r.degree,
-                         "dim_kernel_group": r.dim_kernel_group,
-                         "dim_kernel_torus_anti": r.dim_kernel_torus_anti,
-                         "injective": r.injective,
-                         "spans_equal": r.spans_equal,
-                         "inverse_ok": r.inverse_ok,
-                         "ok": r.ok} for r in rep.degrees],
+            "degrees": [{**asdict(r), "ok": r.ok} for r in rep.degrees],
         }
     else:
         rep = two_sided_kernel_report(pres, args.max_degree)
         checks["two_sided_kernel"] = {
             "ok": rep.ok,
-            "degrees": [{"degree": r.degree,
-                         "two_sided_kernel_dim": r.two_sided_kernel_dim,
-                         "stratum_ideal_dim": r.stratum_ideal_dim,
-                         "equal": r.equal} for r in rep.degrees],
+            "degrees": [asdict(r) for r in rep.degrees],
         }
     presentation = {
         "kind": pres.kind,

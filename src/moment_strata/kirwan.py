@@ -302,26 +302,25 @@ class _IdealSpans:
     def span(self, d: int) -> SpanBasis:
         if d % 2 or d < 0 or not self.gens_at:
             return SpanBasis()
-        hit = self.by_degree.get(d)
-        if hit is not None:
-            return hit
-        sb = SpanBasis()
-        idx = self.index(d)
-        if d >= 2 and self.span(d - 2).dim:
-            table = [[[(idx[f], int(c * self.scale)) for f, c in
-                       self.pres.normal_form(e[:i] + (e[i] + 1,) + e[i + 1:]).items()]
-                      for i in range(self.nv)] for e in self.index(d - 2)]
-            for row in self.span(d - 2).basis_rows():
-                for var_i in range(self.nv):
-                    out: dict[int, int] = {}
-                    for col, val in row.items():
-                        for c, k in table[col][var_i]:
-                            out[c] = out.get(c, 0) + val * k
-                    sb.add_int_row(out)
-        for g in self.gens_at.get(d, ()):
-            sb.add(self.vector_of(g, d))
-        self.by_degree[d] = sb
-        return sb
+        # degrees 0, 2, ... are built in order, upwards from the last one
+        for e in range(2 * len(self.by_degree), d + 1, 2):
+            sb = SpanBasis()
+            idx = self.index(e)
+            if e and self.by_degree[e - 2].dim:
+                table = [[[(idx[f], int(c * self.scale)) for f, c in
+                           self.pres.normal_form(x[:i] + (x[i] + 1,) + x[i + 1:]).items()]
+                          for i in range(self.nv)] for x in self.index(e - 2)]
+                for row in self.by_degree[e - 2].basis_rows():
+                    for var_i in range(self.nv):
+                        out: dict[int, int] = {}
+                        for col, val in row.items():
+                            for c, k in table[col][var_i]:
+                                out[c] = out.get(c, 0) + val * k
+                        sb.add_int_row(out)
+            for g in self.gens_at.get(e, ()):
+                sb.add(self.vector_of(g, e))
+            self.by_degree[e] = sb
+        return self.by_degree[d]
 
     def parity_span(self, d: int, parity: int) -> SpanBasis:
         """Span of the rows' components on monomials with a-exponent of the

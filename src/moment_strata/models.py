@@ -89,10 +89,6 @@ class WeightedModel:
     def factor_sizes(self) -> tuple[int, ...]:
         return tuple(len(f) for f in self.factors)
 
-    @property
-    def slots(self) -> int:
-        return sum(self.factor_sizes)
-
 
 def weighted_model(rank: int, factors: Iterable[Iterable[Iterable]],
                    form: BilinearForm | None = None,

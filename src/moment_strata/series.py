@@ -7,9 +7,10 @@ codimension. Termination is guaranteed because the linear span of a shifted
 submodel's weights is strictly smaller than the parent's (the submodel
 weights are orthogonal to a nonzero vector of the parent span); the
 recursion checks that the measure decreases at every descent and raises
-VerificationFailed where it does not. The quotient by the reflection group
-runs the same descent over the positive strata only, each codimension
-lowered by two.
+VerificationFailed where it does not. Each node of the recursion tree is
+built once and memoized with its children, and the perfection check audits
+that stored tree. The quotient by the reflection group runs the same descent
+over the positive strata only, each codimension lowered by two.
 """
 
 from __future__ import annotations
@@ -171,19 +172,26 @@ def _descend(model: WeightedModel, trunc: int, drop: int):
             yield lam, sub
 
 
+def _node(model: WeightedModel, trunc: int):
+    """(semistable series, model, ((codimension, child node), ...)): one node
+    of the recursion tree, built once per canonical key and kept in _SS_MEMO."""
+    key = _canonical_key(model, trunc)
+    node = _SS_MEMO.get(key)
+    if node is None:
+        children = tuple((lam, _node(sub, trunc - lam))
+                         for lam, sub in _descend(model, trunc, 0))
+        series = model_equivariant_series(model, trunc)
+        for lam, child in children:
+            series = series - child[0].shift(lam)
+        node = _SS_MEMO[key] = (series, model, children)
+    return node
+
+
 def semistable_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
     """Equivariant series of the semistable locus, by stratum subtraction."""
     if trunc < 0:
         raise ValueError("truncation must be nonnegative")
-    key = _canonical_key(model, trunc)
-    hit = _SS_MEMO.get(key)
-    if hit is not None:
-        return hit
-    result = model_equivariant_series(model, trunc)
-    for lam, sub in _descend(model, trunc, 0):
-        result = result - semistable_series(sub, trunc - lam).shift(lam)
-    _SS_MEMO[key] = result
-    return result
+    return _node(model, trunc)[0]
 
 
 def sl2_quotient_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
@@ -271,26 +279,27 @@ def perfection_check(model: WeightedModel, trunc: int) -> PerfectionReport:
     semistable series plus the shifted submodel contributions, and every
     semistable series in sight must have nonnegative (integer) coefficients.
     The identity alone restates the recursion; positivity of all the pieces
-    is what a wrong codimension or a missed stratum actually breaks.
+    is what a wrong codimension or a missed stratum actually breaks. The
+    check reads the memoized tree of `semistable_series`, each node once.
     """
+    semistable_series(model, trunc)
     failures: list[dict] = []
     visited: set = set()
 
-    def walk(m: WeightedModel, depth_trunc: int) -> TruncatedSeries:
-        key = _canonical_key(m, depth_trunc)
-        ss = semistable_series(m, depth_trunc)
-        if key in visited:
-            return ss
-        visited.add(key)
+    def walk(node):
+        if id(node) in visited:
+            return
+        visited.add(id(node))
+        ss, m, children = node
         if any(c < 0 for c in ss.coeffs):
             failures.append({"kind": "negative semistable coefficient",
                              "factors": m.factors})
         total = ss
-        for lam, sub in _descend(m, depth_trunc, 0):
-            total = total + walk(sub, depth_trunc - lam).shift(lam)
-        if total != model_equivariant_series(m, depth_trunc):
+        for lam, child in children:
+            walk(child)
+            total = total + child[0].shift(lam)
+        if total != model_equivariant_series(m, ss.truncation):
             failures.append({"kind": "stratification identity", "factors": m.factors})
-        return ss
 
-    walk(model, trunc)
+    walk(_node(model, trunc))
     return PerfectionReport(not failures, trunc, len(visited), tuple(failures))

@@ -167,6 +167,25 @@ def test_ambient_betti_without_kernel():
     assert betti_row(P3, None, 12) == [1, 2, 3, 4, 4, 4, 4]
 
 
+HIGH_DEGREE_CASES = [
+    (lambda: projective_space_presentation([1, -1]), torus_kernel_ideal, 3000, 0),
+    (lambda: projective_space_presentation([1, -1]), sl2_kernel_ideal, 3000, 0),
+    (lambda: line_product_presentation(2), torus_kernel_ideal, 2400, 2),
+]
+
+
+@pytest.mark.parametrize("make,ideal,degree,expected", HIGH_DEGREE_CASES,
+                         ids=["p1-torus", "p1-sl2", "l2-torus"])
+def test_first_span_asked_at_a_high_degree(make, ideal, degree, expected):
+    """Spans below the degree asked are built in a loop, not by one Python
+    frame per degree, and agree with asking the degrees in ascending order."""
+    pres = make()
+    assert betti_from_presentation(pres, ideal(pres, degree), degree) == expected
+    pres = make()
+    kernel = ideal(pres, degree)
+    assert betti_row(pres, kernel, degree)[-1] == expected
+
+
 def test_in_relation_span_membership():
     k = sl2_kernel_ideal(P3, 12)
     z = parse(P3, "z")

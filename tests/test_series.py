@@ -12,6 +12,7 @@ from moment_strata import (NotCoprimeStable, TruncationTooSmall,
                            quotient_poincare_polynomial, semistable_series,
                            sl2_quotient_series, strictly_semistable_witness,
                            weighted_model)
+from moment_strata import series
 from moment_strata.series import TruncatedSeries
 
 from conftest import pn_model
@@ -109,6 +110,36 @@ def test_perfection_check_passes_on_reference_models():
         assert report.ok, report.failures
         assert report.strata_checked >= 1
         assert report.failures == ()
+
+
+def test_perfection_check_reads_the_memoized_tree(monkeypatch):
+    """Each node descends once, when the series builds it; the check then
+    walks the stored children and descends no more."""
+    monkeypatch.setattr(series, "_SS_MEMO", {})
+    calls = []
+    descend = series._descend
+
+    def counted(*args):
+        calls.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(series, "_descend", counted)
+    m = line_product_model(4)
+    semistable_series(m, 24)
+    built = len(calls)
+    report = perfection_check(m, 24)
+    assert built > 1 and len(calls) == built
+    assert report.ok and report.strata_checked == built
+
+
+def test_perfection_check_catches_a_wrong_codimension(monkeypatch):
+    monkeypatch.setattr(series, "_SS_MEMO", {})
+    codim = series.stratum_codim
+    monkeypatch.setattr(series, "stratum_codim",
+                        lambda model, comp: codim(model, comp) - 2)
+    report = perfection_check(pn_model(3), 24)
+    assert not report.ok
+    assert "negative semistable coefficient" in [f["kind"] for f in report.failures]
 
 
 def test_semistable_series_nonnegative_and_bounded_by_ambient():
