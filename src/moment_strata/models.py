@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import WeylSymmetryRequired
+from .errors import VerificationFailed, WeylSymmetryRequired
 from .geometry import (
     BilinearForm,
     ProjectionCertificate,
@@ -211,23 +211,32 @@ class IndexStratum:
     witness_points: tuple[Vector, ...]
 
 
-def _value_subsets(fac: tuple[Vector, ...]) -> list[tuple[tuple[int, ...], tuple[Vector, ...]]]:
-    """Nonempty subsets of the distinct weight values of one factor.
+def _subset_positions(k: int):
+    """Nonempty subsets of range(k): by size, then lexicographically."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(k), size) for size in range(1, k + 1))
 
-    Each subset is returned as (an index support realizing it, the values).
-    Index supports pick the first index bearing each chosen value, so
-    witness profiles are deterministic.
-    """
-    first_index: dict[Vector, int] = {}
-    for i, w in enumerate(fac):
-        first_index.setdefault(w, i)
-    values = sorted(first_index)
-    out = []
-    for size in range(1, len(values) + 1):
-        for combo in itertools.combinations(values, size):
-            supp = tuple(sorted(first_index[v] for v in combo))
-            out.append((supp, combo))
-    return out
+
+def _distinct_values(fac: Sequence) -> tuple[list, list[int]]:
+    """The sorted distinct weights of one factor and the first index of each."""
+    order = sorted(range(len(fac)), key=fac.__getitem__)
+    firsts = [i for n, i in enumerate(order) if n == 0 or fac[i] != fac[order[n - 1]]]
+    return [fac[i] for i in firsts], firsts
+
+
+def _value_subsets(fac: tuple[Vector, ...]) -> list[tuple[int, ...]]:
+    """Index supports of the subsets of one factor's distinct weight values,
+    in `_subset_positions` order; each picks the first index of a value."""
+    firsts = _distinct_values(fac)[1]
+    return [tuple(sorted(firsts[p] for p in c)) for c in _subset_positions(len(firsts))]
+
+
+def _factor_groups(factors) -> list[list[int]]:
+    """Positions of identical factors, grouped in order of first position."""
+    groups: dict = {}
+    for pos, fac in enumerate(factors):
+        groups.setdefault(fac, []).append(pos)
+    return list(groups.values())
 
 
 def enumerate_profiles(model: WeightedModel):
@@ -235,63 +244,121 @@ def enumerate_profiles(model: WeightedModel):
 
     Permuting identical factors does not change a profile's Minkowski sum,
     so enumerating value subsets up to such permutations loses no strata.
+    The order is lexicographic in the subset indices, group by group, and
+    the indices do not decrease within a group.
     """
-    groups: dict[tuple[Vector, ...], list[int]] = {}
-    for pos, fac in enumerate(model.factors):
-        groups.setdefault(fac, []).append(pos)
-    group_items = sorted(groups.items(), key=lambda kv: kv[1][0])
-    group_subsets = [_value_subsets(fac) for fac, _ in group_items]
-    per_group_choices = []
-    for (_, positions), subsets in zip(group_items, group_subsets):
-        per_group_choices.append(
-            list(itertools.combinations_with_replacement(range(len(subsets)), len(positions))))
+    groups = _factor_groups(model.factors)
+    group_subsets = [_value_subsets(model.factors[g[0]]) for g in groups]
+    per_group_choices = [
+        list(itertools.combinations_with_replacement(range(len(subsets)), len(g)))
+        for g, subsets in zip(groups, group_subsets)]
     for combo in itertools.product(*per_group_choices):
         profile: list[tuple[int, ...]] = [()] * len(model.factors)
-        for (_, positions), subsets, chosen in zip(group_items, group_subsets, combo):
+        for positions, subsets, chosen in zip(groups, group_subsets, combo):
             for pos, subset_idx in zip(positions, chosen):
-                profile[pos] = subsets[subset_idx][0]
+                profile[pos] = subsets[subset_idx]
         yield tuple(profile)
 
 
 class _Scan(NamedTuple):
     strata: tuple[IndexStratum, ...]
     witness: Profile | None            # first semistable, not stable profile
-    betas: dict[tuple[tuple[int, ...], ...], Vector]   # beta per lattice point set
-    weights: Lattice
 
 
 def _scan(model: WeightedModel) -> _Scan:
-    """One pass over the profiles: the index set, the first profile that is
-    semistable but not stable (None when there is none), and every
-    profile's beta. No result depends on the model's Weyl group."""
+    """The index set and the first profile in enumeration order that is
+    semistable but not stable (None when there is none). No result depends
+    on the model's Weyl group."""
     return _scan_weights(model.rank, model.factors, model.form)
 
 
 @lru_cache(maxsize=None)
 def _scan_weights(rank: int, factors: tuple[tuple[Vector, ...], ...],
                   form: BilinearForm) -> _Scan:
+    return (_interval_scan if rank == 1 else _profile_scan)(rank, factors, form)
+
+
+def _profile_scan(rank: int, factors: tuple[tuple[Vector, ...], ...],
+                  form: BilinearForm) -> _Scan:
+    """One verified search per enumerated profile."""
     model = WeightedModel(rank, factors, form)
     d, weights = _lattice(factors)
     gram = clear_denominators(form.gram)[1]
     found: dict[Vector, IndexStratum] = {}
-    betas: dict[tuple[tuple[int, ...], ...], Vector] = {}
     witness = None
     for profile in enumerate_profiles(model):
         points = _lattice_points(weights, profile)
         search = lattice_nearest_point(points, gram)
         scale = d * sum(search.coefficients)
         beta = tuple(Fraction(x, scale) for x in search.beta)
-        stratum = found.get(beta)
-        if stratum is None:
+        if beta not in found:
             # the canonical certificate of a beta is built on its first profile
             fpoints = tuple(tuple(Fraction(x, d) for x in p) for p in points)
             cert = _canonical_certificate(fpoints, form, beta)
-            stratum = found[beta] = IndexStratum(beta, cert, profile, fpoints)
-        betas[points] = stratum.beta
+            found[beta] = IndexStratum(beta, cert, profile, fpoints)
         if (witness is None and not any(search.beta)
                 and not origin_in_interior(points, rank)):
             witness = profile
-    return _Scan(tuple(found[b] for b in sorted(found)), witness, betas, weights)
+    return _Scan(tuple(found[b] for b in sorted(found)), witness)
+
+
+def _interval_scan(rank: int, factors: tuple[tuple[Vector, ...], ...],
+                   form: BilinearForm) -> _Scan:
+    """`_profile_scan` in rank 1, where each hull is an interval: the betas
+    are the distinct nonzero Minkowski values v, and 0 when the full
+    profile's interval holds 0. Shrinking each support to the singleton of
+    its minimum (v > 0) or maximum (v < 0) keeps beta v and moves the
+    profile earlier, so v first appears on the first all-singleton profile
+    summing to v; the witness is the first summing to 0. Each profile is
+    found slot by slot against what the later slots can reach, and checked
+    by the verified search."""
+    d, weights = _lattice(factors)
+    gram = clear_denominators(form.gram)[1]
+    # per slot in enumeration order: position, values, first indices. The
+    # least choice is non-decreasing within a group, or a swap would lower it
+    slots = [(pos, *_distinct_values([w for w, in weights[pos]]))
+             for group in _factor_groups(weights) for pos in group]
+    reach = [{0}]   # the sums the slots from j on can reach
+    for _, values, _ in reversed(slots):
+        reach.insert(0, {s + v for s in reach[0] for v in values})
+    bounds = [(min(r), max(r)) for r in reach]
+
+    def first(fits) -> Profile:
+        """The first profile whose interval [lo, hi] after each slot j
+        passes fits(j, lo, hi)."""
+        lo, hi = 0, 0
+        profile: list[tuple[int, ...]] = [()] * len(slots)
+        for j, (pos, values, firsts) in enumerate(slots):
+            c = next(c for c in _subset_positions(len(values))
+                     if fits(j, lo + values[c[0]], hi + values[c[-1]]))
+            lo, hi = lo + values[c[0]], hi + values[c[-1]]
+            profile[pos] = tuple(sorted(firsts[p] for p in c))
+        return tuple(profile)
+
+    def summing_to(v):   # the singleton of a fitting minimum comes first
+        return first(lambda j, lo, _: v - lo in reach[j + 1])
+
+    profiles = {v: summing_to(v) for v in reach[0] if v}
+    if bounds[0][0] <= 0 <= bounds[0][1]:
+        profiles[0] = first(lambda j, lo, hi:
+                            lo + bounds[j + 1][0] <= 0 <= hi + bounds[j + 1][1])
+    strata = []
+    for v in sorted(profiles):
+        points = _lattice_points(weights, profiles[v])
+        search = lattice_nearest_point(points, gram)
+        if search.beta[0] != v * sum(search.coefficients):
+            raise VerificationFailed("derived stratum profile has another beta",
+                                     witness={"profile": profiles[v]})
+        beta, fpoints = (Fraction(v, d),), tuple((Fraction(x, d),) for x, in points)
+        strata.append(IndexStratum(beta, _canonical_certificate(fpoints, form, beta),
+                                   profiles[v], fpoints))
+    witness = summing_to(0) if 0 in reach[0] else None
+    if witness is not None:
+        points = _lattice_points(weights, witness)
+        if any(lattice_nearest_point(points, gram).beta) or origin_in_interior(points, 1):
+            raise VerificationFailed("derived witness is not strictly semistable",
+                                     witness={"profile": witness})
+    return _Scan(tuple(strata), witness)
 
 
 def index_set(model: WeightedModel) -> tuple[IndexStratum, ...]:
@@ -304,16 +371,23 @@ def strictly_semistable_witness(model: WeightedModel) -> Profile | None:
     return _scan(model).witness
 
 
-def profile_beta(model: WeightedModel, profile: Profile) -> Vector:
-    """The beta of any support profile, read from the model's profile scan.
+def _profile_betas(model: WeightedModel, profiles: Iterable[Profile]) -> list[Vector]:
+    """The beta of each profile by the verified search on its Minkowski
+    points: the profile scan without certificates or interior tests."""
+    d, weights = _lattice(model.factors)
+    gram = clear_denominators(model.form.gram)[1]
+    out = []
+    for profile in profiles:
+        search = lattice_nearest_point(_lattice_points(weights, profile), gram)
+        scale = d * sum(search.coefficients)
+        out.append(tuple(Fraction(x, scale) for x in search.beta))
+    return out
 
-    Beta depends on the profile only through its Minkowski points, and every
-    profile shares its points with the scanned representative of its orbit
-    under swaps of identical factors.
-    """
+
+def profile_beta(model: WeightedModel, profile: Profile) -> Vector:
+    """The beta of any support profile."""
     _check_profile(model, profile)
-    scan = _scan(model)
-    return scan.betas[_lattice_points(scan.weights, profile)]
+    return _profile_betas(model, (profile,))[0]
 
 
 def index_betas(model: WeightedModel) -> tuple[Vector, ...]:

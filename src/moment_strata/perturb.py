@@ -17,9 +17,9 @@ from .errors import EpsilonSearchFailed, RefinementViolation
 from .linalg import Vector, frac, vsub
 from .models import (
     WeightedModel,
+    _profile_betas,
     enumerate_profiles,
     index_set,
-    profile_beta,
     strictly_semistable_witness,
 )
 
@@ -98,7 +98,7 @@ def refinement_report(model: WeightedModel, epsilon: Sequence) -> RefinementRepo
     """Check that perturbed strata refine original strata, profile by profile.
 
     Every support profile has a nearest point before and after perturbation,
-    both read from the two models' profile scans;
+    found by one verified pass per model over the perturbed model's profiles;
     the assignment (perturbed beta -> original beta) must be well defined.
     Two profiles sharing a perturbed beta but disagreeing on the original
     one are reported as a RefinementViolation witness.
@@ -107,9 +107,9 @@ def refinement_report(model: WeightedModel, epsilon: Sequence) -> RefinementRepo
     shifted = perturbed_model(model, eps)
     mapping: dict[Vector, Vector] = {}
     first_profile: dict[Vector, tuple] = {}
-    for profile in enumerate_profiles(shifted):
-        eps_beta = profile_beta(shifted, profile)
-        orig_beta = profile_beta(model, profile)
+    profiles = list(enumerate_profiles(shifted))
+    for profile, eps_beta, orig_beta in zip(profiles, _profile_betas(shifted, profiles),
+                                            _profile_betas(model, profiles)):
         if eps_beta in mapping:
             if mapping[eps_beta] != orig_beta:
                 raise RefinementViolation(

@@ -143,7 +143,8 @@ _SS_MEMO: dict = {}
 
 
 def _weights_span(model: WeightedModel) -> int:
-    return matrix_rank([w for fac in model.factors for w in fac])
+    rows = [w for fac in model.factors for w in fac if any(w)]
+    return matrix_rank(rows) if rows else 0
 
 
 def _descend(model: WeightedModel, trunc: int, drop: int):
@@ -173,17 +174,17 @@ def _descend(model: WeightedModel, trunc: int, drop: int):
 
 
 def _node(model: WeightedModel, trunc: int):
-    """(semistable series, model, ((codimension, child node), ...)): one node
-    of the recursion tree, built once per canonical key and kept in _SS_MEMO."""
+    """(semistable series, ambient series, model, ((codimension, child), ...)):
+    one node of the recursion tree, built once per canonical key, in _SS_MEMO."""
     key = _canonical_key(model, trunc)
     node = _SS_MEMO.get(key)
     if node is None:
         children = tuple((lam, _node(sub, trunc - lam))
                          for lam, sub in _descend(model, trunc, 0))
-        series = model_equivariant_series(model, trunc)
+        ambient = series = model_equivariant_series(model, trunc)
         for lam, child in children:
             series = series - child[0].shift(lam)
-        node = _SS_MEMO[key] = (series, model, children)
+        node = _SS_MEMO[key] = (series, ambient, model, children)
     return node
 
 
@@ -290,7 +291,7 @@ def perfection_check(model: WeightedModel, trunc: int) -> PerfectionReport:
         if id(node) in visited:
             return
         visited.add(id(node))
-        ss, m, children = node
+        ss, ambient, m, children = node
         if any(c < 0 for c in ss.coeffs):
             failures.append({"kind": "negative semistable coefficient",
                              "factors": m.factors})
@@ -298,7 +299,7 @@ def perfection_check(model: WeightedModel, trunc: int) -> PerfectionReport:
         for lam, child in children:
             walk(child)
             total = total + child[0].shift(lam)
-        if total != model_equivariant_series(m, ss.truncation):
+        if total != ambient:
             failures.append({"kind": "stratification identity", "factors": m.factors})
 
     walk(_node(model, trunc))

@@ -253,3 +253,87 @@ def test_weights_parse_rationals():
     assert m.factors[0][0] == (fr(1) / 2,)
     betas = {b[0] for b in index_betas(m)}
     assert betas == {fr(0), Fraction(1, 2), Fraction(-1, 2)}
+
+
+def _random_rank1_model(rng):
+    """1-4 factors of 1-4 weights with denominators up to 3, some weights
+    repeated within a factor, some factors repeated, and a random form."""
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        if factors and rng.random() < 0.3:
+            factors.append(rng.choice(factors))
+            continue
+        fac = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))]
+               for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            fac.insert(rng.randrange(len(fac) + 1), rng.choice(fac))
+        factors.append(fac)
+    form = form_from_rows([[Fraction(rng.randint(1, 5), rng.randint(1, 3))]])
+    return weighted_model(1, factors, form)
+
+
+def test_value_subsets_take_first_indices_in_value_order():
+    from moment_strata.models import _value_subsets
+
+    # distinct values -1 (index 1), 0 (index 3), 1 (index 0, again at 2)
+    fac = ((fr(1),), (fr(-1),), (fr(1),), (fr(0),))
+    assert _value_subsets(fac) == [(1,), (3,), (0,), (1, 3), (0, 1), (0, 3), (0, 1, 3)]
+
+
+def test_rank1_closed_form_matches_the_profile_scan():
+    """Strata (beta, certificate, witness profile and points) and the
+    strictly-semistable witness read off the Minkowski values equal those
+    of the enumerative scan, which stays the rank >= 2 path."""
+    from moment_strata.models import _interval_scan, _profile_scan
+
+    rng = random.Random(20261019)
+    models = [pn_model(n) for n in range(1, 9)]
+    models += [line_product_model(n) for n in range(1, 9)]
+    # identical factors apart: enumeration takes a group's slots together
+    models += [weighted_model(1, [[[0], [2], [3]], [[0], [2]], [[0], [2], [3]]]),
+               weighted_model(1, [[[-2], [3], [1]], [[2], [-3]], [[-2], [3], [1]]])]
+    models += [_random_rank1_model(rng) for _ in range(150)]
+    for m in models:
+        assert (_interval_scan(1, m.factors, m.form)
+                == _profile_scan(1, m.factors, m.form)), m.factors
+
+
+def test_rank1_index_set_enumerates_no_profiles(monkeypatch):
+    from moment_strata import models
+
+    def refuse(model):
+        raise AssertionError("rank-1 scans must not enumerate profiles")
+
+    monkeypatch.setattr(models, "enumerate_profiles", refuse)
+    models._scan_weights.cache_clear()
+    for m in (pn_model(14), line_product_model(12),
+              weighted_model(1, [[["1/2"], ["-1/3"], ["1/2"]], [["2/3"], ["-1"]]])):
+        assert index_set(m)
+        strictly_semistable_witness(m)
+
+
+def test_refinement_report_makes_one_pass_per_model(monkeypatch):
+    from moment_strata import models, perturb
+
+    passes, enumerations = [], []
+    betas, enumerate_ = models._profile_betas, models.enumerate_profiles
+
+    def counted_betas(model, profiles):
+        passes.append((model, len(profiles)))
+        return betas(model, profiles)
+
+    def counted_enumeration(model):
+        enumerations.append(model)
+        return enumerate_(model)
+
+    monkeypatch.setattr(perturb, "_profile_betas", counted_betas)
+    monkeypatch.setattr(perturb, "enumerate_profiles", counted_enumeration)
+    m = line_product_model(4)
+    eps = perturb.propose_epsilon(m).epsilon
+    shifted = perturb.perturbed_model(m, eps)
+    passes.clear()
+    enumerations.clear()
+    perturb.refinement_report(m, eps)
+    count = len(list(enumerate_(shifted)))
+    assert enumerations == [shifted]
+    assert passes == [(shifted, count), (m, count)]
