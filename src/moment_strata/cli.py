@@ -132,11 +132,7 @@ def _load_model(path: str) -> tuple[WeightedModel, bytes]:
             raise InputError(f"unknown weyl group {name!r}; "
                              f"choices: {sorted(WEYL_GROUPS)}")
         weyl = WEYL_GROUPS[name]()
-    try:
-        model = weighted_model(rank, factors, form, weyl)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return model, data
+    return weighted_model(rank, factors, form, weyl), data
 
 
 def _ring_of(model: WeightedModel) -> tuple[tuple[str, ...], list | None]:
@@ -264,10 +260,7 @@ def _cmd_classify(args) -> int:
         raise InputError("point file must be a JSON array of coordinate "
                          "arrays, one per factor")
     point = [[_rational(x, "coordinate") for x in row] for row in obj]
-    try:
-        profile = profile_of_point(model, point)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    profile = profile_of_point(model, point)
     cls = classify_profile(model, profile)
     result = {
         "profile": [list(s) for s in profile],
@@ -376,10 +369,7 @@ def _cmd_kirwan(args) -> int:
                              "quotient only; use --group sl2")
         kernel = torus_kernel_ideal(pres, args.max_degree)
     else:
-        try:
-            kernel = sl2_kernel_ideal(pres, args.max_degree, target)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        kernel = sl2_kernel_ideal(pres, args.max_degree, target)
     betti = [{"degree": d, "ambient": len(pres.basis(d)),
               "quotient": betti_from_presentation(pres, kernel, d)}
              for d in range(0, args.max_degree + 1, 2)]

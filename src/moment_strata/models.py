@@ -14,11 +14,10 @@ only in what leaves them: betas, certificates and component values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import VerificationFailed, WeylSymmetryRequired
 from .geometry import (
@@ -260,30 +259,38 @@ def enumerate_profiles(model: WeightedModel):
         yield tuple(profile)
 
 
-class _Scan(NamedTuple):
+@dataclass(frozen=True)
+class _Record:
+    """One model's entry in `_MEMO`: its index set, the first profile in
+    enumeration order that is semistable but not stable (None when there is
+    none), and the nodes of the stratum recursion that `series` builds on
+    the model, by truncation."""
+
     strata: tuple[IndexStratum, ...]
-    witness: Profile | None            # first semistable, not stable profile
+    witness: Profile | None
+    nodes: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _scan(model: WeightedModel) -> _Scan:
-    """The index set and the first profile in enumeration order that is
-    semistable but not stable (None when there is none). No result depends
-    on the model's Weyl group."""
-    return _scan_weights(model.rank, model.factors, model.form)
+# The one memo: a record per model, keyed by rank, factors in the model's own
+# order, and Gram matrix. It is unbounded because evicting a record partway
+# through a recursion would build one node of the tree twice.
+_MEMO: dict = {}
 
 
-@lru_cache(maxsize=None)
-def _scan_weights(rank: int, factors: tuple[tuple[Vector, ...], ...],
-                  form: BilinearForm) -> _Scan:
-    return (_interval_scan if rank == 1 else _profile_scan)(rank, factors, form)
+def _record(model: WeightedModel) -> _Record:
+    """The model's record, scanned on first use. No result depends on the
+    model's Weyl group."""
+    key = (model.rank, model.factors, model.form.gram)
+    record = _MEMO.get(key)
+    if record is None:
+        record = _MEMO[key] = (_interval_scan if model.rank == 1 else _profile_scan)(model)
+    return record
 
 
-def _profile_scan(rank: int, factors: tuple[tuple[Vector, ...], ...],
-                  form: BilinearForm) -> _Scan:
+def _profile_scan(model: WeightedModel) -> _Record:
     """One verified search per enumerated profile."""
-    model = WeightedModel(rank, factors, form)
-    d, weights = _lattice(factors)
-    gram = clear_denominators(form.gram)[1]
+    d, weights = _lattice(model.factors)
+    gram = clear_denominators(model.form.gram)[1]
     found: dict[Vector, IndexStratum] = {}
     witness = None
     for profile in enumerate_profiles(model):
@@ -294,16 +301,15 @@ def _profile_scan(rank: int, factors: tuple[tuple[Vector, ...], ...],
         if beta not in found:
             # the canonical certificate of a beta is built on its first profile
             fpoints = tuple(tuple(Fraction(x, d) for x in p) for p in points)
-            cert = _canonical_certificate(fpoints, form, beta)
+            cert = _canonical_certificate(fpoints, model.form, beta)
             found[beta] = IndexStratum(beta, cert, profile, fpoints)
         if (witness is None and not any(search.beta)
-                and not origin_in_interior(points, rank)):
+                and not origin_in_interior(points, model.rank)):
             witness = profile
-    return _Scan(tuple(found[b] for b in sorted(found)), witness)
+    return _Record(tuple(found[b] for b in sorted(found)), witness)
 
 
-def _interval_scan(rank: int, factors: tuple[tuple[Vector, ...], ...],
-                   form: BilinearForm) -> _Scan:
+def _interval_scan(model: WeightedModel) -> _Record:
     """`_profile_scan` in rank 1, where each hull is an interval: the betas
     are the distinct nonzero Minkowski values v, and 0 when the full
     profile's interval holds 0. Shrinking each support to the singleton of
@@ -312,8 +318,8 @@ def _interval_scan(rank: int, factors: tuple[tuple[Vector, ...], ...],
     summing to v; the witness is the first summing to 0. Each profile is
     found slot by slot against what the later slots can reach, and checked
     by the verified search."""
-    d, weights = _lattice(factors)
-    gram = clear_denominators(form.gram)[1]
+    d, weights = _lattice(model.factors)
+    gram = clear_denominators(model.form.gram)[1]
     # per slot in enumeration order: position, values, first indices. The
     # least choice is non-decreasing within a group, or a swap would lower it
     slots = [(pos, *_distinct_values([w for w, in weights[pos]]))
@@ -350,7 +356,7 @@ def _interval_scan(rank: int, factors: tuple[tuple[Vector, ...], ...],
             raise VerificationFailed("derived stratum profile has another beta",
                                      witness={"profile": profiles[v]})
         beta, fpoints = (Fraction(v, d),), tuple((Fraction(x, d),) for x, in points)
-        strata.append(IndexStratum(beta, _canonical_certificate(fpoints, form, beta),
+        strata.append(IndexStratum(beta, _canonical_certificate(fpoints, model.form, beta),
                                    profiles[v], fpoints))
     witness = summing_to(0) if 0 in reach[0] else None
     if witness is not None:
@@ -358,17 +364,17 @@ def _interval_scan(rank: int, factors: tuple[tuple[Vector, ...], ...],
         if any(lattice_nearest_point(points, gram).beta) or origin_in_interior(points, 1):
             raise VerificationFailed("derived witness is not strictly semistable",
                                      witness={"profile": witness})
-    return _Scan(tuple(strata), witness)
+    return _Record(tuple(strata), witness)
 
 
 def index_set(model: WeightedModel) -> tuple[IndexStratum, ...]:
     """All nearest points of Minkowski hulls of support profiles."""
-    return _scan(model).strata
+    return _record(model).strata
 
 
 def strictly_semistable_witness(model: WeightedModel) -> Profile | None:
     """A support profile that is semistable but not stable, or None."""
-    return _scan(model).witness
+    return _record(model).witness
 
 
 def _profile_betas(model: WeightedModel, profiles: Iterable[Profile]) -> list[Vector]:

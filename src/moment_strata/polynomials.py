@@ -13,10 +13,10 @@ each term is a ``*``-separated product of an optional rational coefficient
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from operator import add, sub
 from typing import Mapping, Sequence
@@ -282,18 +282,14 @@ def divide_exact(f: GradedPolynomial, g: GradedPolynomial) -> GradedPolynomial:
 # monomial bookkeeping
 
 
-@lru_cache(maxsize=None)
 def exponents_of_degree(nvars: int, total: int) -> tuple[Exponents, ...]:
-    """All exponent tuples with the given sum, in ascending lex order."""
+    """All exponent tuples with the given sum, in ascending lex order: the
+    gaps around nvars - 1 bars placed among total + nvars - 1 slots."""
     if nvars == 0:
         return ((),) if total == 0 else ()
-    if nvars == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in exponents_of_degree(nvars - 1, total - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    slots = total + nvars - 1
+    return tuple(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+                 for bars in itertools.combinations(range(slots), nvars - 1))
 
 
 def graded_piece_dim(nvars: int, d: int) -> int:

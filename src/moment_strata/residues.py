@@ -26,7 +26,7 @@ from typing import Sequence
 from .linalg import null_space
 from .models import WeightedModel, require_negation_symmetric
 from .polynomials import Exponents, GradedPolynomial, exponents_of_degree
-from .series import quotient_top_degree, require_quotient
+from .series import _check_group, quotient_top_degree, require_quotient
 
 # residue_pairing is the raw residue sum times this, per group
 PAIRING_SCALE = {"torus": Fraction(-2), "sl2": Fraction(1)}
@@ -239,8 +239,7 @@ def raw_residue_sum(model: WeightedModel, eta: GradedPolynomial,
     Defined for any model; carries quotient meaning only when semistable
     equals stable, which residue_pairing enforces.
     """
-    if group not in ("torus", "sl2"):
-        raise ValueError("group must be 'torus' or 'sl2'")
+    _check_group(group)
     if group == "sl2":
         require_negation_symmetric(model)
     return _raw_residue(model, eta, zeta, group)

@@ -8,7 +8,9 @@ submodel's weights is strictly smaller than the parent's (the submodel
 weights are orthogonal to a nonzero vector of the parent span); the
 recursion checks that the measure decreases at every descent and raises
 VerificationFailed where it does not. Each node of the recursion tree is
-built once and memoized with its children, and the perfection check audits
+built once and kept with its children in the model's record in `models`; a
+submodel enters the recursion with its factors and weights sorted, so
+submodels equal up to that order share one node. The perfection check audits
 that stored tree. The quotient by the reflection group runs the same descent
 over the positive strata only, each codimension lowered by two.
 """
@@ -22,6 +24,7 @@ from .errors import NotCoprimeStable, TruncationTooSmall, VerificationFailed
 from .linalg import matrix_rank
 from .models import (
     WeightedModel,
+    _record,
     critical_components,
     index_set,
     require_negation_symmetric,
@@ -134,22 +137,14 @@ def model_equivariant_series(model: WeightedModel, trunc: int) -> TruncatedSerie
     return out
 
 
-def _canonical_key(model: WeightedModel, trunc: int):
-    facs = tuple(sorted(tuple(sorted(f)) for f in model.factors))
-    return (model.rank, facs, model.form.gram, trunc)
-
-
-_SS_MEMO: dict = {}
-
-
 def _weights_span(model: WeightedModel) -> int:
     rows = [w for fac in model.factors for w in fac if any(w)]
     return matrix_rank(rows) if rows else 0
 
 
 def _descend(model: WeightedModel, trunc: int, drop: int):
-    """(codimension, shifted submodel) of every component the recursion
-    subtracts through degree ``trunc``.
+    """(codimension, shifted submodel in canonical order) of every
+    component the recursion subtracts through degree ``trunc``.
 
     ``drop=0`` is the torus: every nonzero beta. ``drop=2`` is the
     reflection quotient: positive betas only, each codimension lowered by 2.
@@ -170,21 +165,24 @@ def _descend(model: WeightedModel, trunc: int, drop: int):
             if not _weights_span(sub) < parent_span:
                 raise VerificationFailed("recursion measure failed to decrease",
                                          witness={"beta": beta})
-            yield lam, sub
+            # canonical order: submodels equal up to order share one node
+            factors = tuple(sorted(tuple(sorted(f)) for f in sub.factors))
+            yield lam, WeightedModel(sub.rank, factors, sub.form)
 
 
 def _node(model: WeightedModel, trunc: int):
     """(semistable series, ambient series, model, ((codimension, child), ...)):
-    one node of the recursion tree, built once per canonical key, in _SS_MEMO."""
-    key = _canonical_key(model, trunc)
-    node = _SS_MEMO.get(key)
+    one node of the recursion tree, built once per model and truncation and
+    kept in the model's record."""
+    nodes = _record(model).nodes
+    node = nodes.get(trunc)
     if node is None:
         children = tuple((lam, _node(sub, trunc - lam))
                          for lam, sub in _descend(model, trunc, 0))
         ambient = series = model_equivariant_series(model, trunc)
         for lam, child in children:
             series = series - child[0].shift(lam)
-        node = _SS_MEMO[key] = (series, ambient, model, children)
+        node = nodes[trunc] = (series, ambient, model, children)
     return node
 
 
@@ -211,9 +209,15 @@ def sl2_quotient_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
     return out
 
 
+def _check_group(group: str):
+    if group not in ("torus", "sl2"):
+        raise ValueError("group must be 'torus' or 'sl2'")
+
+
 def quotient_top_degree(model: WeightedModel, group: str) -> int:
     """Real dimension of the quotient: the projective dimensions minus the
     group's dimension (the rank for the torus, 3 for SL(2)), doubled."""
+    _check_group(group)
     drop = model.rank if group == "torus" else 3
     return 2 * (sum(s - 1 for s in model.factor_sizes) - drop)
 
@@ -222,8 +226,7 @@ def require_quotient(model: WeightedModel, group: str):
     """The preconditions of a quotient with a fundamental class: a known
     group, negation symmetry for the reflection group, and semistable ==
     stable (else NotCoprimeStable, with the first such profile)."""
-    if group not in ("torus", "sl2"):
-        raise ValueError("group must be 'torus' or 'sl2'")
+    _check_group(group)
     if group == "sl2":
         require_negation_symmetric(model)
     witness = strictly_semistable_witness(model)

@@ -17,6 +17,14 @@ def pn_model(n):
 
 
 @pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty model memo for one test; the shared one is restored after."""
+    from moment_strata import models
+
+    monkeypatch.setattr(models, "_MEMO", {})
+
+
+@pytest.fixture
 def rng():
     return random.Random(20260822)
 

@@ -247,15 +247,15 @@ def test_pairing_strictly_semistable_is_a_math_error(models, capsys):
     assert payload["witness"]["profile"] == [[1], [1], [0], [0]]
 
 
-def test_failed_verification_exits_3_with_a_witness(tmp_path, capsys, monkeypatch):
+def test_failed_verification_exits_3_with_a_witness(tmp_path, capsys, monkeypatch,
+                                                    empty_memo):
     """A certificate that fails its own check is a typed error with a JSON
     witness, not a traceback."""
-    from moment_strata import geometry, models
+    from moment_strata import geometry
 
     path = tmp_path / "p2.json"
     path.write_text(json.dumps({"rank": 1, "factors": [[["3"], ["1"], ["-2"]]]}))
     monkeypatch.setattr(geometry, "_verify_lattice", lambda *args: False)
-    models._scan_weights.cache_clear()
     code, out, err = run(capsys, ["index-set", str(path)])
     assert code == 3 and err == ""
     error = json.loads(out)["error"]
@@ -346,6 +346,23 @@ def test_input_errors_exit_2(models, capsys, tmp_path):
     conf.write_text('[["1","0","0"]]')
     code, out, err = run(capsys, ["config", "--family", "p1", str(conf)])
     assert code == 2 and "coordinates" in err
+
+
+@pytest.mark.parametrize("model,argv,message", [
+    ({"rank": 1, "factors": [[[1], [-1]]], "weyl": "sl3-torus-weyl"},
+     ["index-set", "MODEL"], "weyl group 'sl3-torus-weyl' does not act on rank 1"),
+    (L3, ["classify", "MODEL", "POINT"], "projective coordinates cannot all vanish"),
+    (P3, ["kirwan", "MODEL", "--group", "sl2", "--target", "s"],
+     "the stable target is defined for products of lines only"),
+])
+def test_library_value_errors_exit_2_with_their_message(tmp_path, capsys, model,
+                                                        argv, message):
+    """A ValueError from the library reaches the user as one error line."""
+    files = {"MODEL": tmp_path / "model.json", "POINT": tmp_path / "point.json"}
+    files["MODEL"].write_text(json.dumps(model))
+    files["POINT"].write_text('[["1", "0"], ["0", "0"], ["0", "1"]]')
+    code, out, err = run(capsys, [str(files.get(a, a)) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("weyl", [["sl2"], {}, "sl4"])

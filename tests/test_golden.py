@@ -129,6 +129,12 @@ CASES = [
      "a2434fc845b767a3727f261c302e985f43c0339da19d85b6e2ed3fbafb1911a2"),
     (["perturb", "a2x2"], 0,
      "de7c00eb8e14ff55cfb3ead3cc94c43239642e4b10bb95c20f3756dec39f7382"),
+    # submodels equal up to factor and weight order share one node, which
+    # strata_checked (11 and 12) counts
+    (["series", "a2x2"], 0,
+     "8ef9f4d1bcc481d5aee616593dd7219acb42bfda0581d9da65faf7c3e76d6cc2"),
+    (["series", "a2x3"], 0,
+     "bdb419c0536e4c5d3f0b1fdd757080d683cc31e0a429a607b5fdcbdf28466f14"),
     # configuration classifiers, one per family
     (["config", "p1t2", "--family", "p1"], 0,
      "0335934e9bf2d58a854124dceff92657c004634bd501d964f7d48b88d65be559"),

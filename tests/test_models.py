@@ -148,11 +148,11 @@ def test_critical_components_match_direct_pairing():
 
 
 def test_profile_scan_is_shared_by_models_differing_only_in_weyl():
-    from moment_strata.models import _scan, sl2_weyl
+    from moment_strata.models import _record, sl2_weyl
 
     plain, reflected = pn_model(4), projective_space_model([4, 2, 0, -2, -4], sl2_weyl())
     assert plain.factors == reflected.factors and plain != reflected
-    assert _scan(plain) is _scan(reflected)
+    assert _record(plain) is _record(reflected)
 
 
 def test_nonzero_strata_have_positive_codimension():
@@ -294,18 +294,16 @@ def test_rank1_closed_form_matches_the_profile_scan():
                weighted_model(1, [[[-2], [3], [1]], [[2], [-3]], [[-2], [3], [1]]])]
     models += [_random_rank1_model(rng) for _ in range(150)]
     for m in models:
-        assert (_interval_scan(1, m.factors, m.form)
-                == _profile_scan(1, m.factors, m.form)), m.factors
+        assert _interval_scan(m) == _profile_scan(m), m.factors
 
 
-def test_rank1_index_set_enumerates_no_profiles(monkeypatch):
+def test_rank1_index_set_enumerates_no_profiles(monkeypatch, empty_memo):
     from moment_strata import models
 
     def refuse(model):
         raise AssertionError("rank-1 scans must not enumerate profiles")
 
     monkeypatch.setattr(models, "enumerate_profiles", refuse)
-    models._scan_weights.cache_clear()
     for m in (pn_model(14), line_product_model(12),
               weighted_model(1, [[["1/2"], ["-1/3"], ["1/2"]], [["2/3"], ["-1"]]])):
         assert index_set(m)

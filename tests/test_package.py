@@ -194,5 +194,4 @@ def test_module_level_memos_are_declared():
     kernel layer's Presentation.memo) is the default."""
     found = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in _module_memos(path)}
-    assert found == {"models._scan_weights", "series._SS_MEMO",
-                     "polynomials.exponents_of_degree"}
+    assert found == {"models._MEMO"}

@@ -1,6 +1,7 @@
 """Graded polynomial arithmetic over Q, the text round trip, and exact
 division with its remainder witness."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,15 @@ def test_monomial_counts_are_consistent():
             assert all(m.degree() == d or (d != 0 and m.is_zero()) is False
                        for m in ms)
             assert len({str(m) for m in ms}) == count
+
+
+def test_exponents_of_degree_match_a_filtered_product():
+    """Content and ascending lex order against the brute force."""
+    for nvars in range(0, 6):
+        for total in range(0, 7):
+            brute = tuple(e for e in itertools.product(range(total + 1), repeat=nvars)
+                          if sum(e) == total)
+            assert exponents_of_degree(nvars, total) == brute, (nvars, total)
 
 
 def test_power_matches_repeated_product():

@@ -1,6 +1,7 @@
 """Equivariant series, the stratum recursion, perfection checks, and the
 quotient polynomials with their obstructions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from moment_strata import (NotCoprimeStable, TruncationTooSmall,
                            quotient_poincare_polynomial, semistable_series,
                            sl2_quotient_series, strictly_semistable_witness,
                            weighted_model)
-from moment_strata import series
-from moment_strata.series import TruncatedSeries
+from moment_strata import GradedPolynomial, series
+from moment_strata.residues import raw_residue_sum
+from moment_strata.series import (TruncatedSeries, quotient_top_degree,
+                                  require_quotient)
 
 from conftest import pn_model
 
@@ -112,10 +115,9 @@ def test_perfection_check_passes_on_reference_models():
         assert report.failures == ()
 
 
-def test_perfection_check_reads_the_memoized_tree(monkeypatch):
+def test_perfection_check_reads_the_memoized_tree(monkeypatch, empty_memo):
     """Each node descends once, when the series builds it; the check then
     walks the stored children and descends no more."""
-    monkeypatch.setattr(series, "_SS_MEMO", {})
     calls = []
     descend = series._descend
 
@@ -132,14 +134,35 @@ def test_perfection_check_reads_the_memoized_tree(monkeypatch):
     assert report.ok and report.strata_checked == built
 
 
-def test_perfection_check_catches_a_wrong_codimension(monkeypatch):
-    monkeypatch.setattr(series, "_SS_MEMO", {})
+def test_perfection_check_catches_a_wrong_codimension(monkeypatch, empty_memo):
     codim = series.stratum_codim
     monkeypatch.setattr(series, "stratum_codim",
                         lambda model, comp: codim(model, comp) - 2)
     report = perfection_check(pn_model(3), 24)
     assert not report.ok
     assert "negative semistable coefficient" in [f["kind"] for f in report.failures]
+
+
+def test_strata_checked_does_not_depend_on_factor_or_weight_order():
+    """Each submodel enters the recursion in one order, so permuting the
+    factors and weights of A2 x A2 builds the same eleven nodes."""
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    for first in itertools.permutations(a2):
+        for second in (a2, a2[::-1]):
+            for factors in ([first, second], [second, first]):
+                report = perfection_check(weighted_model(2, factors), 40)
+                assert report.ok and report.strata_checked == 11, factors
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quotient_top_degree(pn_model(3), "tours"),
+    lambda: require_quotient(pn_model(3), "SL2"),
+    lambda: raw_residue_sum(pn_model(3), GradedPolynomial.parse(("z", "a"), "1"),
+                            GradedPolynomial.parse(("z", "a"), "1"), "u1"),
+], ids=["quotient_top_degree", "require_quotient", "raw_residue_sum"])
+def test_an_unknown_group_is_a_value_error(call):
+    with pytest.raises(ValueError, match="group must be 'torus' or 'sl2'"):
+        call()
 
 
 def test_semistable_series_nonnegative_and_bounded_by_ambient():
