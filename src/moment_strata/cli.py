@@ -26,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -65,17 +66,19 @@ def _parse_json(data: bytes, what: str):
 
 
 def _rational(value, what: str) -> Fraction:
-    """Exact rational from a JSON integer or a 'p/q' string; floats refused."""
+    """Exact rational from a JSON integer or a '[+-]p[/q]' digit string."""
     if isinstance(value, bool) or isinstance(value, float):
         raise InputError(f"{what} must be an integer or a 'p/q' string, "
                          f"got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what} is not a rational: {value!r}") from exc
+        if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise InputError(f"{what} is not a rational: {value!r}")
     raise InputError(f"{what} must be an integer or a 'p/q' string, "
                      f"got {type(value).__name__}")
 
@@ -133,24 +136,6 @@ def _load_model(path: str) -> tuple[WeightedModel, bytes]:
                              f"choices: {sorted(WEYL_GROUPS)}")
         weyl = WEYL_GROUPS[name]()
     return weighted_model(rank, factors, form, weyl), data
-
-
-def _ring_of(model: WeightedModel) -> tuple[tuple[str, ...], list | None]:
-    """Variables of the presented cohomology ring, with the weights of a
-    single weighted projective factor (None for a product of lines): the
-    two rank-1 shapes `kirwan` presents, named as it names them."""
-    if model.rank != 1:
-        raise InputError("presentations exist for rank-1 models only")
-    if len(model.factors) == 1:
-        weights = [w[0] for w in model.factors[0]]
-        if len(weights) < 2:
-            raise InputError("need at least two coordinates")
-        return ("z", "a"), weights
-    line = {(Fraction(1),), (Fraction(-1),)}
-    if all(set(fac) == line for fac in model.factors):
-        return tuple(f"z{i+1}" for i in range(len(model.factors))) + ("a",), None
-    raise InputError("no presentation for this model: need a single "
-                     "weighted projective factor or a product of lines")
 
 
 def _parse_poly(variables: tuple[str, ...], text: str, what: str) -> GradedPolynomial:
@@ -316,8 +301,8 @@ def _cmd_perturb(args) -> int:
 
     model, raw = _load_model(args.model)
     if args.epsilon is not None:
-        tokens = [t for t in args.epsilon.split(",") if t.strip() != ""]
-        eps = tuple(_rational(t.strip(), "epsilon entry") for t in tokens)
+        eps = tuple(_rational(t.strip(), "epsilon entry")
+                    for t in args.epsilon.split(","))
         if len(eps) != model.rank:
             raise InputError(f"epsilon needs {model.rank} entries, "
                              f"got {len(eps)}")
@@ -355,11 +340,12 @@ def _cmd_kirwan(args) -> int:
                          projective_space_presentation, sl2_kernel_ideal,
                          torus_kernel_ideal, two_sided_kernel_report,
                          weyl_kernel_bijection_report)
+    from .residues import presented_ring
 
     model, raw = _load_model(args.model)
     if args.max_degree < 0:
         raise InputError("--max-degree must be nonnegative")
-    variables, weights = _ring_of(model)
+    variables, weights = presented_ring(model)
     pres = (line_product_presentation(len(variables) - 1) if weights is None
             else projective_space_presentation(weights))
     target = {"ss": "semistable", "s": "stable"}[args.target]
@@ -412,11 +398,11 @@ def _cmd_kirwan(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
-    from .residues import PAIRING_SCALE, residue_pairing
+    from .residues import PAIRING_SCALE, presented_ring, residue_pairing
     from .series import quotient_top_degree
 
     model, raw = _load_model(args.model)
-    variables, _ = _ring_of(model)
+    variables, _ = presented_ring(model)
     eta = _parse_poly(variables, args.eta, "eta")
     zeta = _parse_poly(variables, args.zeta, "zeta")
     normalized = residue_pairing(model, eta, zeta, args.group)

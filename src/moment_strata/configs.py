@@ -133,12 +133,27 @@ def _ray(*parts) -> str:
     return "(" + ",".join(str(p) for p in parts) + ")"
 
 
-def _coincidences(config: Config) -> Counter:
-    return Counter(config)
-
-
 # ---------------------------------------------------------------------------
 # the projective line, ordered tuples
+
+
+def _line_coincidences(points: Iterable, what: str) -> tuple[Config, StratumLabel | ProjPoint]:
+    """The configuration on the line, and its label when coincidences decide
+    it (unstable; Stable; (T) when two points carry half each), or else the
+    one point carrying exactly half."""
+    config = config_of(points)
+    if config[0].dim != 1:
+        raise ValueError(f"{what} must lie on the projective line")
+    n = len(config)
+    counts = Counter(config)
+    j = max(counts.values())
+    if 2 * j > n:
+        s = f"S_{{{2 * j - n}}}"
+        return config, StratumLabel(s, s)
+    heavy = [p for p, c in counts.items() if 2 * c == n]
+    if len(heavy) != 1:
+        return config, StratumLabel("(T)" if heavy else "Stable", "S_{0}")
+    return config, heavy[0]
 
 
 def classify_p1_config(points: Iterable) -> StratumLabel:
@@ -149,23 +164,8 @@ def classify_p1_config(points: Iterable) -> StratumLabel:
     multiplicity exactly half split into the closed-orbit case (the rest
     also coincide) and its unipotent thickening.
     """
-    config = config_of(points)
-    if config[0].dim != 1:
-        raise ValueError("points must lie on the projective line")
-    n = len(config)
-    counts = _coincidences(config)
-    j = max(counts.values())
-    if 2 * j > n:
-        s = f"S_{{{2 * j - n}}}"
-        return StratumLabel(s, s)
-    coarse = "S_{0}"
-    if n % 2 == 0 and 2 * j == n:
-        heavy = next(p for p, c in counts.items() if c == j)
-        rest = [p for p in config if p != heavy]
-        if all(p == rest[0] for p in rest):
-            return StratumLabel("(T)", coarse)
-        return StratumLabel("(T,2)", coarse)
-    return StratumLabel("Stable", coarse)
+    found = _line_coincidences(points, "points")[1]
+    return found if isinstance(found, StratumLabel) else StratumLabel("(T,2)", "S_{0}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +217,11 @@ def classify_binary_form(roots: Iterable) -> StratumLabel:
     next coefficient with the unique unipotent substitution fixing the
     origin; the resulting gap k gives the label "(T,2k)".
     """
-    config = config_of(roots)
-    if config[0].dim != 1:
-        raise ValueError("roots must lie on the projective line")
+    config, p = _line_coincidences(roots, "roots")
+    if isinstance(p, StratumLabel):
+        return p
     n = len(config)
-    counts = _coincidences(config)
-    j = max(counts.values())
-    if 2 * j > n:
-        s = f"S_{{{2 * j - n}}}"
-        return StratumLabel(s, s)
-    coarse = "S_{0}"
-    if n % 2 or 2 * j < n:
-        return StratumLabel("Stable", coarse)
     m = n // 2
-    heavy = [p for p, c in counts.items() if c == m]
-    if len(heavy) == 2:
-        return StratumLabel("(T)", coarse)
-    p = heavy[0]
     moved = transform_config(_move_to_zero(p), config)
     coeffs = _form_coefficients(moved)
     if any(coeffs[i] != 0 for i in range(m)) or coeffs[m] == 0:
@@ -249,7 +237,7 @@ def classify_binary_form(roots: Iterable) -> StratumLabel:
     if not 2 <= k <= m:
         raise VerificationFailed(f"coefficient gap {k} outside [2, {m}]",
                                  witness={"gap": k, "half_degree": m})
-    return StratumLabel(_ray("T", 2 * k), coarse)
+    return StratumLabel(_ray("T", 2 * k), "S_{0}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +278,11 @@ def _vec_label(prefix: str, entries: Sequence) -> str:
 def p2_semistable(config: Config, counts: Counter | None = None,
                   lines: dict[ProjLine, int] | None = None) -> bool:
     n = len(config)
-    counts = counts if counts is not None else _coincidences(config)
+    counts = counts if counts is not None else Counter(config)
     lines = lines if lines is not None else _candidate_lines(counts)
     if any(3 * c > n for c in counts.values()):
         return False
     return all(3 * c <= 2 * n for c in lines.values())
-
-
-def p2_stable(config: Config) -> bool:
-    counts = _coincidences(config)
-    lines = _candidate_lines(counts)
-    n = len(config)
-    if any(3 * c >= n for c in counts.values()):
-        return False
-    return all(3 * c < 2 * n for c in lines.values())
 
 
 def _destabilizing_flags(n: int, counts: Counter, lines: dict[ProjLine, int]):
@@ -392,7 +371,7 @@ def classify_p2_config(points: Iterable) -> StratumLabel:
     if config[0].dim != 2:
         raise ValueError("points must lie in the projective plane")
     n = len(config)
-    counts = _coincidences(config)
+    counts = Counter(config)
     lines = _candidate_lines(counts)
 
     if not p2_semistable(config, counts, lines):

@@ -70,10 +70,6 @@ def identity_form(rank: int) -> BilinearForm:
     ))
 
 
-def form_from_rows(rows) -> BilinearForm:
-    return BilinearForm(tuple(tuple(frac(x) for x in row) for row in rows))
-
-
 @dataclass(frozen=True)
 class ProjectionCertificate:
     """Proof that ``beta`` is the point of conv(points) nearest the origin."""

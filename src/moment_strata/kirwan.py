@@ -81,14 +81,20 @@ class Presentation:
         if self.kind == "p1n":
             m = e[-1] + sum(x - x % 2 for x in e[:-1])
             return {tuple(x % 2 for x in e[:-1]) + (m,): Fraction(1)}
-        k, n = sum(e), self.n
-        tail = [(f[0], -c) for f, c in self.relations[0].terms if f[0] <= n]
-        vec = {e[0]: Fraction(1)}
-        for top in range(e[0], n, -1):
-            c = vec.pop(top, 0)
-            for j, r in (tail if c else ()):
-                vec[j + top - n - 1] = vec.get(j + top - n - 1, 0) + c * r
-        return {(j, k - j): c for j, c in sorted(vec.items()) if c}
+        if e[0] <= self.n:
+            return {e: Fraction(1)}
+        monomial = GradedPolynomial(self.variables, ((e, Fraction(1)),))
+        return dict(polynomial_division(monomial, self.relations[0])[1].terms)
+
+
+def _euler_product(variables: tuple[str, ...],
+                   kills: Sequence[tuple[str, Fraction]]) -> GradedPolynomial:
+    """The product of the Euler factors var + w*a over (var, w) pairs."""
+    a = GradedPolynomial.var(variables, "a")
+    out = GradedPolynomial.const(variables, 1)
+    for var, w in kills:
+        out = out * (GradedPolynomial.var(variables, var) + a.scale(w))
+    return out
 
 
 def projective_space_presentation(weights: Sequence) -> Presentation:
@@ -96,11 +102,7 @@ def projective_space_presentation(weights: Sequence) -> Presentation:
     if len(ws) < 2:
         raise ValueError("need at least two coordinates")
     v = ("z", "a")
-    z = GradedPolynomial.var(v, "z")
-    a = GradedPolynomial.var(v, "a")
-    rel = GradedPolynomial.const(v, 1)
-    for w in ws:
-        rel = rel * (z + a.scale(w))
+    rel = _euler_product(v, [("z", w) for w in ws])
     return Presentation("pn", v, ws, len(ws) - 1, (rel,))
 
 
@@ -161,12 +163,7 @@ def torus_strata(pres: Presentation) -> tuple[Stratum, ...]:
 def thom_gysin_lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
     """Pushforward of the unit class from a stratum closure: the product of
     the Euler factors of the coordinates the stratum kills."""
-    v = pres.variables
-    a = pres.alpha
-    out = GradedPolynomial.const(v, 1)
-    for var, w in stratum.kills:
-        out = out * (GradedPolynomial.var(v, var) + a.scale(w))
-    return out
+    return _euler_product(pres.variables, stratum.kills)
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +544,5 @@ def restrict_to_subspace(pres: Presentation, poly: GradedPolynomial,
     idxs = sorted(set(subset))
     if not idxs or any(not 0 <= j <= pres.n for j in idxs):
         raise ValueError("subset must pick valid coordinate indices")
-    v = pres.variables
-    z = GradedPolynomial.var(v, "z")
-    a = pres.alpha
-    rel = GradedPolynomial.const(v, 1)
-    for j in idxs:
-        rel = rel * (z + a.scale(pres.weights[j]))
-    _, r = polynomial_division(poly, rel)
-    return r
+    rel = _euler_product(pres.variables, [("z", pres.weights[j]) for j in idxs])
+    return polynomial_division(poly, rel)[1]

@@ -390,12 +390,6 @@ def _profile_betas(model: WeightedModel, profiles: Iterable[Profile]) -> list[Ve
     return out
 
 
-def profile_beta(model: WeightedModel, profile: Profile) -> Vector:
-    """The beta of any support profile."""
-    _check_profile(model, profile)
-    return _profile_betas(model, (profile,))[0]
-
-
 def index_betas(model: WeightedModel) -> tuple[Vector, ...]:
     return tuple(s.beta for s in index_set(model))
 

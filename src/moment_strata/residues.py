@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .linalg import null_space
 from .models import WeightedModel, require_negation_symmetric
-from .polynomials import Exponents, GradedPolynomial, exponents_of_degree
+from .polynomials import Exponents, GradedPolynomial, monomials
 from .series import _check_group, quotient_top_degree, require_quotient
 
 # residue_pairing is the raw residue sum times this, per group
@@ -64,6 +64,23 @@ def fixed_components(model: WeightedModel) -> tuple[FixedComponent, ...]:
 
 def component_variables(model: WeightedModel) -> tuple[str, ...]:
     return tuple(f"h{i+1}" for i in range(len(model.factors))) + ("a",)
+
+
+def presented_ring(model: WeightedModel) -> tuple[tuple[str, ...], list | None]:
+    """Variables of the ring `kirwan` presents for the model, with the weights
+    of its one factor, or None for lines (each with exactly the weights 1 and
+    -1); ValueError for any other model."""
+    if model.rank != 1:
+        raise ValueError("presentations exist for rank-1 models only")
+    if len(model.factors) == 1:
+        weights = [w[0] for w in model.factors[0]]
+        if len(weights) < 2:
+            raise ValueError("need at least two coordinates")
+        return ("z", "a"), weights
+    if all(sorted(fac) == [(-1,), (1,)] for fac in model.factors):
+        return tuple(f"z{i+1}" for i in range(len(model.factors))) + ("a",), None
+    raise ValueError("no presentation for this model: need a single "
+                     "weighted projective factor or a product of lines")
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +286,8 @@ class PairingKernelResult:
 
 
 def _free_basis(variables: tuple[str, ...], d: int, invariant: bool) -> tuple[GradedPolynomial, ...]:
-    if d < 0 or d % 2:
-        return ()
-    out = []
-    for e in exponents_of_degree(len(variables), d // 2):
-        if invariant and e[-1] % 2:
-            continue
-        out.append(GradedPolynomial(variables, ((e, Fraction(1)),)))
-    return tuple(out)
+    return tuple(m for m in monomials(variables, d)
+                 if not (invariant and m.terms[0][0][-1] % 2))
 
 
 def kernel_by_pairing(model: WeightedModel, variables: Sequence[str], d: int,

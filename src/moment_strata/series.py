@@ -45,10 +45,6 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def zero(truncation: int) -> "TruncatedSeries":
-        return TruncatedSeries((0,) * (truncation + 1))
-
-    @staticmethod
     def one(truncation: int) -> "TruncatedSeries":
         return TruncatedSeries((1,) + (0,) * truncation)
 

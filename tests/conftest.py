@@ -16,6 +16,14 @@ def pn_model(n):
     return projective_space_model(sl2_weights(n))
 
 
+def profile_beta(model, profile):
+    """The beta of any support profile, by the scan's verified search."""
+    from moment_strata import models
+
+    models._check_profile(model, profile)
+    return models._profile_betas(model, (profile,))[0]
+
+
 @pytest.fixture
 def empty_memo(monkeypatch):
     """An empty model memo for one test; the shared one is restored after."""

@@ -213,6 +213,8 @@ def test_pairing_computes_the_residue_sum_once(models, capsys, monkeypatch, argv
     ([[["1", "0"], ["0", "1"]]], "presentations exist for rank-1 models only"),
     ([[["1"]]], "need at least two coordinates"),
     ([[["1"], ["-1"]], [["2"], ["-1"]]], "no presentation for this model"),
+    # the weights of each line must be exactly 1 and -1, not just that set
+    ([[["1"], ["-1"], ["1"]], [["1"], ["-1"]]], "no presentation for this model"),
 ])
 @pytest.mark.parametrize("command", ["kirwan", "pairing"])
 def test_presentation_shape_errors(tmp_path, capsys, command, factors, message):
@@ -227,16 +229,56 @@ def test_presentation_shape_errors(tmp_path, capsys, command, factors, message):
 @pytest.mark.parametrize("factors,pres", [
     ([[["3"], ["1/2"], ["-1"]]], ("projective_space_presentation", ["3", "1/2", "-1"])),
     ([[["1"], ["-1"]]] * 3, ("line_product_presentation", 3)),
+    ([[["-1"], ["1"]], [["1"], ["-1"]]], ("line_product_presentation", 2)),
 ])
 def test_pairing_ring_matches_the_presentation(factors, pres):
     from moment_strata import kirwan
     from moment_strata.models import weighted_model
+    from moment_strata.residues import presented_ring
 
     name, arg = pres
     pres = getattr(kirwan, name)(arg)
-    variables, weights = cli._ring_of(weighted_model(1, factors))
+    variables, weights = presented_ring(weighted_model(1, factors))
     assert variables == pres.variables
     assert weights is None or tuple(weights) == pres.weights
+
+
+def test_lines_written_minus_one_first_get_the_line_presentation(tmp_path, capsys):
+    results = []
+    for line in ([["-1"], ["1"]], [["1"], ["-1"]]):
+        path = tmp_path / "l2.json"
+        path.write_text(json.dumps({"rank": 1, "factors": [line] * 2}))
+        results.append(run_json(capsys, ["kirwan", "--max-degree", "4",
+                                         str(path)])["result"])
+    assert results[0]["presentation"]["kind"] == "p1n"
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("entry", ["0.5", "-1e1", "1e3000000"])
+def test_weight_entries_follow_the_p_q_grammar(tmp_path, capsys, entry):
+    """A rational string is an optional sign, digits and an optional
+    '/digits': no decimal points and no exponents."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rank": 1, "factors": [[[entry]]]}))
+    code, out, err = run(capsys, ["index-set", str(path)])
+    assert code == 2 and not out
+    assert err == f"error: factor 0 weight entry is not a rational: {entry!r}\n"
+
+
+@pytest.mark.parametrize("epsilon", ["0.5", "-1e1", "1e3000000"])
+def test_epsilon_entries_follow_the_p_q_grammar(tmp_path, capsys, epsilon):
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"rank": 2, "factors": [[[1, 0], [0, 1], [-1, -1]]]}))
+    code, out, err = run(capsys, ["perturb", f"--epsilon={epsilon}", str(path)])
+    assert code == 2 and not out
+    assert err == f"error: epsilon entry is not a rational: {epsilon!r}\n"
+
+
+@pytest.mark.parametrize("epsilon", ["1/97,", ",1/97", "1/97,,1/9409"])
+def test_an_empty_epsilon_entry_exits_2(models, capsys, epsilon):
+    code, out, err = run(capsys, ["perturb", "--epsilon", epsilon, models["p3"]])
+    assert code == 2 and not out
+    assert err == "error: epsilon entry is not a rational: ''\n"
 
 
 def test_pairing_strictly_semistable_is_a_math_error(models, capsys):

@@ -2,6 +2,7 @@
 worked cases, refinements, coarse labels, and transformation invariance."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from moment_strata import (FlagAmbiguity, affine_p1, classify_binary_form,
                            classify_p1_config, classify_p2_config, config_of,
                            infinity_p1, morse_label_of_config, proj_point,
                            random_special_linear, transform_config)
-from moment_strata.configs import (apply_matrix, line_through, on_line,
-                                   p2_semistable, p2_stable)
+from moment_strata.configs import (_candidate_lines, apply_matrix,
+                                   line_through, on_line, p2_semistable)
 
 O = affine_p1(0)
 I = affine_p1(1)
@@ -25,6 +26,15 @@ def P(*coords):
 
 
 E1, E2, E3 = P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)
+
+
+def p2_stable(config):
+    """No point carries a third of the configuration, no line two thirds."""
+    counts = Counter(config)
+    n = len(config)
+    if any(3 * c >= n for c in counts.values()):
+        return False
+    return all(3 * c < 2 * n for c in _candidate_lines(counts).values())
 
 
 def lab(classifier, pts):

@@ -32,9 +32,8 @@ from moment_strata.geometry import (LatticeCertificate, ProjectionCertificate,
                                     _canonical_certificate, _combine,
                                     _verify_lattice, clear_denominators,
                                     lattice_nearest_point, nearest_point)
-from moment_strata.models import profile_beta
 
-from conftest import pn_model
+from conftest import pn_model, profile_beta
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 6)))
 positive = st.builds(Fraction, st.integers(1, 3), st.sampled_from((1, 2, 3)))

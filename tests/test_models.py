@@ -14,18 +14,21 @@ from moment_strata import (IndexStratum, classify_profile, critical_components,
                            projective_space_model, shifted_submodel,
                            stratum_codim, strictly_semistable_witness,
                            weighted_model)
-from moment_strata.geometry import (_canonical_certificate, form_from_rows,
+from moment_strata.geometry import (BilinearForm, _canonical_certificate,
                                     origin_in_interior)
-from moment_strata.models import (enumerate_profiles, minkowski_points,
-                                  profile_beta)
+from moment_strata.models import enumerate_profiles, minkowski_points
 
-from conftest import pn_model
+from conftest import pn_model, profile_beta
 from test_geometry import _closest_enum
 from test_acceptance import random_weight_system
 
 
 def fr(x):
     return Fraction(x)
+
+
+def form_from_rows(rows):
+    return BilinearForm(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
 
 def test_profile_of_point_records_support():
