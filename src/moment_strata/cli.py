@@ -208,8 +208,6 @@ def _error_payload(exc: MomentStrataError) -> dict:
 
 
 def _cmd_index_set(args) -> int:
-    from dataclasses import asdict
-
     from .models import critical_components, index_set, stratum_codim
 
     model, raw = _load_model(args.model)
@@ -221,7 +219,7 @@ def _cmd_index_set(args) -> int:
         entries.append({
             "beta": list(stratum.beta),
             "norm_squared": model.form.norm2(stratum.beta),
-            "certificate": asdict(stratum.certificate),
+            "certificate": stratum.certificate._asdict(),
             "witness_profile": [list(s) for s in stratum.witness_profile],
             "components": comps,
         })
@@ -233,8 +231,6 @@ def _cmd_index_set(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from dataclasses import asdict
-
     from .models import classify_profile, profile_of_point
 
     model, raw_model = _load_model(args.model)
@@ -252,7 +248,7 @@ def _cmd_classify(args) -> int:
         "hull_points": [list(p) for p in cls.points],
         "beta": list(cls.beta),
         "norm_squared": model.form.norm2(cls.beta),
-        "certificate": asdict(cls.certificate),
+        "certificate": cls.certificate._asdict(),
         "semistable": cls.semistable,
         "stable": cls.stable,
     }
@@ -261,8 +257,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from dataclasses import asdict
-
     from .series import (perfection_check, quotient_poincare_polynomial,
                          semistable_series, sl2_quotient_series)
 
@@ -284,7 +278,7 @@ def _cmd_series(args) -> int:
         "group": args.group,
         "truncation": args.trunc,
         "series": list(series.coeffs),
-        "perfection": asdict(perf),
+        "perfection": perf._asdict(),
         **quotient,
     }
     arguments = {"model": args.model, "trunc": args.trunc,
@@ -293,8 +287,6 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    from dataclasses import asdict
-
     from .models import index_set
     from .perturb import (is_generic, perturbed_model, propose_epsilon,
                           refinement_report)
@@ -317,7 +309,7 @@ def _cmd_perturb(args) -> int:
     perturbed_strata = [
         {"beta": list(s.beta),
          "norm_squared": shifted.form.norm2(s.beta),
-         "certificate": asdict(s.certificate)}
+         "certificate": s.certificate._asdict()}
         for s in index_set(shifted)]
     report = refinement_report(model, eps)
     fibers = [{"beta": parent, "perturbed_betas": bs}
@@ -334,8 +326,6 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_kirwan(args) -> int:
-    from dataclasses import asdict
-
     from .kirwan import (betti_from_presentation, line_product_presentation,
                          projective_space_presentation, sl2_kernel_ideal,
                          torus_kernel_ideal, two_sided_kernel_report,
@@ -364,13 +354,13 @@ def _cmd_kirwan(args) -> int:
         rep = weyl_kernel_bijection_report(pres, args.max_degree)
         checks["reflection_bijection"] = {
             "ok": rep.ok,
-            "degrees": [{**asdict(r), "ok": r.ok} for r in rep.degrees],
+            "degrees": [{**r._asdict(), "ok": r.ok} for r in rep.degrees],
         }
     else:
         rep = two_sided_kernel_report(pres, args.max_degree)
         checks["two_sided_kernel"] = {
             "ok": rep.ok,
-            "degrees": [asdict(r) for r in rep.degrees],
+            "degrees": [r._asdict() for r in rep.degrees],
         }
     presentation = {
         "kind": pres.kind,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -24,21 +23,26 @@ from .errors import FlagAmbiguity, VerificationFailed
 from .linalg import frac
 
 
-@dataclass(frozen=True)
 class ProjPoint:
     """A point of projective space with canonically normalized homogeneous
     coordinates (first nonzero coordinate scaled to one)."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if len(self.coords) < 2:
+    def __init__(self, coords: tuple[Fraction, ...]):
+        if len(coords) < 2:
             raise ValueError("need at least two homogeneous coordinates")
-        if all(c == 0 for c in self.coords):
+        if all(c == 0 for c in coords):
             raise ValueError("homogeneous coordinates must not all vanish")
-        lead = next(c for c in self.coords if c != 0)
-        if lead != 1:
+        if next(c for c in coords if c != 0) != 1:
             raise ValueError("coordinates must be normalized; use proj_point()")
+        self.coords = coords
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @property
     def dim(self) -> int:
@@ -114,12 +118,20 @@ def random_special_linear(dim: int, rng, steps: int = 8) -> Matrix:
 # labels
 
 
-@dataclass(frozen=True)
 class StratumLabel:
     """A refined stratum name together with its coarse Morse form."""
 
-    text: str
-    coarse_text: str
+    __slots__ = ("text", "coarse_text")
+
+    def __init__(self, text: str, coarse_text: str):
+        self.text, self.coarse_text = text, coarse_text
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.text == other.text
+                and self.coarse_text == other.coarse_text)
+
+    def __hash__(self):
+        return hash((self.text, self.coarse_text))
 
     def __str__(self) -> str:
         return self.text

@@ -20,7 +20,6 @@ independent support on the contact face, and checks it in Fractions with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -30,22 +29,28 @@ from .errors import VerificationFailed
 from .linalg import Vector, dot, frac, matrix_rank, vadd, vscale, vsub
 
 
-@dataclass(frozen=True)
 class BilinearForm:
     """Symmetric positive definite form on Q^rank, given by its Gram matrix."""
 
-    gram: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("gram",)
 
-    def __post_init__(self):
-        if any(len(row) != len(self.gram) for row in self.gram):
+    def __init__(self, gram: tuple[tuple[Fraction, ...], ...]):
+        if any(len(row) != len(gram) for row in gram):
             raise ValueError("Gram matrix must be square")
-        if tuple(map(tuple, self.gram)) != tuple(zip(*self.gram)):
+        if tuple(map(tuple, gram)) != tuple(zip(*gram)):
             raise ValueError("Gram matrix must be symmetric")
-        gram = clear_denominators(self.gram)[1]
         # Sylvester's criterion: every leading principal minor is positive
-        if any(_det([row[:k] for row in gram[:k]]) <= 0
-               for k in range(1, len(gram) + 1)):
+        cleared = clear_denominators(gram)[1]
+        if any(_det([row[:k] for row in cleared[:k]]) <= 0
+               for k in range(1, len(cleared) + 1)):
             raise ValueError("form is not positive definite")
+        self.gram = gram
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.gram == other.gram
+
+    def __hash__(self):
+        return hash((self.gram,))
 
     @property
     def rank(self) -> int:
@@ -70,8 +75,7 @@ def identity_form(rank: int) -> BilinearForm:
     ))
 
 
-@dataclass(frozen=True)
-class ProjectionCertificate:
+class ProjectionCertificate(NamedTuple):
     """Proof that ``beta`` is the point of conv(points) nearest the origin."""
 
     beta: Vector
@@ -116,11 +120,6 @@ def _dedupe(points: Sequence[Vector]) -> list[tuple[Vector, int]]:
     return [(p, i) for p, i in seen.items()]
 
 
-def _witness(cert) -> dict:
-    return {"beta": cert.beta, "support": cert.support,
-            "coefficients": cert.coefficients}
-
-
 def _lex_subsets(indices: list[int], maxsize: int) -> Iterator[list[int]]:
     """All nonempty subsets of size <= maxsize, in lex order on sorted tuples."""
     def rec(prefix: list[int], start: int):
@@ -157,7 +156,7 @@ def _canonical_certificate(points: Sequence[Vector], form: BilinearForm,
                                      tuple(Fraction(a, proj[1]) for a in proj[0]))
         if not cert.verify(points, form):
             raise VerificationFailed("canonical certificate failed "
-                                     "self-verification", witness=_witness(cert))
+                                     "self-verification", witness=cert._asdict())
         return cert
     raise VerificationFailed("no canonical certificate for the computed "
                              "nearest point", witness={"beta": beta})
@@ -317,7 +316,7 @@ def lattice_nearest_point(points, gram) -> LatticeCertificate:
         cert = _wolfe_certificate(points, gram)
     if not _verify_lattice(points, gram, cert):
         raise VerificationFailed("projection certificate failed "
-                                 "self-verification", witness=_witness(cert))
+                                 "self-verification", witness=cert._asdict())
     return cert
 
 

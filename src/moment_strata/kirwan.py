@@ -19,11 +19,9 @@ and kernel ideals built on it, and each kernel ideal its degreewise spans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import VerificationFailed
 from .linalg import SpanBasis, frac, null_space
@@ -44,16 +42,25 @@ from .polynomials import (
 from .residues import fixed_components, restriction_matrix
 
 
-@dataclass(frozen=True)
 class Presentation:
-    kind: str                       # "pn" or "p1n"
-    variables: tuple[str, ...]
-    weights: tuple[Fraction, ...]   # pn: coordinate weights; p1n: empty
-    n: int                          # pn: projective dimension; p1n: line count
-    relations: tuple[GradedPolynomial, ...]
-    # the kernel layer's memo: lifts by Stratum and kernel ideals by
-    # (group, target, max_degree); dataclasses.replace starts a fresh one
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    """Kind "pn": the coordinate weights and the projective dimension n; kind
+    "p1n": no weights and n lines. `memo`, the kernel layer's, is not compared
+    and starts empty: lifts by Stratum, kernel ideals by (group, target, max_degree)."""
+
+    __slots__ = ("kind", "variables", "weights", "n", "relations", "memo")
+
+    def __init__(self, kind: str, variables: tuple[str, ...], weights: tuple[Fraction, ...],
+                 n: int, relations: tuple[GradedPolynomial, ...]):
+        self.kind, self.variables, self.weights, self.n = kind, variables, weights, n
+        self.relations, self.memo = relations, {}
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            (self.kind, self.variables, self.weights, self.n, self.relations)
+            == (other.kind, other.variables, other.weights, other.n, other.relations))
+
+    def __hash__(self):
+        return hash((self.kind, self.variables, self.weights, self.n, self.relations))
 
     def model(self) -> WeightedModel:
         if self.kind == "pn":
@@ -120,8 +127,7 @@ def line_product_presentation(n: int) -> Presentation:
 # strata and their Thom-Gysin lifts
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """An unstable stratum (or, for the stable target, a half-size subset of
     lines) by the (variable, weight) Euler factors z + w*a of the coordinates
     it kills; its complex codimension is the number of factors."""
@@ -170,18 +176,31 @@ def thom_gysin_lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
 # kernel ideals
 
 
-@dataclass(frozen=True)
 class KernelIdeal:
-    """Kernel generators up to a degree cap; the relations are not among them."""
-    group: str       # "torus" or "sl2"
-    target: str      # "semistable" or "stable"
-    max_degree: int
-    generators: tuple[tuple[str, GradedPolynomial], ...]
-    presentation: Presentation
+    """Kernel generators up to a degree cap; the relations are not among them.
+    The group is "torus" or "sl2", the target "semistable" or "stable". The
+    degreewise spans are built on first use and kept, not compared."""
 
-    @cached_property
+    __slots__ = ("group", "target", "max_degree", "generators", "presentation", "_built")
+
+    def __init__(self, group: str, target: str, max_degree: int,
+                 generators: tuple[tuple[str, GradedPolynomial], ...], presentation: Presentation):
+        self.group, self.target, self.max_degree = group, target, max_degree
+        self.generators, self.presentation, self._built = generators, presentation, None
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            (self.group, self.target, self.max_degree, self.generators, self.presentation)
+            == (other.group, other.target, other.max_degree, other.generators, other.presentation))
+
+    def __hash__(self):
+        return hash((self.group, self.target, self.max_degree, self.generators, self.presentation))
+
+    @property
     def _spans(self) -> _IdealSpans:
-        return _IdealSpans(self.presentation, [g for _, g in self.generators])
+        if self._built is None:
+            self._built = _IdealSpans(self.presentation, [g for _, g in self.generators])
+        return self._built
 
 
 def _lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
@@ -384,8 +403,7 @@ def in_relation_span(pres: Presentation, kernel: KernelIdeal | None,
 # the reflection-descent bijection
 
 
-@dataclass(frozen=True)
-class WeylBijectionDegree:
+class WeylBijectionDegree(NamedTuple):
     degree: int
     dim_kernel_group: int
     dim_kernel_torus_anti: int
@@ -399,8 +417,7 @@ class WeylBijectionDegree:
                 and self.dim_kernel_group == self.dim_kernel_torus_anti)
 
 
-@dataclass(frozen=True)
-class WeylBijectionReport:
+class WeylBijectionReport(NamedTuple):
     degrees: tuple[WeylBijectionDegree, ...]
 
     @property
@@ -494,16 +511,14 @@ def tolman_weitsman_kernel(pres: Presentation, max_degree: int
     return out
 
 
-@dataclass(frozen=True)
-class TwoSidedKernelDegree:
+class TwoSidedKernelDegree(NamedTuple):
     degree: int
     two_sided_kernel_dim: int
     stratum_ideal_dim: int
     equal: bool
 
 
-@dataclass(frozen=True)
-class TwoSidedKernelReport:
+class TwoSidedKernelReport(NamedTuple):
     degrees: tuple[TwoSidedKernelDegree, ...]
 
     @property

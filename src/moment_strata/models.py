@@ -14,10 +14,9 @@ only in what leaves them: betas, certificates and component values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import VerificationFailed, WeylSymmetryRequired
 from .geometry import (
@@ -35,8 +34,7 @@ from .geometry import (
 from .linalg import Vector, frac, vscale, vsub
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(NamedTuple):
     """A Weyl group by name and the rank of the torus it acts on. No result
     depends on more of it: the reflection-group computations read the
     negation symmetry of the weights instead."""
@@ -60,29 +58,33 @@ WEYL_GROUPS = {
 }
 
 
-@dataclass(frozen=True)
 class WeightedModel:
-    rank: int
-    factors: tuple[tuple[Vector, ...], ...]
-    form: BilinearForm
-    weyl: WeylGroup | None = None
+    __slots__ = ("rank", "factors", "form", "weyl")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, factors: tuple[tuple[Vector, ...], ...],
+                 form: BilinearForm, weyl: WeylGroup | None = None):
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if self.form.rank != self.rank:
+        if form.rank != rank:
             raise ValueError("form rank does not match model rank")
-        if not self.factors:
+        if not factors:
             raise ValueError("model needs at least one factor")
-        for fac in self.factors:
+        for fac in factors:
             if not fac:
                 raise ValueError("each factor needs at least one weight")
-            for w in fac:
-                if len(w) != self.rank:
-                    raise ValueError("weight dimension does not match rank")
-        if self.weyl is not None and self.weyl.rank != self.rank:
-            raise ValueError(f"weyl group {self.weyl.name!r} does not act "
-                             f"on rank {self.rank}")
+            if any(len(w) != rank for w in fac):
+                raise ValueError("weight dimension does not match rank")
+        if weyl is not None and weyl.rank != rank:
+            raise ValueError(f"weyl group {weyl.name!r} does not act on rank {rank}")
+        self.rank, self.factors, self.form, self.weyl = rank, factors, form, weyl
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            (self.rank, self.factors, self.form, self.weyl)
+            == (other.rank, other.factors, other.form, other.weyl))
+
+    def __hash__(self):
+        return hash((self.rank, self.factors, self.form, self.weyl))
 
     @property
     def factor_sizes(self) -> tuple[int, ...]:
@@ -169,8 +171,7 @@ def minkowski_points(model: WeightedModel, profile: Profile) -> tuple[Vector, ..
                  for p in _lattice_points(weights, profile))
 
 
-@dataclass(frozen=True)
-class ProfileClass:
+class ProfileClass(NamedTuple):
     profile: Profile
     points: tuple[Vector, ...]
     certificate: ProjectionCertificate
@@ -202,8 +203,7 @@ def is_stable(model: WeightedModel, point: Sequence[Sequence]) -> bool:
 # the index set
 
 
-@dataclass(frozen=True)
-class IndexStratum:
+class IndexStratum(NamedTuple):
     beta: Vector
     certificate: ProjectionCertificate
     witness_profile: Profile
@@ -259,16 +259,23 @@ def enumerate_profiles(model: WeightedModel):
         yield tuple(profile)
 
 
-@dataclass(frozen=True)
 class _Record:
     """One model's entry in `_MEMO`: its index set, the first profile in
     enumeration order that is semistable but not stable (None when there is
     none), and the nodes of the stratum recursion that `series` builds on
-    the model, by truncation."""
+    the model, by truncation; the nodes are not compared."""
 
-    strata: tuple[IndexStratum, ...]
-    witness: Profile | None
-    nodes: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("strata", "witness", "nodes")
+
+    def __init__(self, strata: tuple[IndexStratum, ...], witness: Profile | None):
+        self.strata, self.witness, self.nodes = strata, witness, {}
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.strata == other.strata
+                and self.witness == other.witness)
+
+    def __hash__(self):
+        return hash((self.strata, self.witness))
 
 
 # The one memo: a record per model, keyed by rank, factors in the model's own
@@ -411,8 +418,7 @@ def require_negation_symmetric(model: WeightedModel):
 # critical components of a stratum
 
 
-@dataclass(frozen=True)
-class CriticalComponent:
+class CriticalComponent(NamedTuple):
     beta: Vector
     values: tuple[Fraction, ...]
     attaining: tuple[tuple[int, ...], ...]

@@ -9,9 +9,8 @@ stratification refines the original one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EpsilonSearchFailed, RefinementViolation
 from .linalg import Vector, frac, vsub
@@ -44,8 +43,7 @@ def is_generic(model: WeightedModel, epsilon: Sequence) -> bool:
     return strictly_semistable_witness(perturbed_model(model, epsilon)) is None
 
 
-@dataclass(frozen=True)
-class EpsilonProposal:
+class EpsilonProposal(NamedTuple):
     epsilon: Vector
     denominator: int
     norm_bound: Fraction  # strict upper bound |epsilon|^2 must satisfy
@@ -80,8 +78,7 @@ def propose_epsilon(model: WeightedModel) -> EpsilonProposal:
     raise EpsilonSearchFailed("no candidate perturbation certified", witness=failures)
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(NamedTuple):
     epsilon: Vector
     mapping: tuple[tuple[Vector, Vector], ...]  # (perturbed beta, original beta)
     fibers: tuple[tuple[Vector, tuple[Vector, ...]], ...]

@@ -8,14 +8,13 @@ sum. Polynomials are immutable; arithmetic returns new objects.
 The string grammar used by the command line round-trips through
 ``GradedPolynomial.parse`` / ``str``: terms are joined with ``+``/``-``,
 each term is a ``*``-separated product of an optional rational coefficient
-(``p`` or ``p/q``) and powered variables (``z^2``, ``a``).
+(``p`` or ``p/q`` in ASCII digits, q > 0) and powered variables (``z^2``, ``a``).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add, sub
@@ -32,10 +31,18 @@ def _sorted_terms(d: Mapping[Exponents, Fraction]) -> tuple[tuple[Exponents, Fra
                         key=lambda ec: (sum(ec[0]), ec[0])))
 
 
-@dataclass(frozen=True)
 class GradedPolynomial:
-    variables: tuple[str, ...]
-    terms: tuple[tuple[Exponents, Fraction], ...]
+    __slots__ = ("variables", "terms")
+
+    def __init__(self, variables: tuple[str, ...], terms: tuple[tuple[Exponents, Fraction], ...]):
+        self.variables, self.terms = variables, terms
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.variables == other.variables
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.variables, self.terms))
 
     # -- constructors -------------------------------------------------------
 
@@ -177,8 +184,8 @@ class GradedPolynomial:
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(pieces)
 
-    _TERM_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*(\^\d+)?$")
-    _NUM_RE = re.compile(r"^\d+(/\d+)?$")
+    _TERM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(\^[0-9]+)?")
+    _NUM_RE = re.compile(r"[0-9]+(/0*[1-9][0-9]*)?")
 
     @staticmethod
     def parse(variables: Sequence[str], text: str) -> "GradedPolynomial":
@@ -208,9 +215,9 @@ class GradedPolynomial:
             coeff = Fraction(sgn)
             exps = [0] * len(v)
             for piece in term.split("*"):
-                if GradedPolynomial._NUM_RE.match(piece):
+                if GradedPolynomial._NUM_RE.fullmatch(piece):
                     coeff *= Fraction(piece)
-                elif GradedPolynomial._TERM_RE.match(piece):
+                elif GradedPolynomial._TERM_RE.fullmatch(piece):
                     if "^" in piece:
                         name, p = piece.split("^")
                         k = int(p)

@@ -18,10 +18,9 @@ not depend on these constants at all.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import null_space
 from .models import WeightedModel, require_negation_symmetric
@@ -32,8 +31,7 @@ from .series import _check_group, quotient_top_degree, require_quotient
 PAIRING_SCALE = {"torus": Fraction(-2), "sl2": Fraction(1)}
 
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(NamedTuple):
     values: tuple[Fraction, ...]      # pairing value per factor
     indices: tuple[tuple[int, ...], ...]  # coordinates carrying each value
     sizes: tuple[int, ...]
@@ -274,8 +272,7 @@ def residue_pairing(model: WeightedModel, eta: GradedPolynomial,
     return raw * PAIRING_SCALE[group]
 
 
-@dataclass(frozen=True)
-class PairingKernelResult:
+class PairingKernelResult(NamedTuple):
     degree: int
     group: str
     basis: tuple[GradedPolynomial, ...]

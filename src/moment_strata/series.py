@@ -17,8 +17,7 @@ over the positive strata only, each codimension lowered by two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotCoprimeStable, TruncationTooSmall, VerificationFailed
 from .linalg import matrix_rank
@@ -34,11 +33,19 @@ from .models import (
 )
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
     """Integer power series known through degree ``truncation``."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @property
     def truncation(self) -> int:
@@ -264,8 +271,7 @@ def quotient_poincare_polynomial(model: WeightedModel, trunc: int,
     return poly
 
 
-@dataclass(frozen=True)
-class PerfectionReport:
+class PerfectionReport(NamedTuple):
     ok: bool
     truncation: int
     strata_checked: int

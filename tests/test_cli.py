@@ -281,6 +281,20 @@ def test_an_empty_epsilon_entry_exits_2(models, capsys, epsilon):
     assert err == "error: epsilon entry is not a rational: ''\n"
 
 
+@pytest.mark.parametrize("piece", ["١", "z^١", "1\n", "z^1\n", "1/0", "3/00"])
+@pytest.mark.parametrize("which", ["eta", "zeta"])
+def test_polynomial_pieces_follow_the_ascii_grammar(tmp_path, capsys, piece, which):
+    """Coefficients and exponents are ASCII digits, a denominator is nonzero,
+    and a piece ends where its string ends (no trailing newline)."""
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps({"rank": 1, "factors": [[["1"], ["-1"]]]}))
+    text = piece if "z" in piece else piece + "*z"
+    polys = [text, "1"] if which == "eta" else ["1", text]
+    code, out, err = run(capsys, ["pairing", str(path), *polys])
+    assert code == 2 and not out
+    assert err == f"error: cannot parse {which}: cannot parse term piece {piece!r}\n"
+
+
 def test_pairing_strictly_semistable_is_a_math_error(models, capsys):
     code, out, err = run(capsys, ["pairing", models["l4"], "1", "1"])
     assert code == 3

@@ -112,6 +112,16 @@ print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules
                         if m.startswith("moment_strata."))))
 """
 
+# every module in sys.modules, with the same harness imports as LOADED
+ALL_MODULES = """
+import contextlib, io, json, sys
+%s
+print(json.dumps(sorted(sys.modules)))
+"""
+
+# `dataclasses` and the `inspect` it imports: no subcommand may load them
+CODE_GENERATION = {"dataclasses", "inspect"}
+
 RUN_CLI = """from moment_strata import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
@@ -149,12 +159,39 @@ def test_cli_import_loads_only_errors():
     assert _child(LOADED % "import moment_strata.cli") == ["cli", "errors"]
 
 
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What a bare `import sys` child of this environment has loaded."""
+    loaded = set(_child(ALL_MODULES % "import sys"))
+    assert not loaded & CODE_GENERATION
+    return loaded
+
+
 @pytest.mark.parametrize("argv,modules", SUBCOMMANDS,
                          ids=[case[0][0] for case in SUBCOMMANDS])
-def test_subcommand_loads_only_what_it_runs(tmp_path, argv, modules):
+def test_subcommand_loads_only_what_it_runs(tmp_path, bare_modules, argv, modules):
     for name, obj in INPUTS.items():
         (tmp_path / name).write_text(json.dumps(obj))
-    assert _child(LOADED % RUN_CLI, *argv, cwd=tmp_path) == modules
+    loaded = _child(ALL_MODULES % RUN_CLI, *argv, cwd=tmp_path)
+    assert [m.split(".", 1)[1] for m in loaded if m.startswith("moment_strata.")] == modules
+    assert not (set(loaded) - bare_modules) & CODE_GENERATION
+
+
+def test_no_library_module_imports_dataclasses():
+    """Records are NamedTuples or __slots__ classes: `dataclasses` would
+    import `inspect` and generate code for every record on a cold start."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert not found
 
 
 # ---------------------------------------------------------------------------
