@@ -289,9 +289,10 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
 class _IdealSpans:
     """Degreewise spans of the image of an ideal in the presented ring.
 
-    Degree d is spanned over `Presentation.basis(d)`: degree d-2's rows times
-    each variable, reduced, and the generators' normal forms; relations never
-    enter a span. Spans, basis indices and parity spans are kept per degree.
+    Degree d is spanned over `Presentation.basis(d)` by the unit rows when
+    degree d-2 is whole, as the ring is generated in degree 2; else by degree
+    d-2's rows times each variable, reduced, and the generators' normal forms.
+    No relation enters a span; spans, indices and parity spans are memoized.
     """
 
     def __init__(self, pres: Presentation, gens: Sequence[GradedPolynomial]):
@@ -322,7 +323,9 @@ class _IdealSpans:
         for e in range(2 * len(self.by_degree), d + 1, 2):
             sb = SpanBasis()
             idx = self.index(e)
-            if e and self.by_degree[e - 2].dim:
+            if e and self.by_degree[e - 2].dim == len(self.index(e - 2)):
+                sb.rows = {i: {i: 1} for i in range(len(idx))}
+            elif e and self.by_degree[e - 2].dim:
                 table = [[[(idx[f], int(c * self.scale)) for f, c in
                            self.pres.normal_form(x[:i] + (x[i] + 1,) + x[i + 1:]).items()]
                           for i in range(self.nv)] for x in self.index(e - 2)]
@@ -501,7 +504,7 @@ def tolman_weitsman_kernel(pres: Presentation, max_degree: int
         basis = pres.basis(d)
         polys = [GradedPolynomial.from_dict(
             v, {basis[c]: Fraction(x) for c, x in row.items()})
-            for row in span.basis_rows()]
+            for _, row in sorted(span.reduced_rows().items())]
         for e in exponents_of_degree(len(v), d // 2):
             nf = pres.normal_form(e)
             if nf != {e: 1}:

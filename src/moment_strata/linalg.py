@@ -4,7 +4,8 @@ Everything here is elementary but load-bearing: certificates elsewhere in the
 package are only as trustworthy as the arithmetic below, so nothing touches
 floats. Vectors are ``fractions.Fraction`` tuples; the one row reduction,
 :class:`SpanBasis`, clears denominators and eliminates on integer rows with
-gcd cofactors, and rank and null space are read off it.
+gcd cofactors into echelon rows. Rank is read off them, and the null space
+off the reduced form that :meth:`SpanBasis.reduced_rows` computes from them.
 """
 
 from __future__ import annotations
@@ -121,11 +122,12 @@ class SpanBasis:
     """Row space over Q, built incrementally from sparse vectors.
 
     Rows are stored as gcd-reduced integer dicts keyed by column, one per
-    pivot column (the minimal column of the row). New rows are reduced
-    against existing pivots left to right; existing rows are back-reduced so
-    the basis stays close to reduced echelon form, which keeps fill-in down
-    on the large graded pieces this class exists for. This is the package's
-    one row reduction: rank and null space read it too.
+    pivot column (the minimal column of the row). A new row is reduced
+    against the pivots left to right and stored; a stored row never changes.
+    So the rows are echelon, not reduced: back-reduction grows the entries
+    of the stored rows, and spans built degree by degree from the rows of
+    the degree below compound that growth. `reduced_rows` computes the
+    reduced form on demand. This is the package's one row reduction.
     """
 
     def __init__(self):
@@ -155,14 +157,9 @@ class SpanBasis:
 
     def _insert(self, row: dict[int, int]) -> bool:
         row = self._reduce(row)
-        if not row:
-            return False
-        c = min(row)
-        for oc, other in self.rows.items():
-            if c in other:
-                self.rows[oc] = _normalize(_eliminate(other, row, c))
-        self.rows[c] = row
-        return True
+        if row:
+            self.rows[min(row)] = row
+        return bool(row)
 
     def contains(self, entries: dict[int, Fraction]) -> bool:
         return not self._reduce(_int_scale(entries))

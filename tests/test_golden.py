@@ -40,7 +40,9 @@ MODELS = {
     "l4s": {"rank": 1, "factors": _lines(4), "weyl": "sl2"},
     "l5": {"rank": 1, "factors": _lines(5)},
     "l5s": {"rank": 1, "factors": _lines(5), "weyl": "sl2"},
+    "l6": {"rank": 1, "factors": _lines(6)},
     "l6s": {"rank": 1, "factors": _lines(6), "weyl": "sl2"},
+    "l7": {"rank": 1, "factors": _lines(7)},
     "p1d": {"rank": 1, "factors": _pn(1)},
     # rational, zero and non-integral weights for the presented-ring kernels
     "p3half": {"rank": 1, "factors": [[["3/2"], ["1/2"], ["-1/2"], ["-3/2"]]]},
@@ -148,6 +150,14 @@ CASES = [
      "3510083e5c7581b5eae5f6f0af726c647ff72461b276116748cdf2729a51cafc"),
     (["kirwan", "--group", "sl2", "--target", "s", "--max-degree", "10", "l6s"], 0,
      "8c4fb9e52021db4b2a9ecf6898f38efddef3c5ccc39f15c007728a8921ceaac8"),
+    # line products to high degrees, where each span is built from the rows
+    # of the degree below and any growth of those rows compounds
+    (["kirwan", "--max-degree", "12", "l6"], 0,
+     "77719fdee88f4c320e6b464ef3bbc4bc9f36721b5728f4e6230d7bff04789bf3"),
+    (["kirwan", "--max-degree", "14", "l7"], 0,
+     "a4ac44583141cb6ab56da11f43812d7148f9a2b3b341823baaeb0a839d15d983"),
+    (["kirwan", "--group", "sl2", "--max-degree", "12", "l6s"], 0,
+     "9a23490dcf9c5c0a61fe43d62d4454afd03b8daa0b04b857795e2ec9adf6c221"),
     (["kirwan", "p3half"], 0,
      "bcd38d968d2190137f1c878566d47aeeaa81abff04094923c869e84a090aa9eb"),
     (["kirwan", "--group", "sl2", "p3half"], 0,

@@ -2,15 +2,23 @@
 reflection-group bijection, and the two-sided vanishing kernel."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fraction_oracle as oracle
+import moment_strata
 from moment_strata import (GradedPolynomial, WeylSymmetryRequired,
                            betti_from_presentation, in_relation_span, index_set,
-                           line_product_presentation,
-                           projective_space_presentation, restrict_to_subspace,
+                           line_product_model, line_product_presentation,
+                           projective_space_presentation,
+                           quotient_poincare_polynomial, restrict_to_subspace,
                            sl2_kernel_ideal, thom_gysin_lift,
                            tolman_weitsman_kernel, torus_kernel_ideal,
                            torus_strata, two_sided_kernel_report,
@@ -183,6 +191,45 @@ def test_first_span_asked_at_a_high_degree(make, ideal, degree, expected):
     pres = make()
     kernel = ideal(pres, degree)
     assert betti_row(pres, kernel, degree)[-1] == expected
+
+
+def test_span_entries_stay_small_on_six_lines():
+    # each degree's span is built from the rows of the degree below, so any
+    # growth of the stored rows compounds (back-reduced rows reach 97 bits)
+    rows = torus_kernel_ideal(line_product_presentation(6), 12)._spans.span(12).basis_rows()
+    assert rows
+    assert max(abs(v).bit_length() for row in rows for v in row.values()) < 16
+
+
+SEVEN_LINES_SL2 = textwrap.dedent("""
+    from moment_strata import (betti_from_presentation, line_product_presentation,
+                               sl2_kernel_ideal, weyl_kernel_bijection_report)
+    pres = line_product_presentation(7)
+    kernel = sl2_kernel_ideal(pres, 14)
+    print([betti_from_presentation(pres, kernel, d) for d in range(0, 15, 2)])
+    print(weyl_kernel_bijection_report(pres, 14).ok)
+""")
+
+
+def test_seven_lines_betti_match_the_series_in_both_groups():
+    # the presented ring modulo the stratum ideal against the localized
+    # series, to degree 14 on L^7
+    model, pres = line_product_model(7), line_product_presentation(7)
+
+    def series_betti(group):
+        even = quotient_poincare_polynomial(model, 40, group)[0::2]
+        return even + [0] * (8 - len(even))
+
+    assert betti_row(pres, torus_kernel_ideal(pres, 14), 14) == series_betti("torus")
+    # the reflection group runs apart, so that a span build that does not
+    # finish fails at the timeout instead of hanging the suite
+    env = dict(os.environ)
+    src = str(Path(moment_strata.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SEVEN_LINES_SL2], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(series_betti("sl2")), "True"]
 
 
 def test_in_relation_span_membership():
@@ -544,6 +591,25 @@ def test_two_sided_kernel_matches_the_free_ring(case):
         reference = kernels[d]
         assert span.dim == reference.dim
         assert all(reference.contains(row) for row in span.basis_rows())
+
+
+@pytest.mark.parametrize("case", ALL, ids=_name)
+def test_tolman_weitsman_basis_is_the_reduced_row_echelon_form(case):
+    pres, top = case
+    for d, polys in tolman_weitsman_kernel(pres, top).items():
+        cols = {e: i for i, e in enumerate(pres.basis(d))}
+        # the kernel rows on normal-form monomials; each relation e - nf(e)
+        # has a monomial e outside them
+        rows = []
+        for poly in polys:
+            if all(e in cols for e, _ in poly.terms):
+                row = [Fraction(0)] * len(cols)
+                for e, c in poly.terms:
+                    row[cols[e]] = c
+                rows.append(row)
+        reduced, pivots = oracle.rref(rows)
+        assert len(pivots) == len(rows)
+        assert [[x / next(y for y in row if y) for x in row] for row in rows] == reduced
 
 
 def test_kirwan_command_builds_each_lift_once(tmp_path, monkeypatch, capsys):
