@@ -1,11 +1,11 @@
 """Fixed-point localization and residue pairings for rank-one models.
 
 Classes restrict to the components of the torus-fixed locus (one component
-per tuple of per-factor weight values); each component contributes an
-integral of the restricted class against the inverse of its normal Euler
-class, and the intersection pairing of the quotient is the residue in the
-equivariant parameter of the sum over the components on the positive side
-of the moment map.
+per tuple of per-factor weight values). The intersection pairing of two
+classes on the quotient is one linear functional of their product
+(Jeffrey-Kirwan): the residue in the equivariant parameter of the sum, over
+the components F with positive moment value, of the integral over F of
+(eta*zeta)|_F / e(N_F), with e(N_F) the Euler class of F's normal bundle.
 
 Raw residue sums carry a universal constant depending only on the group
 type: the torus sum is scaled by -2 and the reflection-quotient sum by +1,
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from .linalg import null_space
@@ -99,56 +100,35 @@ def _laurent_mul(x: _Laurent, y: _Laurent, sizes: tuple[int, ...]) -> _Laurent:
     return {k: v for k, v in out.items() if v != 0}
 
 
-class ComponentRestriction:
-    """Restriction to one fixed component, applied in closed form.
-
-    The ambient variables (z1..zm, a) map to (h1 - v1*a, ..., hm - vm*a, a)
-    with hi^sizei = 0, so zi^e maps to the sum over k < sizei of
-    C(e, k) * hi^k * (-vi*a)^(e-k). Images are Laurent dicts keyed by
-    (h-exponents, a-exponent); each factor's power images are kept on the
-    instance, so restricting many monomials to one component expands each
-    power once.
-    """
-
-    def __init__(self, comp: FixedComponent):
-        self.comp = comp
-        self._powers: list[dict[int, tuple[tuple[int, Fraction], ...]]] = [
-            {} for _ in comp.values]
-
-    def _power(self, i: int, e: int) -> tuple[tuple[int, Fraction], ...]:
-        hit = self._powers[i].get(e)
-        if hit is None:
-            shift = -self.comp.values[i]
-            hit = tuple((k, comb(e, k) * shift ** (e - k))
-                        for k in range(min(e + 1, self.comp.sizes[i])))
-            self._powers[i][e] = hit
-        return hit
-
-    def monomial(self, e: Exponents) -> _Laurent:
-        """Image of the monomial with exponents e over (z1..zm, a)."""
-        terms: _Laurent = {((), e[-1]): Fraction(1)}
-        for i, ei in enumerate(e[:-1]):
-            terms = {(he + (k,), ae + ei - k): c * ck
-                     for (he, ae), c in terms.items()
-                     for k, ck in self._power(i, ei)}
-        return terms
-
-    def laurent(self, poly: GradedPolynomial) -> _Laurent:
-        """Image of a polynomial over (z1..zm, a)."""
-        out: _Laurent = {}
-        for e, c in poly.terms:
-            for key, k in self.monomial(e).items():
-                out[key] = out.get(key, 0) + c * k
-        return out
+def _restrict(comp: FixedComponent, e: Exponents) -> _Laurent:
+    """Image on one component of the monomial with exponents e over
+    (z1..zm, a), which map to (h1 - v1*a, ..., hm - vm*a, a) with
+    hi^sizei = 0: zi^e maps to the sum over k < sizei of
+    C(e, k) * hi^k * (-vi*a)^(e-k). The products run in integers on the
+    values times the lcm D of their denominators; a term with a-exponent
+    ae carries D^(ae - e_a), divided out by one Fraction per term."""
+    d = lcm(*(v.denominator for v in comp.values))
+    # per factor, the terms k of zi^ei; zip stops before the a-exponent
+    powers = [[(k, comb(ei, k) * (-v.numerator * (d // v.denominator)) ** (ei - k))
+               for k in range(min(ei + 1, size))]
+              for ei, v, size in zip(e, comp.values, comp.sizes)]
+    zdeg = sum(e[:-1])
+    image: _Laurent = {}
+    for combo in itertools.product(*powers):
+        c = prod(ck for _, ck in combo)
+        if c:
+            he = tuple(k for k, _ in combo)
+            moved = zdeg - sum(he)
+            image[(he, e[-1] + moved)] = Fraction(c, d ** moved)
+    return image
 
 
 def restriction_matrix(comp: FixedComponent, exps: Sequence[Exponents]
                        ) -> list[list[Fraction]]:
     """Restriction to one component as a linear map on the span of the
     monomials with exponents exps: one column per monomial, one row per
-    image term (h-exponents, a-exponent) in sorted order."""
-    restrict = ComponentRestriction(comp)
-    images = [restrict.monomial(e) for e in exps]
+    nonzero image term (h-exponents, a-exponent) in sorted order."""
+    images = [_restrict(comp, e) for e in exps]
     keys = sorted({key for image in images for key in image})
     return [[image.get(key, Fraction(0)) for image in images] for key in keys]
 
@@ -156,6 +136,11 @@ def restriction_matrix(comp: FixedComponent, exps: Sequence[Exponents]
 def _require_ambient(model: WeightedModel, variables: Sequence[str]):
     if len(variables) != len(model.factors) + 1:
         raise ValueError("polynomial must have one coordinate class per factor plus the parameter")
+
+
+def _require_component(model: WeightedModel, comp: FixedComponent):
+    if comp not in fixed_components(model):
+        raise ValueError("not a fixed component of this model")
 
 
 def restrict_to_component(model: WeightedModel, poly: GradedPolynomial,
@@ -167,13 +152,17 @@ def restrict_to_component(model: WeightedModel, poly: GradedPolynomial,
     relations of the ambient presentation restrict to zero.
     """
     _require_ambient(model, poly.variables)
-    image = ComponentRestriction(comp).laurent(poly)
-    return GradedPolynomial.from_dict(
-        component_variables(model), {he + (ae,): c for (he, ae), c in image.items()})
+    _require_component(model, comp)
+    out: dict[Exponents, Fraction] = {}
+    for e, c in poly.terms:
+        for (he, ae), k in _restrict(comp, e).items():
+            out[he + (ae,)] = out.get(he + (ae,), 0) + c * k
+    return GradedPolynomial.from_dict(component_variables(model), out)
 
 
 def euler_class(model: WeightedModel, comp: FixedComponent) -> GradedPolynomial:
     """Product of the component's normal weights (h_i + (b - v_i) a)."""
+    _require_component(model, comp)
     hvars = component_variables(model)
     a = GradedPolynomial.var(hvars, "a")
     out = GradedPolynomial.const(hvars, 1)
@@ -208,8 +197,8 @@ def _inverse_euler(model: WeightedModel, comp: FixedComponent) -> _Laurent:
 
 
 def _localization(model: WeightedModel, group: str
-                  ) -> list[tuple[ComponentRestriction, _Laurent]]:
-    """Per fixed component with positive moment value: its restriction, and
+                  ) -> list[tuple[FixedComponent, _Laurent]]:
+    """Per fixed component with positive moment value: the component, and
     the inverse of its Euler class (times (2a)^2 for the reflection group)."""
     out = []
     for comp in fixed_components(model):
@@ -218,33 +207,32 @@ def _localization(model: WeightedModel, group: str
         inv = _inverse_euler(model, comp)
         if group == "sl2":
             inv = {(he, ae + 2): 4 * c for (he, ae), c in inv.items()}
-        out.append((ComponentRestriction(comp), inv))
+        out.append((comp, inv))
     return out
 
 
-def _component_residue(left: _Laurent, right: _Laurent,
-                       comp: FixedComponent) -> Fraction:
-    """Coefficient of h^(sizes-1) a^-1 in left * right: the residue of the
-    component's integral when left already carries the inverse Euler class."""
-    top = tuple(s - 1 for s in comp.sizes)
+def _integral(localization: list[tuple[FixedComponent, _Laurent]],
+              e: Exponents) -> Fraction:
+    """Residue sum of the monomial with exponents e: per component, the
+    coefficient of h^(sizes-1) a^-1 in its image times the inverse Euler
+    class."""
     total = Fraction(0)
-    for (he, ae), c in right.items():
-        k = left.get((tuple(t - x for t, x in zip(top, he)), -1 - ae))
-        if k is not None:
-            total += k * c
+    for comp, inv in localization:
+        top = tuple(s - 1 for s in comp.sizes)
+        for (he, ae), c in _restrict(comp, e).items():
+            k = inv.get((tuple(map(sub, top, he)), -1 - ae))
+            if k is not None:
+                total += c * k
     return total
 
 
 def _raw_residue(model: WeightedModel, eta: GradedPolynomial,
                  zeta: GradedPolynomial, group: str) -> Fraction:
-    if eta.variables != zeta.variables:
-        raise ValueError("polynomials live in different rings")
-    _require_ambient(model, eta.variables)
-    total = Fraction(0)
-    for restrict, inv in _localization(model, group):
-        left = _laurent_mul(restrict.laurent(eta), inv, restrict.comp.sizes)
-        total += _component_residue(left, restrict.laurent(zeta), restrict.comp)
-    return total
+    product = eta * zeta
+    _require_ambient(model, product.variables)
+    localization = _localization(model, group)
+    return sum((c * _integral(localization, e) for e, c in product.terms),
+               Fraction(0))
 
 
 def raw_residue_sum(model: WeightedModel, eta: GradedPolynomial,
@@ -297,24 +285,18 @@ def kernel_by_pairing(model: WeightedModel, variables: Sequence[str], d: int,
     invariant = group == "sl2"
     basis = _free_basis(v, d, invariant)
     comp_basis = _free_basis(v, quotient_top_degree(model, group) - d, invariant)
-    entries = [[Fraction(0)] * len(comp_basis) for _ in basis]
-    for restrict, inv in _localization(model, group):
-        rights = [restrict.laurent(m2) for m2 in comp_basis]
-        for row, m1 in zip(entries, basis):
-            left = _laurent_mul(restrict.laurent(m1), inv, restrict.comp.sizes)
-            for j, right in enumerate(rights):
-                row[j] += _component_residue(left, right, restrict.comp)
-    matrix = tuple(tuple(row) for row in entries)
+    # the pairing of two monomials is the integral of their product
+    pairs = [[tuple(map(add, m1.terms[0][0], m2.terms[0][0])) for m2 in comp_basis]
+             for m1 in basis]
+    localization = _localization(model, group)
+    products = {e for row in pairs for e in row}
+    integrals = {e: _integral(localization, e) for e in products}
+    matrix = tuple(tuple(integrals[e] for e in row) for row in pairs)
     # kernel vectors live on the degree-d side: solve c^T M = 0
     transposed = [[matrix[i][j] for i in range(len(basis))]
                   for j in range(len(comp_basis))]
     kern_vecs = null_space(transposed, len(basis))
     rank = len(basis) - len(kern_vecs)
-    kernel = []
-    for vecs in kern_vecs:
-        p = GradedPolynomial.zero(v)
-        for c, mono in zip(vecs, basis):
-            if c != 0:
-                p = p + mono.scale(c)
-        kernel.append(p)
-    return PairingKernelResult(d, group, basis, comp_basis, matrix, rank, tuple(kernel))
+    kernel = tuple(GradedPolynomial.from_dict(
+        v, {mono.terms[0][0]: c for c, mono in zip(vec, basis)}) for vec in kern_vecs)
+    return PairingKernelResult(d, group, basis, comp_basis, matrix, rank, kernel)

@@ -14,10 +14,11 @@ from moment_strata import (GradedPolynomial, NotCoprimeStable,
                            quotient_top_degree, raw_residue_sum,
                            residue_pairing, restrict_to_component,
                            sl2_weyl, weighted_model)
-from moment_strata.polynomials import exponents_of_degree
+from moment_strata import residues
+from moment_strata.polynomials import exponents_of_degree, monomials
 from moment_strata.residues import (_inverse_euler, _laurent_mul,
                                     component_variables, euler_class,
-                                    fixed_components)
+                                    fixed_components, restriction_matrix)
 
 from conftest import pn_model
 
@@ -70,6 +71,24 @@ def test_restriction_is_a_ring_map():
         rg = restrict_to_component(m, g, comp)
         rfg = restrict_to_component(m, f * g, comp)
         assert rf * rg == rfg
+
+
+@pytest.mark.parametrize("model,comp", [
+    # same factor count, but L^3 components have three values
+    (line_product_model(2), fixed_components(line_product_model(3))[0]),
+    # one factor against two
+    (pn_model(2), fixed_components(line_product_model(2))[0]),
+    (line_product_model(2), fixed_components(pn_model(2))[0]),
+    # same shape, values of another model
+    (pn_model(3), fixed_components(projective_space_model([2, 1, -1, -2]))[-1]),
+], ids=["l2-with-l3", "p2-with-l2", "l2-with-p2", "p3-with-other-weights"])
+def test_components_of_another_model_are_refused(model, comp):
+    variables = tuple(f"z{i + 1}" for i in range(len(model.factors))) + ("a",)
+    poly = parse(variables, "*".join(variables[:-1]))
+    with pytest.raises(ValueError, match="not a fixed component"):
+        restrict_to_component(model, poly, comp)
+    with pytest.raises(ValueError, match="not a fixed component"):
+        euler_class(model, comp)
 
 
 def test_euler_class_of_extreme_point():
@@ -202,7 +221,12 @@ _RESTRICTION_CASES = (
     [(f"p{n}", pn_model(n)) for n in range(1, 6)]
     + [(f"l{n}", line_product_model(n)) for n in range(1, 6)]
     + [("p3-repeated", projective_space_model([1, 1, -1, -1])),   # sizes 2
-       ("p3-zero-weight", projective_space_model([2, 0, 0, -1]))]
+       ("p3-zero-weight", projective_space_model([2, 0, 0, -1])),
+       # rational weights: the values are cleared by D = 2 and D = 6
+       ("p3-halves", projective_space_model(["3/2", "1/2", "-1/2", "-3/2"])),
+       ("p2-mixed-denominators", projective_space_model(["1/2", "-1/3", "1/6"])),
+       ("p1-times-p2-rational", weighted_model(
+           1, [[["1/2"], ["-1/3"]], [["2/3"], ["2/3"], ["-1/2"]]]))]
 )
 _RESTRICTION_MODELS = [m for _, m in _RESTRICTION_CASES]
 
@@ -226,6 +250,24 @@ def test_closed_form_restriction_matches_substitution(case):
     model, poly, comp = case
     assert (restrict_to_component(model, poly, comp)
             == _restrict_by_substitution(model, poly, comp))
+
+
+@pytest.mark.parametrize("model", _RESTRICTION_MODELS,
+                         ids=[name for name, _ in _RESTRICTION_CASES])
+def test_restriction_matrix_columns_match_substitution(model):
+    m = len(model.factors)
+    variables = tuple(f"z{i}" for i in range(m)) + ("a",)
+    for d in range(0, 9, 2):
+        basis = monomials(variables, d)
+        exps = [mono.terms[0][0] for mono in basis]
+        for comp in fixed_components(model):
+            images = [{(e[:m], e[m]): c for e, c in
+                       _restrict_by_substitution(model, mono, comp).terms}
+                      for mono in basis]
+            keys = sorted({key for image in images for key in image})
+            expected = [[image.get(key, Fraction(0)) for image in images]
+                        for key in keys]
+            assert restriction_matrix(comp, exps) == expected, (d, comp)
 
 
 def test_restriction_truncates_repeated_weights():
@@ -262,6 +304,26 @@ def test_pairing_matrix_matches_per_pair_residues(model, group):
                 itertools.product(res.basis, res.complementary_basis), 6):
             assert raw_residue_sum(model, m1, m2, group) == _residue_by_pair(
                 model, m1, m2, group)
+
+
+def test_pairing_matrix_integrates_each_product_once(monkeypatch):
+    m = line_product_model(3)
+    v = ("z1", "z2", "z3", "a")
+    calls = []
+    integral = residues._integral
+    monkeypatch.setattr(residues, "_integral",
+                        lambda loc, e: calls.append(e) or integral(loc, e))
+    pairs = distinct = 0
+    for d in range(0, quotient_top_degree(m, "torus") + 1, 2):
+        calls.clear()
+        res = kernel_by_pairing(m, v, d, "torus")
+        products = {tuple(x + y for x, y in zip(m1.terms[0][0], m2.terms[0][0]))
+                    for m1 in res.basis for m2 in res.complementary_basis}
+        assert sorted(calls) == sorted(products), d
+        pairs += len(res.basis) * len(res.complementary_basis)
+        distinct += len(products)
+    # the middle degree repeats products: 16 pairs, 10 distinct
+    assert distinct < pairs
 
 
 @pytest.mark.parametrize("model", _RESTRICTION_MODELS,
