@@ -31,7 +31,7 @@ from .geometry import (
     lattice_nearest_point,
     origin_in_interior,
 )
-from .linalg import Vector, frac, vscale, vsub
+from .linalg import Vector, frac
 
 
 class WeylGroup(NamedTuple):
@@ -260,22 +260,32 @@ def enumerate_profiles(model: WeightedModel):
 
 
 class _Record:
-    """One model's entry in `_MEMO`: its index set, the first profile in
-    enumeration order that is semistable but not stable (None when there is
-    none), and the nodes of the stratum recursion that `series` builds on
-    the model, by truncation; the nodes are not compared."""
+    """One model's entry in `_MEMO`: per beta in sorted order (beta, its first
+    profile, that profile's Minkowski points), and the first profile that is
+    semistable but not stable, or None. `strata` builds and keeps the canonical
+    certificates on first read, and equality compares them; the recursion
+    nodes that `series` keeps here, by truncation, are not compared."""
 
-    __slots__ = ("strata", "witness", "nodes")
+    __slots__ = ("firsts", "witness", "form", "_strata", "nodes")
 
-    def __init__(self, strata: tuple[IndexStratum, ...], witness: Profile | None):
-        self.strata, self.witness, self.nodes = strata, witness, {}
+    def __init__(self, firsts: tuple[tuple[Vector, Profile, tuple[Vector, ...]], ...],
+                 witness: Profile | None, form: BilinearForm):
+        self.firsts, self.witness, self.form = firsts, witness, form
+        self._strata, self.nodes = None, {}
+
+    @property
+    def strata(self) -> tuple[IndexStratum, ...]:
+        if self._strata is None:
+            self._strata = tuple(IndexStratum(b, _canonical_certificate(pts, self.form, b), f, pts)
+                                 for b, f, pts in self.firsts)
+        return self._strata
 
     def __eq__(self, other):
         return (other.__class__ is self.__class__ and self.strata == other.strata
-                and self.witness == other.witness)
+                and self.witness == other.witness and self.form == other.form)
 
     def __hash__(self):
-        return hash((self.strata, self.witness))
+        return hash((self.firsts, self.witness, self.form))
 
 
 # The one memo: a record per model, keyed by rank, factors in the model's own
@@ -298,7 +308,7 @@ def _profile_scan(model: WeightedModel) -> _Record:
     """One verified search per enumerated profile."""
     d, weights = _lattice(model.factors)
     gram = clear_denominators(model.form.gram)[1]
-    found: dict[Vector, IndexStratum] = {}
+    found: dict[Vector, tuple] = {}
     witness = None
     for profile in enumerate_profiles(model):
         points = _lattice_points(weights, profile)
@@ -306,14 +316,13 @@ def _profile_scan(model: WeightedModel) -> _Record:
         scale = d * sum(search.coefficients)
         beta = tuple(Fraction(x, scale) for x in search.beta)
         if beta not in found:
-            # the canonical certificate of a beta is built on its first profile
-            fpoints = tuple(tuple(Fraction(x, d) for x in p) for p in points)
-            cert = _canonical_certificate(fpoints, model.form, beta)
-            found[beta] = IndexStratum(beta, cert, profile, fpoints)
+            # a beta's canonical certificate is built on its first profile
+            found[beta] = (beta, profile, tuple(tuple(Fraction(x, d) for x in p)
+                                                for p in points))
         if (witness is None and not any(search.beta)
                 and not origin_in_interior(points, model.rank)):
             witness = profile
-    return _Record(tuple(found[b] for b in sorted(found)), witness)
+    return _Record(tuple(found[b] for b in sorted(found)), witness, model.form)
 
 
 def _interval_scan(model: WeightedModel) -> _Record:
@@ -355,27 +364,26 @@ def _interval_scan(model: WeightedModel) -> _Record:
     if bounds[0][0] <= 0 <= bounds[0][1]:
         profiles[0] = first(lambda j, lo, hi:
                             lo + bounds[j + 1][0] <= 0 <= hi + bounds[j + 1][1])
-    strata = []
+    firsts = []
     for v in sorted(profiles):
         points = _lattice_points(weights, profiles[v])
         search = lattice_nearest_point(points, gram)
         if search.beta[0] != v * sum(search.coefficients):
             raise VerificationFailed("derived stratum profile has another beta",
                                      witness={"profile": profiles[v]})
-        beta, fpoints = (Fraction(v, d),), tuple((Fraction(x, d),) for x, in points)
-        strata.append(IndexStratum(beta, _canonical_certificate(fpoints, model.form, beta),
-                                   profiles[v], fpoints))
+        firsts.append(((Fraction(v, d),), profiles[v],
+                       tuple((Fraction(x, d),) for x, in points)))
     witness = summing_to(0) if 0 in reach[0] else None
     if witness is not None:
         points = _lattice_points(weights, witness)
         if any(lattice_nearest_point(points, gram).beta) or origin_in_interior(points, 1):
             raise VerificationFailed("derived witness is not strictly semistable",
                                      witness={"profile": witness})
-    return _Record(tuple(strata), witness)
+    return _Record(tuple(firsts), witness, model.form)
 
 
 def index_set(model: WeightedModel) -> tuple[IndexStratum, ...]:
-    """All nearest points of Minkowski hulls of support profiles."""
+    """All nearest points of Minkowski hulls of support profiles, certified."""
     return _record(model).strata
 
 
@@ -398,7 +406,7 @@ def _profile_betas(model: WeightedModel, profiles: Iterable[Profile]) -> list[Ve
 
 
 def index_betas(model: WeightedModel) -> tuple[Vector, ...]:
-    return tuple(s.beta for s in index_set(model))
+    return tuple(beta for beta, _, _ in _record(model).firsts)
 
 
 def require_negation_symmetric(model: WeightedModel):
@@ -475,13 +483,18 @@ def stratum_codim(model: WeightedModel, component: CriticalComponent) -> int:
 
 def shifted_submodel(model: WeightedModel, component: CriticalComponent) -> WeightedModel:
     """Model carried by a critical component: attaining weights, shifted so
-    the component pairs to zero against its own beta."""
-    b = component.beta
-    nb = model.form.norm2(b)
-    if nb == 0:
+    the component pairs to zero against its own beta: w - (v / |beta|^2) beta.
+    For weights W / D, form G / c, beta B / s and v = p / q, |beta|^2 is
+    n / (c s^2) with n = <B, G B>, and w shifts to (q n W - D p c s B) / (D q n)."""
+    s, (bl,) = clear_denominators([component.beta])
+    c, gram = clear_denominators(model.form.gram)
+    n = _idot(bl, _iapply(gram, bl))
+    if n == 0:
         raise ValueError("the zero stratum has no shifted submodel")
+    d, weights = _lattice(model.factors)
     new_factors = []
-    for fac, att, v in zip(model.factors, component.attaining, component.values):
-        shift = vscale(v / nb, b)
-        new_factors.append(tuple(vsub(fac[k], shift) for k in att))
+    for fac, att, v in zip(weights, component.attaining, component.values):
+        qn, k, den = v.denominator * n, d * v.numerator * c * s, d * v.denominator * n
+        new_factors.append(tuple(tuple(Fraction(qn * x - k * b, den)
+                                       for x, b in zip(fac[i], bl)) for i in att))
     return WeightedModel(model.rank, tuple(new_factors), model.form, None)

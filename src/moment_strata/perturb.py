@@ -18,7 +18,7 @@ from .models import (
     WeightedModel,
     _profile_betas,
     enumerate_profiles,
-    index_set,
+    index_betas,
     strictly_semistable_witness,
 )
 
@@ -57,7 +57,7 @@ def propose_epsilon(model: WeightedModel) -> EpsilonProposal:
     strata provide no scale to certify against, so the search fails with a
     witness per candidate.
     """
-    nonzero = [s.beta for s in index_set(model) if any(x != 0 for x in s.beta)]
+    nonzero = [b for b in index_betas(model) if any(x != 0 for x in b)]
     if not nonzero:
         raise EpsilonSearchFailed(
             "model has no nonzero stratum to set the perturbation scale",

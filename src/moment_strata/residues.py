@@ -108,11 +108,15 @@ def _restrict(comp: FixedComponent, e: Exponents) -> _Laurent:
     values times the lcm D of their denominators; a term with a-exponent
     ae carries D^(ae - e_a), divided out by one Fraction per term."""
     d = lcm(*(v.denominator for v in comp.values))
+    zdeg = sum(e[:-1])
+    if all(size == 1 for size in comp.sizes):   # an isolated point: one term
+        c = prod((-v.numerator * (d // v.denominator)) ** ei
+                 for ei, v in zip(e, comp.values))
+        return {((0,) * len(comp.sizes), e[-1] + zdeg): Fraction(c, d ** zdeg)} if c else {}
     # per factor, the terms k of zi^ei; zip stops before the a-exponent
     powers = [[(k, comb(ei, k) * (-v.numerator * (d // v.denominator)) ** (ei - k))
                for k in range(min(ei + 1, size))]
               for ei, v, size in zip(e, comp.values, comp.sizes)]
-    zdeg = sum(e[:-1])
     image: _Laurent = {}
     for combo in itertools.product(*powers):
         c = prod(ck for _, ck in combo)

@@ -20,12 +20,13 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import NotCoprimeStable, TruncationTooSmall, VerificationFailed
-from .linalg import matrix_rank
+from .geometry import clear_denominators
+from .linalg import SpanBasis
 from .models import (
     WeightedModel,
     _record,
     critical_components,
-    index_set,
+    index_betas,
     require_negation_symmetric,
     shifted_submodel,
     strictly_semistable_witness,
@@ -141,8 +142,10 @@ def model_equivariant_series(model: WeightedModel, trunc: int) -> TruncatedSerie
 
 
 def _weights_span(model: WeightedModel) -> int:
-    rows = [w for fac in model.factors for w in fac if any(w)]
-    return matrix_rank(rows) if rows else 0
+    span = SpanBasis()   # on the weights cleared of denominators
+    for row in clear_denominators([w for fac in model.factors for w in fac])[1]:
+        span.add_int_row(dict(enumerate(row)))
+    return span.dim
 
 
 def _descend(model: WeightedModel, trunc: int, drop: int):
@@ -153,8 +156,7 @@ def _descend(model: WeightedModel, trunc: int, drop: int):
     reflection quotient: positive betas only, each codimension lowered by 2.
     """
     parent_span = _weights_span(model)
-    for stratum in index_set(model):
-        beta = stratum.beta
+    for beta in index_betas(model):
         if (beta[0] <= 0) if drop else all(x == 0 for x in beta):
             continue
         for comp in critical_components(model, beta):

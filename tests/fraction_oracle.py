@@ -1,12 +1,12 @@
 """Reference implementations in Fraction arithmetic.
 
-The library runs the profile scan, the nearest-point search and the critical
-components on the integer lattice of a model, and its one row reduction on
-integer rows. These are the earlier Fraction versions of the same
-algorithms, kept as test oracles: every quantity is computed on the rational
-weights and the rational form directly, with no common denominator. The
-dense reduced row echelon form, a linear solver and a phase-one simplex
-come first; the searches below are built on them.
+The library runs the profile scan, the nearest-point search, the critical
+components and the submodel shift on the integer lattice of a model, and
+its one row reduction on integer rows. These are the earlier Fraction
+versions of the same algorithms, kept as test oracles: every quantity is
+computed on the rational weights and the rational form directly, with no
+common denominator. The dense reduced row echelon form, a linear solver and
+a phase-one simplex come first; the searches below are built on them.
 """
 
 from fractions import Fraction
@@ -313,3 +313,16 @@ def critical_components(model: WeightedModel, beta):
     rec(0, Fraction(0), [])
     out.sort(key=lambda c: c.values)
     return tuple(out)
+
+
+def shifted_submodel(model: WeightedModel, component):
+    """Attaining weights w shifted to w - (v / |beta|^2) beta, in Fractions."""
+    b = component.beta
+    nb = model.form.norm2(b)
+    if nb == 0:
+        raise ValueError("the zero stratum has no shifted submodel")
+    new_factors = []
+    for fac, att, v in zip(model.factors, component.attaining, component.values):
+        shift = vscale(v / nb, b)
+        new_factors.append(tuple(vsub(fac[k], shift) for k in att))
+    return WeightedModel(model.rank, tuple(new_factors), model.form, None)

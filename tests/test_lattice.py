@@ -1,7 +1,7 @@
 """The integer-lattice stratification core against its Fraction oracle.
 
-The profile scan, the nearest-point search and the critical components run
-on weights and forms cleared of denominators. Each must agree with the
+The profile scan, the nearest-point search, the critical components and the
+submodel shift run on weights and forms cleared of denominators. Each must agree with the
 Fraction algorithms of ``fraction_oracle`` on random models with mixed
 denominators, zero and repeated weights and random rational forms, and the
 integer certificate check must accept exactly what
@@ -24,8 +24,10 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from moment_strata import (BilinearForm, VerificationFailed,
                            closest_point_to_origin, critical_components,
-                           identity_form, index_set, origin_in_interior,
-                           strictly_semistable_witness, weighted_model)
+                           identity_form, index_betas, index_set,
+                           line_product_model, origin_in_interior,
+                           shifted_submodel, strictly_semistable_witness,
+                           weighted_model)
 import moment_strata
 from moment_strata import geometry, series
 from moment_strata.geometry import (LatticeCertificate, ProjectionCertificate,
@@ -88,7 +90,44 @@ def test_lattice_scan_matches_the_fraction_scan(model):
                 == betas[oracle.minkowski_points(model, profile)])
     probe = tuple(Fraction(k + 1, 3) for k in range(model.rank))
     for beta in [s.beta for s in strata] + [probe]:
-        assert critical_components(model, beta) == oracle.critical_components(model, beta)
+        comps = critical_components(model, beta)
+        assert comps == oracle.critical_components(model, beta)
+        for comp in comps if any(beta) else ():
+            assert shifted_submodel(model, comp) == oracle.shifted_submodel(model, comp)
+
+
+def test_integer_shift_matches_the_fraction_shift():
+    """On every critical component the series recursion reaches from the
+    series test models, from rational weights and from a form with
+    denominators, with the span rank checked against the dense rref."""
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    skew = BilinearForm(((Fraction(2, 3), Fraction(-1, 5)),
+                         (Fraction(-1, 5), Fraction(1, 2))))
+    todo = [pn_model(n) for n in range(1, 6)]
+    todo += [line_product_model(n) for n in range(1, 6)]
+    todo += [weighted_model(2, [a2, a2]), weighted_model(2, [a2, a2[::-1], a2], skew),
+             weighted_model(1, [[["1/2"], ["-1/3"], ["1/2"]], [["2/3"], ["-1"]]]),
+             weighted_model(2, [[["1/2", 0], [0, "2/3"], ["-1/3", "-1/4"]]] * 2, skew),
+             weighted_model(1, [[[3], [1], [-2]]] * 3, BilinearForm(((Fraction(3, 7),),)))]
+    seen, compared = set(), 0
+    while todo:
+        model = todo.pop()
+        if model in seen:
+            continue
+        seen.add(model)
+        rows = [w for fac in model.factors for w in fac]
+        assert series._weights_span(model) == len(oracle.rref(rows)[1])
+        for beta in index_betas(model):
+            if not any(beta):
+                with pytest.raises(ValueError, match="zero stratum"):
+                    shifted_submodel(model, critical_components(model, beta)[0])
+                continue
+            for comp in critical_components(model, beta):
+                sub = shifted_submodel(model, comp)
+                assert sub == oracle.shifted_submodel(model, comp), (model.factors, comp)
+                compared += 1
+                todo.append(sub)
+    assert compared > 200, compared
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,10 +10,10 @@ import pytest
 
 from moment_strata import (IndexStratum, classify_profile, critical_components,
                            index_betas, index_set, is_semistable, is_stable,
-                           line_product_model, profile_of_point,
-                           projective_space_model, shifted_submodel,
-                           stratum_codim, strictly_semistable_witness,
-                           weighted_model)
+                           line_product_model, perfection_check, profile_of_point,
+                           projective_space_model, propose_epsilon,
+                           semistable_series, shifted_submodel, stratum_codim,
+                           strictly_semistable_witness, weighted_model)
 from moment_strata.geometry import (BilinearForm, _canonical_certificate,
                                     origin_in_interior)
 from moment_strata.models import enumerate_profiles, minkowski_points
@@ -338,3 +338,48 @@ def test_refinement_report_makes_one_pass_per_model(monkeypatch):
     count = len(list(enumerate_(shifted)))
     assert enumerations == [shifted]
     assert passes == [(shifted, count), (m, count)]
+
+
+@pytest.fixture
+def certificates_built(monkeypatch, empty_memo):
+    """The betas of the canonical certificates the records build, in order."""
+    from moment_strata import models
+
+    built, canonical = [], models._canonical_certificate
+
+    def counted(points, form, beta):
+        built.append(beta)
+        return canonical(points, form, beta)
+
+    monkeypatch.setattr(models, "_canonical_certificate", counted)
+    return built
+
+
+def test_the_recursion_builds_no_certificates(certificates_built):
+    """The series, the perfection check and the perturbation search read
+    betas only; the index set builds each certificate once, when read."""
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    for m in (line_product_model(4), weighted_model(2, [a2, a2])):
+        semistable_series(m, 24)
+        perfection_check(m, 24)
+        propose_epsilon(m)
+        assert certificates_built == [], m.factors
+        strata = index_set(m)
+        assert certificates_built == [s.beta for s in strata]
+        assert index_set(m) is strata and len(certificates_built) == len(strata)
+        certificates_built.clear()
+
+
+def test_index_betas_are_the_index_set_betas(certificates_built):
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    rng = random.Random(20260822)
+    models = [pn_model(n) for n in range(1, 7)] + [line_product_model(n) for n in range(1, 7)]
+    models += [projective_space_model([1, 1, -1, -1]), weighted_model(2, [a2, a2]),
+               weighted_model(1, [[["1/2"], ["-1/3"], ["1/2"]], [["2/3"], ["-1"]]])]
+    models += [random_weight_system(rng, rng.choice((1, 2))) for _ in range(25)]
+    models += [_random_rank1_model(rng) for _ in range(25)]
+    for m in models:
+        betas = index_betas(m)
+        assert certificates_built == [], m.factors
+        assert betas == tuple(s.beta for s in index_set(m)), m.factors
+        certificates_built.clear()

@@ -28,7 +28,7 @@ from moment_strata.geometry import BilinearForm
 SLOTTED = {
     "BilinearForm": ("gram",),
     "WeightedModel": ("rank", "factors", "form", "weyl"),
-    "_Record": ("strata", "witness"),
+    "_Record": ("firsts", "witness", "form"),
     "GradedPolynomial": ("variables", "terms"),
     "TruncatedSeries": ("coeffs",),
     "Presentation": ("kind", "variables", "weights", "n", "relations"),
@@ -149,6 +149,7 @@ def test_memos_are_not_compared(samples):
     fresh_kernel = type(kernel)(kernel.group, kernel.target, kernel.max_degree,
                                 kernel.generators, fresh_pres)
     assert fresh_kernel._built is None and fresh_kernel == kernel
-    fresh_record = type(record)(record.strata, record.witness)
-    assert fresh_record.nodes == {} and fresh_record == record
+    fresh_record = type(record)(record.firsts, record.witness, record.form)
+    assert fresh_record.nodes == {} and fresh_record._strata is None
+    assert fresh_record == record and fresh_record._strata == record.strata
 
