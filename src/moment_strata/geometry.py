@@ -30,9 +30,10 @@ from .linalg import Vector, dot, frac, matrix_rank, vadd, vscale, vsub
 
 
 class BilinearForm:
-    """Symmetric positive definite form on Q^rank, given by its Gram matrix."""
+    """Symmetric positive definite form on Q^rank, given by its Gram matrix;
+    ``cleared``, not compared, is (c, c * gram) for c the lcm of its denominators."""
 
-    __slots__ = ("gram",)
+    __slots__ = ("gram", "cleared")
 
     def __init__(self, gram: tuple[tuple[Fraction, ...], ...]):
         if any(len(row) != len(gram) for row in gram):
@@ -40,11 +41,11 @@ class BilinearForm:
         if tuple(map(tuple, gram)) != tuple(zip(*gram)):
             raise ValueError("Gram matrix must be symmetric")
         # Sylvester's criterion: every leading principal minor is positive
-        cleared = clear_denominators(gram)[1]
+        c, cleared = clear_denominators(gram)
         if any(_det([row[:k] for row in cleared[:k]]) <= 0
                for k in range(1, len(cleared) + 1)):
             raise ValueError("form is not positive definite")
-        self.gram = gram
+        self.gram, self.cleared = gram, (c, tuple(cleared))
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self.gram == other.gram
@@ -142,7 +143,7 @@ def _canonical_certificate(points: Sequence[Vector], form: BilinearForm,
     search runs on the lattice; the certificate is verified in Fractions.
     """
     d, lattice = clear_denominators([*points, beta])
-    gram = clear_denominators(form.gram)[1]
+    gram = form.cleared[1]
     x = lattice.pop()
     gx = _iapply(gram, x)
     nx = _idot(x, gx)
@@ -325,7 +326,7 @@ def nearest_point(points: Sequence[Vector], form: BilinearForm) -> ProjectionCer
     certificate the search ends on (not the canonical one). Points must
     already be rational tuples of the form's rank."""
     d, lattice = clear_denominators(points)
-    cert = lattice_nearest_point(lattice, clear_denominators(form.gram)[1])
+    cert = lattice_nearest_point(lattice, form.cleared[1])
     e = sum(cert.coefficients)
     return ProjectionCertificate(tuple(Fraction(x, d * e) for x in cert.beta),
                                  cert.support,
@@ -350,7 +351,7 @@ def origin_in_hull(points: Sequence[Vector]) -> bool:
     pts = [tuple(frac(x) for x in p) for p in points]
     if not pts:
         return False
-    gram = clear_denominators(identity_form(len(pts[0])).gram)[1]
+    gram = identity_form(len(pts[0])).cleared[1]
     return not any(lattice_nearest_point(clear_denominators(pts)[1], gram).beta)
 
 

@@ -6,15 +6,17 @@ form on the (rank-dimensional) parameter space. Supports of points give
 profiles; Minkowski sums of the chosen weights give the finite point sets
 whose exact convex projections stratify the model.
 
-The profile scan and the critical components run on integer weights and an
-integer form, each scaled by the lcm of its denominators; Fractions appear
-only in what leaves them: betas, certificates and component values.
+Each model clears its weights of denominators once, as its form does its Gram
+matrix; the profile scan, the critical components and the submodel shift run
+on those integers. Fractions appear only in what leaves them: betas,
+certificates, component values and a shifted submodel's weights.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
@@ -59,10 +61,13 @@ WEYL_GROUPS = {
 
 
 class WeightedModel:
-    __slots__ = ("rank", "factors", "form", "weyl")
+    """Equality and hash read rank, factors, form and weyl, not ``lattice``."""
+
+    __slots__ = ("rank", "factors", "form", "weyl", "lattice")
 
     def __init__(self, rank: int, factors: tuple[tuple[Vector, ...], ...],
-                 form: BilinearForm, weyl: WeylGroup | None = None):
+                 form: BilinearForm, weyl: WeylGroup | None = None,
+                 lattice: tuple[int, Lattice] | None = None):
         if rank < 1:
             raise ValueError("rank must be positive")
         if form.rank != rank:
@@ -77,6 +82,11 @@ class WeightedModel:
         if weyl is not None and weyl.rank != rank:
             raise ValueError(f"weyl group {weyl.name!r} does not act on rank {rank}")
         self.rank, self.factors, self.form, self.weyl = rank, factors, form, weyl
+        if lattice is None:   # (D, the factors times D) for D the lcm of their denominators
+            d, flat = clear_denominators([w for fac in factors for w in fac])
+            rows = iter(flat)
+            lattice = d, tuple(tuple(next(rows) for _ in fac) for fac in factors)
+        self.lattice = lattice
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and (
@@ -147,13 +157,6 @@ def _check_profile(model: WeightedModel, profile: Profile):
 Lattice = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _lattice(factors: tuple[tuple[Vector, ...], ...]) -> tuple[int, Lattice]:
-    """(D, the weights times D) for D the lcm of the weight denominators."""
-    d, flat = clear_denominators([w for fac in factors for w in fac])
-    it = iter(flat)
-    return d, tuple(tuple(next(it) for _ in fac) for fac in factors)
-
-
 def _lattice_points(weights: Lattice, profile: Profile) -> tuple[tuple[int, ...], ...]:
     """Deduplicated sums of one selected lattice weight per factor, sorted."""
     acc = {(0,) * len(weights[0][0])}
@@ -166,7 +169,7 @@ def _lattice_points(weights: Lattice, profile: Profile) -> tuple[tuple[int, ...]
 def minkowski_points(model: WeightedModel, profile: Profile) -> tuple[Vector, ...]:
     """Deduplicated sums of one selected weight per factor, sorted."""
     _check_profile(model, profile)
-    d, weights = _lattice(model.factors)
+    d, weights = model.lattice
     return tuple(tuple(Fraction(x, d) for x in p)
                  for p in _lattice_points(weights, profile))
 
@@ -263,15 +266,15 @@ class _Record:
     """One model's entry in `_MEMO`: per beta in sorted order (beta, its first
     profile, that profile's Minkowski points), and the first profile that is
     semistable but not stable, or None. `strata` builds and keeps the canonical
-    certificates on first read, and equality compares them; the recursion
-    nodes that `series` keeps here, by truncation, are not compared."""
+    certificates on first read, and equality compares them; not compared are the
+    recursion nodes of `series`, by truncation, and the pairing tables of `residues`."""
 
-    __slots__ = ("firsts", "witness", "form", "_strata", "nodes")
+    __slots__ = ("firsts", "witness", "form", "_strata", "nodes", "pairing")
 
     def __init__(self, firsts: tuple[tuple[Vector, Profile, tuple[Vector, ...]], ...],
                  witness: Profile | None, form: BilinearForm):
         self.firsts, self.witness, self.form = firsts, witness, form
-        self._strata, self.nodes = None, {}
+        self._strata, self.nodes, self.pairing = None, {}, {}
 
     @property
     def strata(self) -> tuple[IndexStratum, ...]:
@@ -288,16 +291,16 @@ class _Record:
         return hash((self.firsts, self.witness, self.form))
 
 
-# The one memo: a record per model, keyed by rank, factors in the model's own
-# order, and Gram matrix. It is unbounded because evicting a record partway
-# through a recursion would build one node of the tree twice.
+# The one memo: a record per model, keyed by its lattice (factors in their own
+# order) and cleared Gram matrix. It is unbounded because evicting a record
+# partway through a recursion would build one node of the tree twice.
 _MEMO: dict = {}
 
 
 def _record(model: WeightedModel) -> _Record:
     """The model's record, scanned on first use. No result depends on the
     model's Weyl group."""
-    key = (model.rank, model.factors, model.form.gram)
+    key = (model.lattice, model.form.cleared)
     record = _MEMO.get(key)
     if record is None:
         record = _MEMO[key] = (_interval_scan if model.rank == 1 else _profile_scan)(model)
@@ -306,13 +309,12 @@ def _record(model: WeightedModel) -> _Record:
 
 def _profile_scan(model: WeightedModel) -> _Record:
     """One verified search per enumerated profile."""
-    d, weights = _lattice(model.factors)
-    gram = clear_denominators(model.form.gram)[1]
+    d, weights = model.lattice
     found: dict[Vector, tuple] = {}
     witness = None
     for profile in enumerate_profiles(model):
         points = _lattice_points(weights, profile)
-        search = lattice_nearest_point(points, gram)
+        search = lattice_nearest_point(points, model.form.cleared[1])
         scale = d * sum(search.coefficients)
         beta = tuple(Fraction(x, scale) for x in search.beta)
         if beta not in found:
@@ -334,8 +336,8 @@ def _interval_scan(model: WeightedModel) -> _Record:
     summing to v; the witness is the first summing to 0. Each profile is
     found slot by slot against what the later slots can reach, and checked
     by the verified search."""
-    d, weights = _lattice(model.factors)
-    gram = clear_denominators(model.form.gram)[1]
+    d, weights = model.lattice
+    gram = model.form.cleared[1]
     # per slot in enumeration order: position, values, first indices. The
     # least choice is non-decreasing within a group, or a swap would lower it
     slots = [(pos, *_distinct_values([w for w, in weights[pos]]))
@@ -395,11 +397,10 @@ def strictly_semistable_witness(model: WeightedModel) -> Profile | None:
 def _profile_betas(model: WeightedModel, profiles: Iterable[Profile]) -> list[Vector]:
     """The beta of each profile by the verified search on its Minkowski
     points: the profile scan without certificates or interior tests."""
-    d, weights = _lattice(model.factors)
-    gram = clear_denominators(model.form.gram)[1]
+    d, weights = model.lattice
     out = []
     for profile in profiles:
-        search = lattice_nearest_point(_lattice_points(weights, profile), gram)
+        search = lattice_nearest_point(_lattice_points(weights, profile), model.form.cleared[1])
         scale = d * sum(search.coefficients)
         out.append(tuple(Fraction(x, scale) for x in search.beta))
     return out
@@ -446,9 +447,9 @@ def critical_components(model: WeightedModel, beta: Sequence) -> tuple[CriticalC
     if len(b) != model.rank:
         raise ValueError("beta dimension does not match model rank")
     s, (bl,) = clear_denominators([b])
-    c, gram = clear_denominators(model.form.gram)
+    c, gram = model.form.cleared
     gb = _iapply(gram, bl)
-    d, weights = _lattice(model.factors)
+    d, weights = model.lattice
     scale = d * c * s * s
     target = d * _idot(bl, gb)
     # per factor: each distinct pairing value with its attaining indices
@@ -481,20 +482,32 @@ def stratum_codim(model: WeightedModel, component: CriticalComponent) -> int:
     return component.codim
 
 
-def shifted_submodel(model: WeightedModel, component: CriticalComponent) -> WeightedModel:
-    """Model carried by a critical component: attaining weights, shifted so
-    the component pairs to zero against its own beta: w - (v / |beta|^2) beta.
-    For weights W / D, form G / c, beta B / s and v = p / q, |beta|^2 is
-    n / (c s^2) with n = <B, G B>, and w shifts to (q n W - D p c s B) / (D q n)."""
+def _shift(model: WeightedModel, component: CriticalComponent,
+           canonical: bool) -> WeightedModel:
+    """The component's shifted submodel and its lattice, in the model's order or
+    sorted. For weights W / D, form G / c, beta B / s, values p / q, Q the lcm of
+    the q and n = <B, G B> (|beta|^2 = n / (c s^2)), w shifts to (Q n W - (Q / q)
+    D p c s B) / (D Q n), reduced by the gcd of its numerators and D Q n."""
     s, (bl,) = clear_denominators([component.beta])
-    c, gram = clear_denominators(model.form.gram)
+    c, gram = model.form.cleared
     n = _idot(bl, _iapply(gram, bl))
     if n == 0:
         raise ValueError("the zero stratum has no shifted submodel")
-    d, weights = _lattice(model.factors)
-    new_factors = []
-    for fac, att, v in zip(weights, component.attaining, component.values):
-        qn, k, den = v.denominator * n, d * v.numerator * c * s, d * v.denominator * n
-        new_factors.append(tuple(tuple(Fraction(qn * x - k * b, den)
-                                       for x, b in zip(fac[i], bl)) for i in att))
-    return WeightedModel(model.rank, tuple(new_factors), model.form, None)
+    d, weights = model.lattice
+    q = lcm(*(v.denominator for v in component.values))
+    rows = [[tuple(q * n * x - q // v.denominator * v.numerator * d * c * s * b
+                   for x, b in zip(fac[i], bl)) for i in att]
+            for fac, att, v in zip(weights, component.attaining, component.values)]
+    rows = sorted(map(sorted, rows)) if canonical else rows
+    g = gcd(d * q * n, *(x for fac in rows for w in fac for x in w))
+    d, rows = d * q * n // g, tuple(tuple(tuple(x // g for x in w) for w in fac) for fac in rows)
+    return WeightedModel(model.rank, tuple(tuple(tuple(Fraction(x, d) for x in w) for w in fac)
+                                           for fac in rows), model.form, None, (d, rows))
+
+
+def shifted_submodel(model: WeightedModel, component: CriticalComponent) -> WeightedModel:
+    """Model carried by a critical component of this model: attaining weights,
+    shifted so the component pairs to zero against its beta: w - (v / |beta|^2) beta."""
+    if component not in critical_components(model, component.beta):
+        raise ValueError("not a critical component of this model")
+    return _shift(model, component, False)

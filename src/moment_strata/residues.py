@@ -6,6 +6,7 @@ classes on the quotient is one linear functional of their product
 (Jeffrey-Kirwan): the residue in the equivariant parameter of the sum, over
 the components F with positive moment value, of the integral over F of
 (eta*zeta)|_F / e(N_F), with e(N_F) the Euler class of F's normal bundle.
+The model's memo record keeps that localization and each product's integral.
 
 Raw residue sums carry a universal constant depending only on the group
 type: the torus sum is scaled by -2 and the reflection-quotient sum by +1,
@@ -24,7 +25,7 @@ from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from .linalg import null_space
-from .models import WeightedModel, require_negation_symmetric
+from .models import WeightedModel, _record, require_negation_symmetric
 from .polynomials import Exponents, GradedPolynomial, monomials
 from .series import _check_group, quotient_top_degree, require_quotient
 
@@ -230,13 +231,22 @@ def _integral(localization: list[tuple[FixedComponent, _Laurent]],
     return total
 
 
+def _integrals(model: WeightedModel, group: str, exps) -> dict[Exponents, Fraction]:
+    """The model's table of monomial integrals for the group, now holding exps."""
+    tables = _record(model).pairing
+    if group not in tables:
+        tables[group] = (_localization(model, group), {})
+    localization, table = tables[group]
+    table.update({e: _integral(localization, e) for e in exps if e not in table})
+    return table
+
+
 def _raw_residue(model: WeightedModel, eta: GradedPolynomial,
                  zeta: GradedPolynomial, group: str) -> Fraction:
     product = eta * zeta
     _require_ambient(model, product.variables)
-    localization = _localization(model, group)
-    return sum((c * _integral(localization, e) for e, c in product.terms),
-               Fraction(0))
+    table = _integrals(model, group, [e for e, _ in product.terms])
+    return sum((c * table[e] for e, c in product.terms), Fraction(0))
 
 
 def raw_residue_sum(model: WeightedModel, eta: GradedPolynomial,
@@ -292,9 +302,7 @@ def kernel_by_pairing(model: WeightedModel, variables: Sequence[str], d: int,
     # the pairing of two monomials is the integral of their product
     pairs = [[tuple(map(add, m1.terms[0][0], m2.terms[0][0])) for m2 in comp_basis]
              for m1 in basis]
-    localization = _localization(model, group)
-    products = {e for row in pairs for e in row}
-    integrals = {e: _integral(localization, e) for e in products}
+    integrals = _integrals(model, group, {e for row in pairs for e in row})
     matrix = tuple(tuple(integrals[e] for e in row) for row in pairs)
     # kernel vectors live on the degree-d side: solve c^T M = 0
     transposed = [[matrix[i][j] for i in range(len(basis))]

@@ -20,15 +20,14 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import NotCoprimeStable, TruncationTooSmall, VerificationFailed
-from .geometry import clear_denominators
 from .linalg import SpanBasis
 from .models import (
     WeightedModel,
     _record,
+    _shift,
     critical_components,
     index_betas,
     require_negation_symmetric,
-    shifted_submodel,
     strictly_semistable_witness,
     stratum_codim,
 )
@@ -142,8 +141,8 @@ def model_equivariant_series(model: WeightedModel, trunc: int) -> TruncatedSerie
 
 
 def _weights_span(model: WeightedModel) -> int:
-    span = SpanBasis()   # on the weights cleared of denominators
-    for row in clear_denominators([w for fac in model.factors for w in fac])[1]:
+    span = SpanBasis()   # on the model's integer lattice
+    for row in (w for fac in model.lattice[1] for w in fac):
         span.add_int_row(dict(enumerate(row)))
     return span.dim
 
@@ -166,13 +165,12 @@ def _descend(model: WeightedModel, trunc: int, drop: int):
                                          witness={"beta": beta, "drop": drop})
             if lam > trunc:
                 continue
-            sub = shifted_submodel(model, comp)
+            # canonical order: submodels equal up to order share one node
+            sub = _shift(model, comp, True)
             if not _weights_span(sub) < parent_span:
                 raise VerificationFailed("recursion measure failed to decrease",
                                          witness={"beta": beta})
-            # canonical order: submodels equal up to order share one node
-            factors = tuple(sorted(tuple(sorted(f)) for f in sub.factors))
-            yield lam, WeightedModel(sub.rank, factors, sub.form)
+            yield lam, sub
 
 
 def _node(model: WeightedModel, trunc: int):

@@ -26,6 +26,7 @@ from moment_strata import (BilinearForm, VerificationFailed,
                            closest_point_to_origin, critical_components,
                            identity_form, index_betas, index_set,
                            line_product_model, origin_in_interior,
+                           perturbed_model, projective_space_model,
                            shifted_submodel, strictly_semistable_witness,
                            weighted_model)
 import moment_strata
@@ -76,6 +77,19 @@ def point_sets(draw):
     return pts + draw(st.lists(st.sampled_from(pts), max_size=2)), draw(forms(rank))
 
 
+def _cleared(model):
+    """`clear_denominators` of the model's weights, grouped by factor."""
+    d, flat = clear_denominators([w for fac in model.factors for w in fac])
+    rows = iter(flat)
+    return d, tuple(tuple(next(rows) for _ in fac) for fac in model.factors)
+
+
+def _sorted_model(model):
+    """The model with its factors and weights in canonical order."""
+    factors = tuple(sorted(tuple(sorted(f)) for f in model.factors))
+    return type(model)(model.rank, factors, model.form)
+
+
 @settings(max_examples=70, deadline=None)
 @given(models())
 def test_lattice_scan_matches_the_fraction_scan(model):
@@ -93,13 +107,18 @@ def test_lattice_scan_matches_the_fraction_scan(model):
         comps = critical_components(model, beta)
         assert comps == oracle.critical_components(model, beta)
         for comp in comps if any(beta) else ():
-            assert shifted_submodel(model, comp) == oracle.shifted_submodel(model, comp)
+            sub = shifted_submodel(model, comp)
+            assert sub == oracle.shifted_submodel(model, comp)
+            assert sub.lattice == _cleared(sub)
 
 
 def test_integer_shift_matches_the_fraction_shift():
     """On every critical component the series recursion reaches from the
     series test models, from rational weights and from a form with
-    denominators, with the span rank checked against the dense rref."""
+    denominators, with the span rank checked against the dense rref: the
+    public shift and each child the recursion yields, in canonical order,
+    match the Fraction shift, and every cached lattice is the cleared
+    weights."""
     a2 = [[1, 0], [0, 1], [-1, -1]]
     skew = BilinearForm(((Fraction(2, 3), Fraction(-1, 5)),
                          (Fraction(-1, 5), Fraction(1, 2))))
@@ -115,8 +134,12 @@ def test_integer_shift_matches_the_fraction_shift():
         if model in seen:
             continue
         seen.add(model)
+        assert model.lattice == _cleared(model)
+        c, gram = clear_denominators(model.form.gram)
+        assert model.form.cleared == (c, tuple(gram))
         rows = [w for fac in model.factors for w in fac]
         assert series._weights_span(model) == len(oracle.rref(rows)[1])
+        expected = []
         for beta in index_betas(model):
             if not any(beta):
                 with pytest.raises(ValueError, match="zero stratum"):
@@ -125,9 +148,26 @@ def test_integer_shift_matches_the_fraction_shift():
             for comp in critical_components(model, beta):
                 sub = shifted_submodel(model, comp)
                 assert sub == oracle.shifted_submodel(model, comp), (model.factors, comp)
+                expected.append(_sorted_model(sub))
                 compared += 1
                 todo.append(sub)
+        children = [sub for _, sub in series._descend(model, 10 ** 6, 0)]
+        assert children == expected, model.factors
+        assert all(sub.lattice == _cleared(sub) for sub in children)
     assert compared > 200, compared
+
+
+def test_constructed_models_cache_their_lattice():
+    skew = BilinearForm(((Fraction(2, 3), Fraction(-1, 5)),
+                         (Fraction(-1, 5), Fraction(1, 2))))
+    rational = weighted_model(2, [[["1/2", 0], [0, "2/3"], ["-1/3", "-1/4"]]] * 2, skew)
+    built = [rational, weighted_model(1, [[["1/2"], ["-1/3"]], [[0], ["2/5"]]]),
+             projective_space_model(["3/2", "1/3", 0, -2]), line_product_model(4)]
+    built += [perturbed_model(m, [Fraction(1, 97 ** (k + 1)) for k in range(m.rank)])
+              for m in list(built)]
+    for model in built:
+        assert model.lattice == _cleared(model), model.factors
+    assert rational.form.cleared == (30, ((20, -6), (-6, 15)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -184,6 +184,15 @@ def test_shifted_submodel_shrinks_weight_span():
                         assert m.form.inner(w, stratum.beta) == 0
 
 
+@pytest.mark.parametrize("model", [line_product_model(2),
+                                   projective_space_model([3, 1, -1, -3])],
+                         ids=["l2", "p3"])
+def test_components_of_another_model_have_no_shifted_submodel(model):
+    comp = critical_components(line_product_model(3), (3,))[0]
+    with pytest.raises(ValueError, match="not a critical component"):
+        shifted_submodel(model, comp)
+
+
 # the reference search, once per point set
 _beta_of = functools.lru_cache(maxsize=None)(_closest_enum)
 

@@ -14,11 +14,12 @@ from moment_strata import (GradedPolynomial, NotCoprimeStable,
                            quotient_top_degree, raw_residue_sum,
                            residue_pairing, restrict_to_component,
                            sl2_weyl, weighted_model)
-from moment_strata import residues
+from moment_strata import models, residues
 from moment_strata.polynomials import exponents_of_degree, monomials
 from moment_strata.residues import (_inverse_euler, _laurent_mul,
                                     component_variables, euler_class,
-                                    fixed_components, restriction_matrix)
+                                    fixed_components, presented_ring,
+                                    restriction_matrix)
 
 from conftest import pn_model
 
@@ -306,24 +307,80 @@ def test_pairing_matrix_matches_per_pair_residues(model, group):
                 model, m1, m2, group)
 
 
-def test_pairing_matrix_integrates_each_product_once(monkeypatch):
-    m = line_product_model(3)
-    v = ("z1", "z2", "z3", "a")
+def _count_integrals(monkeypatch) -> list:
+    """The exponents of every monomial integrated from now on."""
     calls = []
     integral = residues._integral
     monkeypatch.setattr(residues, "_integral",
                         lambda loc, e: calls.append(e) or integral(loc, e))
+    return calls
+
+
+def _products(res):
+    return {tuple(x + y for x, y in zip(m1.terms[0][0], m2.terms[0][0]))
+            for m1 in res.basis for m2 in res.complementary_basis}
+
+
+def test_pairing_matrix_integrates_each_product_once(monkeypatch):
+    m = line_product_model(3)
+    v = ("z1", "z2", "z3", "a")
+    calls = _count_integrals(monkeypatch)
     pairs = distinct = 0
     for d in range(0, quotient_top_degree(m, "torus") + 1, 2):
+        monkeypatch.setattr(models, "_MEMO", {})
         calls.clear()
         res = kernel_by_pairing(m, v, d, "torus")
-        products = {tuple(x + y for x, y in zip(m1.terms[0][0], m2.terms[0][0]))
-                    for m1 in res.basis for m2 in res.complementary_basis}
-        assert sorted(calls) == sorted(products), d
+        assert sorted(calls) == sorted(_products(res)), d
         pairs += len(res.basis) * len(res.complementary_basis)
-        distinct += len(products)
+        distinct += len(_products(res))
     # the middle degree repeats products: 16 pairs, 10 distinct
     assert distinct < pairs
+
+
+def test_pairing_sweep_integrates_each_product_once(monkeypatch, empty_memo):
+    """Every degree's products have the top degree: across a sweep on one
+    memo the model's table integrates each of them once."""
+    m = line_product_model(3)
+    calls = _count_integrals(monkeypatch)
+    products = set()
+    for d in range(0, quotient_top_degree(m, "torus") + 1, 2):
+        products |= _products(kernel_by_pairing(m, ("z1", "z2", "z3", "a"), d, "torus"))
+    assert sorted(calls) == sorted(products)
+
+
+_ROUTE3_CASES = [
+    (pn_model(3), "torus"), (pn_model(5), "torus"), (line_product_model(3), "torus"),
+    (pn_model(5), "sl2"), (line_product_model(5), "sl2"),
+]
+_ROUTE3_IDS = ["p3-torus", "p5-torus", "l3-torus", "p5-sl2", "l5-sl2"]
+
+
+@pytest.mark.parametrize("model,group", _ROUTE3_CASES, ids=_ROUTE3_IDS)
+def test_pairing_table_does_not_depend_on_the_degree_order(model, group, monkeypatch):
+    variables = presented_ring(model)[0]
+    degrees = list(range(0, quotient_top_degree(model, group) + 1, 2))
+    fresh = {}
+    for d in degrees:
+        monkeypatch.setattr(models, "_MEMO", {})
+        fresh[d] = kernel_by_pairing(model, variables, d, group)
+    for order in (degrees, degrees[::-1], [d for d in degrees for _ in range(2)]):
+        monkeypatch.setattr(models, "_MEMO", {})
+        for d in order:
+            assert kernel_by_pairing(model, variables, d, group) == fresh[d], (order, d)
+
+
+def test_route3_sweep_localizes_once_per_model_and_group(monkeypatch, empty_memo):
+    seen = []
+    localization = residues._localization
+    monkeypatch.setattr(residues, "_localization",
+                        lambda m, g: seen.append((m.factors, g)) or localization(m, g))
+    for model, group in _ROUTE3_CASES:
+        variables = presented_ring(model)[0]
+        one = parse(variables, "1")
+        for d in range(0, quotient_top_degree(model, group) + 1, 2):
+            kernel_by_pairing(model, variables, d, group)
+            residue_pairing(model, one, one, group)
+    assert sorted(seen) == sorted((m.factors, g) for m, g in _ROUTE3_CASES)
 
 
 @pytest.mark.parametrize("model", _RESTRICTION_MODELS,
