@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
@@ -61,13 +61,12 @@ WEYL_GROUPS = {
 
 
 class WeightedModel:
-    """Equality and hash read rank, factors, form and weyl, not ``lattice``."""
+    """``lattice``, not compared, is (D, D * weights), D the lcm of their denominators."""
 
     __slots__ = ("rank", "factors", "form", "weyl", "lattice")
 
     def __init__(self, rank: int, factors: tuple[tuple[Vector, ...], ...],
-                 form: BilinearForm, weyl: WeylGroup | None = None,
-                 lattice: tuple[int, Lattice] | None = None):
+                 form: BilinearForm, weyl: WeylGroup | None = None):
         if rank < 1:
             raise ValueError("rank must be positive")
         if form.rank != rank:
@@ -82,11 +81,9 @@ class WeightedModel:
         if weyl is not None and weyl.rank != rank:
             raise ValueError(f"weyl group {weyl.name!r} does not act on rank {rank}")
         self.rank, self.factors, self.form, self.weyl = rank, factors, form, weyl
-        if lattice is None:   # (D, the factors times D) for D the lcm of their denominators
-            d, flat = clear_denominators([w for fac in factors for w in fac])
-            rows = iter(flat)
-            lattice = d, tuple(tuple(next(rows) for _ in fac) for fac in factors)
-        self.lattice = lattice
+        d, flat = clear_denominators([w for fac in factors for w in fac])
+        rows = iter(flat)
+        self.lattice = d, tuple(tuple(next(rows) for _ in fac) for fac in factors)
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and (
@@ -267,14 +264,15 @@ class _Record:
     profile, that profile's Minkowski points), and the first profile that is
     semistable but not stable, or None. `strata` builds and keeps the canonical
     certificates on first read, and equality compares them; not compared are the
-    recursion nodes of `series`, by truncation, and the pairing tables of `residues`."""
+    recursion nodes of `series`, by truncation, the dimension of the weights' span
+    that `series` measures the recursion by, and the pairing tables of `residues`."""
 
-    __slots__ = ("firsts", "witness", "form", "_strata", "nodes", "pairing")
+    __slots__ = ("firsts", "witness", "form", "_strata", "nodes", "span", "pairing")
 
     def __init__(self, firsts: tuple[tuple[Vector, Profile, tuple[Vector, ...]], ...],
                  witness: Profile | None, form: BilinearForm):
         self.firsts, self.witness, self.form = firsts, witness, form
-        self._strata, self.nodes, self.pairing = None, {}, {}
+        self._strata, self.nodes, self.span, self.pairing = None, {}, None, {}
 
     @property
     def strata(self) -> tuple[IndexStratum, ...]:
@@ -484,10 +482,10 @@ def stratum_codim(model: WeightedModel, component: CriticalComponent) -> int:
 
 def _shift(model: WeightedModel, component: CriticalComponent,
            canonical: bool) -> WeightedModel:
-    """The component's shifted submodel and its lattice, in the model's order or
-    sorted. For weights W / D, form G / c, beta B / s, values p / q, Q the lcm of
-    the q and n = <B, G B> (|beta|^2 = n / (c s^2)), w shifts to (Q n W - (Q / q)
-    D p c s B) / (D Q n), reduced by the gcd of its numerators and D Q n."""
+    """The component's shifted submodel, in the model's order or sorted. For
+    weights W / D, form G / c, beta B / s, values p / q, Q the lcm of the q and
+    n = <B, G B> (|beta|^2 = n / (c s^2)), w shifts to (Q n W - (Q / q) D p c s B)
+    / (D Q n): integer rows over one denominator, sorted before any Fraction."""
     s, (bl,) = clear_denominators([component.beta])
     c, gram = model.form.cleared
     n = _idot(bl, _iapply(gram, bl))
@@ -499,10 +497,8 @@ def _shift(model: WeightedModel, component: CriticalComponent,
                    for x, b in zip(fac[i], bl)) for i in att]
             for fac, att, v in zip(weights, component.attaining, component.values)]
     rows = sorted(map(sorted, rows)) if canonical else rows
-    g = gcd(d * q * n, *(x for fac in rows for w in fac for x in w))
-    d, rows = d * q * n // g, tuple(tuple(tuple(x // g for x in w) for w in fac) for fac in rows)
-    return WeightedModel(model.rank, tuple(tuple(tuple(Fraction(x, d) for x in w) for w in fac)
-                                           for fac in rows), model.form, None, (d, rows))
+    return WeightedModel(model.rank, tuple(tuple(tuple(Fraction(x, d * q * n) for x in w)
+                                                 for w in fac) for fac in rows), model.form)
 
 
 def shifted_submodel(model: WeightedModel, component: CriticalComponent) -> WeightedModel:

@@ -232,8 +232,9 @@ def _integral(localization: list[tuple[FixedComponent, _Laurent]],
 
 
 def _integrals(model: WeightedModel, group: str, exps) -> dict[Exponents, Fraction]:
-    """The model's table of monomial integrals for the group, now holding exps."""
-    tables = _record(model).pairing
+    """The model's table of monomial integrals for the group, now holding exps.
+    Rank >= 2 fails in `fixed_components`, without the record's costly scan."""
+    tables = _record(model).pairing if model.rank == 1 else {}
     if group not in tables:
         tables[group] = (_localization(model, group), {})
     localization, table = tables[group]

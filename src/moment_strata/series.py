@@ -141,10 +141,13 @@ def model_equivariant_series(model: WeightedModel, trunc: int) -> TruncatedSerie
 
 
 def _weights_span(model: WeightedModel) -> int:
-    span = SpanBasis()   # on the model's integer lattice
-    for row in (w for fac in model.lattice[1] for w in fac):
-        span.add_int_row(dict(enumerate(row)))
-    return span.dim
+    record = _record(model)   # each model's span is reduced once, on its lattice
+    if record.span is None:
+        span = SpanBasis()
+        for row in (w for fac in model.lattice[1] for w in fac):
+            span.add_int_row(dict(enumerate(row)))
+        record.span = span.dim
+    return record.span
 
 
 def _descend(model: WeightedModel, trunc: int, drop: int):

@@ -151,7 +151,8 @@ def test_memos_are_not_compared(samples):
     assert fresh_kernel._built is None and fresh_kernel == kernel
     fresh_record = type(record)(record.firsts, record.witness, record.form)
     assert fresh_record.nodes == fresh_record.pairing == {} and fresh_record._strata is None
-    fresh_record.pairing["torus"] = ([], {})
+    assert fresh_record.span is None
+    fresh_record.pairing["torus"], fresh_record.span = ([], {}), -1
     assert fresh_record == record and fresh_record._strata == record.strata
 
 
@@ -159,8 +160,9 @@ def test_cached_integers_are_not_compared(samples):
     """A model's lattice and a form's cleared Gram matrix are caches: equality
     and hash read the compared fields only."""
     model, form = samples["WeightedModel"], samples["BilinearForm"]
-    twin = type(model)(model.rank, model.factors, model.form, model.weyl, (1, ()))
-    assert twin.lattice != model.lattice
+    twin = type(model)(model.rank, model.factors, model.form, model.weyl)
+    assert twin.lattice == model.lattice
+    twin.lattice = (1, ())
     assert twin == model and hash(twin) == hash(model)
     twin_form = BilinearForm(form.gram)
     twin_form.cleared = None

@@ -51,6 +51,20 @@ def test_fixed_components_need_rank_one():
         fixed_components(weighted_model(2, [[[1, 0], [0, 1]]]))
 
 
+def test_rank_two_residues_fail_before_any_scan(monkeypatch, empty_memo):
+    """The pairing tables live in the model's record, but a rank-2 model is
+    refused before its profile scan would run."""
+    def scan(model):
+        raise AssertionError("profile scan ran")
+
+    monkeypatch.setattr(models, "_profile_scan", scan)
+    model = weighted_model(2, [[[1, 0], [0, 1], [-1, -1]]] * 2)
+    one = parse(("h1", "h2", "a"), "1")
+    with pytest.raises(ValueError, match="rank-one"):
+        raw_residue_sum(model, one, one)
+    assert models._MEMO == {}
+
+
 def test_restriction_to_point_components():
     m = pn_model(3)
     z = parse(("z", "a"), "z")

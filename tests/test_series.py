@@ -13,7 +13,7 @@ from moment_strata import (NotCoprimeStable, TruncationTooSmall,
                            quotient_poincare_polynomial, semistable_series,
                            sl2_quotient_series, strictly_semistable_witness,
                            weighted_model)
-from moment_strata import GradedPolynomial, series
+from moment_strata import GradedPolynomial, models, series
 from moment_strata.residues import raw_residue_sum
 from moment_strata.series import (TruncatedSeries, quotient_top_degree,
                                   require_quotient)
@@ -113,6 +113,24 @@ def test_perfection_check_passes_on_reference_models():
         assert report.ok, report.failures
         assert report.strata_checked >= 1
         assert report.failures == ()
+
+
+def test_recursion_measures_each_model_once(monkeypatch, empty_memo):
+    """The recursion-measure check reduces each model's weight span once, and
+    every model the recursion reaches is measured."""
+    built = []
+
+    class Counted(series.SpanBasis):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(series, "SpanBasis", Counted)
+    semistable_series(line_product_model(4), 24)
+    semistable_series(weighted_model(2, [[[1, 0], [0, 1], [-1, -1]]] * 3), 12)
+    sl2_quotient_series(pn_model(5), 24)
+    assert len(built) == len(models._MEMO) > 10
+    assert all(record.span is not None for record in models._MEMO.values())
 
 
 def test_perfection_check_reads_the_memoized_tree(monkeypatch, empty_memo):
