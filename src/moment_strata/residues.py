@@ -6,7 +6,10 @@ classes on the quotient is one linear functional of their product
 (Jeffrey-Kirwan): the residue in the equivariant parameter of the sum, over
 the components F with positive moment value, of the integral over F of
 (eta*zeta)|_F / e(N_F), with e(N_F) the Euler class of F's normal bundle.
-The model's memo record keeps that localization and each product's integral.
+Restrictions and inverse Euler classes are homogeneous, so they are kept by
+h-exponents alone at a = 1, and only monomials of half the quotient's top
+degree reach a^-1: every other monomial integrates to 0 unrestricted. The
+model's memo record keeps that localization and each product's integral.
 
 Raw residue sums carry a universal constant depending only on the group
 type: the torus sum is scaled by -2 and the reflection-quotient sum by +1,
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, lcm, prod
-from operator import add, sub
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .linalg import null_space
@@ -83,48 +86,30 @@ def presented_ring(model: WeightedModel) -> tuple[tuple[str, ...], list | None]:
                      "weighted projective factor or a product of lines")
 
 
-# ---------------------------------------------------------------------------
-# Laurent bookkeeping: dict (h-exponents, a-exponent) -> Fraction
-
-_Laurent = dict[tuple[Exponents, int], Fraction]
-
-
-def _laurent_mul(x: _Laurent, y: _Laurent, sizes: tuple[int, ...]) -> _Laurent:
-    out: _Laurent = {}
-    for (he1, ae1), c1 in x.items():
-        for (he2, ae2), c2 in y.items():
-            he = tuple(a + b for a, b in zip(he1, he2))
-            if any(he[i] >= sizes[i] for i in range(len(sizes))):
-                continue
-            key = (he, ae1 + ae2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _restrict(comp: FixedComponent, e: Exponents) -> _Laurent:
+def _restrict(comp: FixedComponent, e: Exponents) -> dict[Exponents, Fraction]:
     """Image on one component of the monomial with exponents e over
     (z1..zm, a), which map to (h1 - v1*a, ..., hm - vm*a, a) with
     hi^sizei = 0: zi^e maps to the sum over k < sizei of
-    C(e, k) * hi^k * (-vi*a)^(e-k). The products run in integers on the
-    values times the lcm D of their denominators; a term with a-exponent
-    ae carries D^(ae - e_a), divided out by one Fraction per term."""
+    C(e, k) * hi^k * (-vi*a)^(e-k). The image is homogeneous of degree |e|,
+    so a term keyed by its h-exponents he has a-exponent |e| - |he|. The
+    products run in integers on the values times the lcm D of their
+    denominators; each term's power of D is divided out by one Fraction."""
     d = lcm(*(v.denominator for v in comp.values))
     zdeg = sum(e[:-1])
     if all(size == 1 for size in comp.sizes):   # an isolated point: one term
         c = prod((-v.numerator * (d // v.denominator)) ** ei
                  for ei, v in zip(e, comp.values))
-        return {((0,) * len(comp.sizes), e[-1] + zdeg): Fraction(c, d ** zdeg)} if c else {}
+        return {(0,) * len(comp.sizes): Fraction(c, d ** zdeg)} if c else {}
     # per factor, the terms k of zi^ei; zip stops before the a-exponent
     powers = [[(k, comb(ei, k) * (-v.numerator * (d // v.denominator)) ** (ei - k))
                for k in range(min(ei + 1, size))]
               for ei, v, size in zip(e, comp.values, comp.sizes)]
-    image: _Laurent = {}
+    image: dict[Exponents, Fraction] = {}
     for combo in itertools.product(*powers):
         c = prod(ck for _, ck in combo)
         if c:
             he = tuple(k for k, _ in combo)
-            moved = zdeg - sum(he)
-            image[(he, e[-1] + moved)] = Fraction(c, d ** moved)
+            image[he] = Fraction(c, d ** (zdeg - sum(he)))
     return image
 
 
@@ -132,8 +117,11 @@ def restriction_matrix(comp: FixedComponent, exps: Sequence[Exponents]
                        ) -> list[list[Fraction]]:
     """Restriction to one component as a linear map on the span of the
     monomials with exponents exps: one column per monomial, one row per
-    nonzero image term (h-exponents, a-exponent) in sorted order."""
-    images = [_restrict(comp, e) for e in exps]
+    nonzero image term in sorted order. A row is keyed by the term's
+    h-exponents he and its a-exponent |e| - |he|, so columns of several
+    degrees keep their terms apart."""
+    images = [{(he, sum(e) - sum(he)): c for he, c in _restrict(comp, e).items()}
+              for e in exps]
     keys = sorted({key for image in images for key in image})
     return [[image.get(key, Fraction(0)) for image in images] for key in keys]
 
@@ -160,8 +148,9 @@ def restrict_to_component(model: WeightedModel, poly: GradedPolynomial,
     _require_component(model, comp)
     out: dict[Exponents, Fraction] = {}
     for e, c in poly.terms:
-        for (he, ae), k in _restrict(comp, e).items():
-            out[he + (ae,)] = out.get(he + (ae,), 0) + c * k
+        for he, k in _restrict(comp, e).items():
+            key = he + (sum(e) - sum(he),)
+            out[key] = out.get(key, 0) + c * k
     return GradedPolynomial.from_dict(component_variables(model), out)
 
 
@@ -173,8 +162,7 @@ def euler_class(model: WeightedModel, comp: FixedComponent) -> GradedPolynomial:
     out = GradedPolynomial.const(hvars, 1)
     for i, fac in enumerate(model.factors):
         h = GradedPolynomial.var(hvars, hvars[i])
-        for w in fac:
-            b = w[0]
+        for (b,) in fac:
             if b != comp.values[i]:
                 out = out * (h + a.scale(b - comp.values[i]))
     kept = {e: c for e, c in out.terms
@@ -182,53 +170,45 @@ def euler_class(model: WeightedModel, comp: FixedComponent) -> GradedPolynomial:
     return GradedPolynomial.from_dict(hvars, kept)
 
 
-def _inverse_euler(model: WeightedModel, comp: FixedComponent) -> _Laurent:
-    """Inverse of the Euler class, exact in Q[h]/(h^sizes) with a inverted."""
-    m = len(model.factors)
-    sizes = comp.sizes
-    inv: _Laurent = {((0,) * m, 0): Fraction(1)}
-    for i, fac in enumerate(model.factors):
-        for w in fac:
-            b = w[0]
-            if b == comp.values[i]:
-                continue
-            c = b - comp.values[i]
-            factor: _Laurent = {}
-            for k in range(sizes[i]):
-                he = tuple(k if j == i else 0 for j in range(m))
-                factor[(he, -1 - k)] = Fraction(-1) ** k / c ** (k + 1)
-            inv = _laurent_mul(inv, factor, sizes)
-    return inv
+def _inverse_euler(model: WeightedModel, comp: FixedComponent
+                   ) -> dict[Exponents, Fraction]:
+    """Inverse of the Euler class in Q[h]/(h^sizes) at a = 1, one entry per
+    h-exponent below the sizes; being homogeneous, the inverse needs no
+    a-exponents. Per factor, each other weight b contributes the series
+    1/(h + b - v) = sum_j (-h)^j / (b - v)^(j+1), multiplied out below the
+    factor's size; an entry is the product of one coefficient per factor."""
+    series = []
+    for fac, v, size in zip(model.factors, comp.values, comp.sizes):
+        s = [Fraction(1)] + [Fraction(0)] * (size - 1)
+        for (b,) in fac:
+            if b != v:
+                g = [Fraction((-1) ** j) / (b - v) ** (j + 1) for j in range(size)]
+                s = [sum(s[i] * g[j - i] for i in range(j + 1)) for j in range(size)]
+        series.append(s)
+    return dict(zip(itertools.product(*(range(size) for size in comp.sizes)),
+                    map(prod, itertools.product(*series))))
 
 
-def _localization(model: WeightedModel, group: str
-                  ) -> list[tuple[FixedComponent, _Laurent]]:
-    """Per fixed component with positive moment value: the component, and
-    the inverse of its Euler class (times (2a)^2 for the reflection group)."""
-    out = []
-    for comp in fixed_components(model):
-        if comp.mu <= 0:
-            continue
-        inv = _inverse_euler(model, comp)
-        if group == "sl2":
-            inv = {(he, ae + 2): 4 * c for (he, ae), c in inv.items()}
-        out.append((comp, inv))
-    return out
+def _localization(model: WeightedModel, group: str) -> tuple[int, list]:
+    """Half the quotient's top degree, the one exponent sum that reaches a^-1,
+    and each positive fixed component with its inverse Euler class at a = 1
+    (times 4 for the reflection group: its (2a)^2 takes two off that sum)."""
+    scale = 4 if group == "sl2" else 1
+    return quotient_top_degree(model, group) // 2, [
+        (comp, {he: scale * c for he, c in _inverse_euler(model, comp).items()})
+        for comp in fixed_components(model) if comp.mu > 0]
 
 
-def _integral(localization: list[tuple[FixedComponent, _Laurent]],
-              e: Exponents) -> Fraction:
+def _integral(localization: tuple[int, list], e: Exponents) -> Fraction:
     """Residue sum of the monomial with exponents e: per component, the
     coefficient of h^(sizes-1) a^-1 in its image times the inverse Euler
-    class."""
-    total = Fraction(0)
-    for comp, inv in localization:
-        top = tuple(s - 1 for s in comp.sizes)
-        for (he, ae), c in _restrict(comp, e).items():
-            k = inv.get((tuple(map(sub, top, he)), -1 - ae))
-            if k is not None:
-                total += c * k
-    return total
+    class; 0, with nothing restricted, off the localization's exponent sum."""
+    degree, components = localization
+    if sum(e) != degree:
+        return Fraction(0)
+    return sum((c * inv[tuple(s - 1 - k for s, k in zip(comp.sizes, he))]
+                for comp, inv in components for he, c in _restrict(comp, e).items()),
+               Fraction(0))
 
 
 def _integrals(model: WeightedModel, group: str, exps) -> dict[Exponents, Fraction]:

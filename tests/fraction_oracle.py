@@ -7,6 +7,11 @@ versions of the same algorithms, kept as test oracles: every quantity is
 computed on the rational weights and the rational form directly, with no
 common denominator. The dense reduced row echelon form, a linear solver and
 a phase-one simplex come first; the searches below are built on them.
+
+The residues layer keeps its restrictions and inverse Euler classes at
+a = 1, keyed by h-exponents alone. The Laurent versions at the end carry
+every term's power of a as well, so the per-pair residue oracle of the
+tests shares no code with the library's localization.
 """
 
 from fractions import Fraction
@@ -326,3 +331,38 @@ def shifted_submodel(model: WeightedModel, component):
         shift = vscale(v / nb, b)
         new_factors.append(tuple(vsub(fac[k], shift) for k in att))
     return WeightedModel(model.rank, tuple(new_factors), model.form, None)
+
+
+# ---------------------------------------------------------------------------
+# Laurent bookkeeping: dict (h-exponents, a-exponent) -> Fraction
+
+
+def laurent_mul(x, y, sizes):
+    out = {}
+    for (he1, ae1), c1 in x.items():
+        for (he2, ae2), c2 in y.items():
+            he = tuple(a + b for a, b in zip(he1, he2))
+            if any(he[i] >= sizes[i] for i in range(len(sizes))):
+                continue
+            key = (he, ae1 + ae2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def laurent_inverse_euler(model, comp):
+    """Inverse of the Euler class, exact in Q[h]/(h^sizes) with a inverted."""
+    m = len(model.factors)
+    sizes = comp.sizes
+    inv = {((0,) * m, 0): Fraction(1)}
+    for i, fac in enumerate(model.factors):
+        for w in fac:
+            b = w[0]
+            if b == comp.values[i]:
+                continue
+            c = b - comp.values[i]
+            factor = {}
+            for k in range(sizes[i]):
+                he = tuple(k if j == i else 0 for j in range(m))
+                factor[(he, -1 - k)] = Fraction(-1) ** k / c ** (k + 1)
+            inv = laurent_mul(inv, factor, sizes)
+    return inv

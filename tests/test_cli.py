@@ -195,6 +195,14 @@ def test_pairing_top_degree(models, capsys):
     assert result["pairing"] == "1/2"
 
 
+def test_pairing_far_off_the_top_degree_is_zero(models, capsys):
+    """Only the top degree reaches the residue, so a power of twenty million
+    pairs to 0 without being restricted to any fixed point."""
+    code, out, _ = run(capsys, ["pairing", models["p3"], "z^20000000", "1"])
+    assert code == 0
+    assert '"pairing": "0"' in out
+
+
 @pytest.mark.parametrize("argv", [["z1*z2", "1"], ["--group", "sl2", "z1", "z2"]])
 def test_pairing_computes_the_residue_sum_once(models, capsys, monkeypatch, argv):
     from moment_strata import residues

@@ -9,19 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moment_strata import (GradedPolynomial, NotCoprimeStable,
-                           WeylSymmetryRequired, kernel_by_pairing,
-                           line_product_model, projective_space_model,
-                           quotient_top_degree, raw_residue_sum,
-                           residue_pairing, restrict_to_component,
-                           sl2_weyl, weighted_model)
+                           WeylSymmetryRequired, betti_from_presentation,
+                           kernel_by_pairing, line_product_model,
+                           line_product_presentation, projective_space_model,
+                           projective_space_presentation,
+                           quotient_poincare_polynomial, quotient_top_degree,
+                           raw_residue_sum, residue_pairing,
+                           restrict_to_component, sl2_kernel_ideal, sl2_weyl,
+                           torus_kernel_ideal, weighted_model)
 from moment_strata import models, residues
 from moment_strata.polynomials import exponents_of_degree, monomials
-from moment_strata.residues import (_inverse_euler, _laurent_mul,
-                                    component_variables, euler_class,
-                                    fixed_components, presented_ring,
-                                    restriction_matrix)
+from moment_strata.residues import (_inverse_euler, component_variables,
+                                    euler_class, fixed_components,
+                                    presented_ring, restriction_matrix)
 
 from conftest import pn_model
+from fraction_oracle import laurent_inverse_euler, laurent_mul
 
 
 def parse(variables, text):
@@ -224,7 +227,7 @@ def _residue_by_pair(model, eta, zeta, group):
             continue
         restricted = _restrict_by_substitution(model, prod, comp)
         num = {(e[:m], e[m]): c for e, c in restricted.terms}
-        total = _laurent_mul(num, _inverse_euler(model, comp), comp.sizes)
+        total = laurent_mul(num, laurent_inverse_euler(model, comp), comp.sizes)
         top = tuple(s - 1 for s in comp.sizes)
         acc += sum((c for (he, ae), c in total.items() if he == top and ae == -1),
                    Fraction(0))
@@ -272,8 +275,10 @@ def test_closed_form_restriction_matches_substitution(case):
 def test_restriction_matrix_columns_match_substitution(model):
     m = len(model.factors)
     variables = tuple(f"z{i}" for i in range(m)) + ("a",)
-    for d in range(0, 9, 2):
-        basis = monomials(variables, d)
+    # one degree at a time, then columns of mixed degrees, whose images
+    # share h-exponents and differ only in their power of a
+    for degrees in [(d,) for d in range(0, 9, 2)] + [(2, 4), (0, 2, 4, 6)]:
+        basis = [mono for d in degrees for mono in monomials(variables, d)]
         exps = [mono.terms[0][0] for mono in basis]
         for comp in fixed_components(model):
             images = [{(e[:m], e[m]): c for e, c in
@@ -282,7 +287,45 @@ def test_restriction_matrix_columns_match_substitution(model):
             keys = sorted({key for image in images for key in image})
             expected = [[image.get(key, Fraction(0)) for image in images]
                         for key in keys]
-            assert restriction_matrix(comp, exps) == expected, (d, comp)
+            assert restriction_matrix(comp, exps) == expected, (degrees, comp)
+
+
+@pytest.mark.parametrize("model", _RESTRICTION_MODELS,
+                         ids=[name for name, _ in _RESTRICTION_CASES])
+def test_inverse_euler_table_matches_the_laurent_oracle(model):
+    m = len(model.factors)
+    for comp in fixed_components(model):
+        table = _inverse_euler(model, comp)
+        assert sorted(table) == list(itertools.product(*map(range, comp.sizes)))
+        # the oracle's inverse with its a-exponents dropped
+        oracle = laurent_inverse_euler(model, comp)
+        assert len({he for he, _ in oracle}) == len(oracle)
+        assert {he: c for he, c in table.items() if c} == {
+            he: c for (he, _), c in oracle.items()}, comp
+        # times the Euler class at a = 1, it is 1 modulo h^sizes
+        euler = {}
+        for e, c in euler_class(model, comp).terms:
+            euler[(e[:m], 0)] = euler.get((e[:m], 0), 0) + c
+        inverse = {(he, 0): c for he, c in table.items()}
+        assert laurent_mul(inverse, euler, comp.sizes) == {((0,) * m, 0): 1}, comp
+
+
+def test_nothing_is_restricted_off_the_top_degree(monkeypatch, empty_memo):
+    calls = []
+    restrict = residues._restrict
+    monkeypatch.setattr(residues, "_restrict",
+                        lambda comp, e: calls.append(e) or restrict(comp, e))
+    m = pn_model(3)
+    one = parse(("z", "a"), "1")
+    for group in ("torus", "sl2"):
+        top = quotient_top_degree(m, group) // 2
+        for k in (k for k in range(8) if k != top):
+            z = parse(("z", "a"), f"z^{k}")
+            assert raw_residue_sum(m, z, one, group) == 0, (group, k)
+            assert residue_pairing(m, one, z, group) == 0, (group, k)
+    assert calls == []
+    raw_residue_sum(m, parse(("z", "a"), "z^2"), one)
+    assert calls
 
 
 def test_restriction_truncates_repeated_weights():
@@ -418,3 +461,58 @@ def test_raw_residue_sum_matches_per_pair_residue(model):
             zeta = GradedPolynomial(variables, ((right, Fraction(1)),))
             assert (raw_residue_sum(model, eta, zeta, group)
                     == _residue_by_pair(model, eta, zeta, group)), (group, e)
+
+
+# ---------------------------------------------------------------------------
+# the three Betti routes: the quotient's series, the presented ring modulo
+# the Kirwan kernel, and the rank of the residue pairing
+
+
+def _three_routes_agree(model, pres, group, has_quotient):
+    """Every even degree up to the top has one Betti number by all three
+    routes; a model without a quotient is refused by the series and the
+    pairing alike."""
+    top = quotient_top_degree(model, group)
+    if not has_quotient:
+        with pytest.raises(NotCoprimeStable):
+            quotient_poincare_polynomial(model, max(top, 0) + 2, group)
+        with pytest.raises(NotCoprimeStable):
+            kernel_by_pairing(model, pres.variables, 0, group)
+        return
+    poly = quotient_poincare_polynomial(model, max(top, 0) + 2, group)
+    kernel_ideal = torus_kernel_ideal if group == "torus" else sl2_kernel_ideal
+    kernel = kernel_ideal(pres, max(top, 0))
+    for d in range(0, top + 1, 2):
+        routes = (poly[d], betti_from_presentation(pres, kernel, d),
+                  kernel_by_pairing(model, pres.variables, d, group).rank)
+        assert len(set(routes)) == 1, (group, d, routes)
+
+
+# integer weights of both signs, zeros and repeats included; a repeated
+# weight gives a fixed component of size > 1, the only input whose pairing
+# reads more than the first coefficient of each per-factor series
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=2, max_size=6))
+def test_three_routes_agree_on_weighted_projective_spaces(weights):
+    # a zero weight is a semistable point that is not stable
+    _three_routes_agree(projective_space_model(weights),
+                        projective_space_presentation(weights), "torus",
+                        0 not in weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=3))
+def test_three_routes_agree_on_symmetrized_weights(half):
+    weights = half + [-w for w in half]
+    _three_routes_agree(projective_space_model(weights, sl2_weyl()),
+                        projective_space_presentation(weights), "sl2",
+                        0 not in weights)
+
+
+@pytest.mark.parametrize("group", ["torus", "sl2"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_three_routes_agree_on_line_products(n, group):
+    # an even number of lines has a fixed point of moment value zero
+    weyl = sl2_weyl() if group == "sl2" else None
+    _three_routes_agree(line_product_model(n, weyl), line_product_presentation(n),
+                        group, n % 2 == 1)
