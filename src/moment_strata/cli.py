@@ -177,20 +177,15 @@ def _jsonify(x):
     return str(x)
 
 
-def _digest(*parts: bytes) -> str:
-    h = hashlib.sha256()
-    for i, part in enumerate(parts):
-        if i:
-            h.update(b"\x00")
-        h.update(part)
-    return h.hexdigest()
-
-
-def _emit(command: str, arguments: dict, digest: str, result: dict) -> int:
+def _emit(args: argparse.Namespace, inputs: tuple[bytes, ...], result: dict) -> int:
+    """Print the report. Its arguments are every parsed argument, so a flag
+    cannot be parsed and left out; the digest is over the raw inputs, joined
+    by NUL bytes."""
+    arguments = {k: v for k, v in vars(args).items() if k not in ("subcommand", "handler")}
     report = {
-        "command": command,
+        "command": args.subcommand,
         "arguments": _jsonify(arguments),
-        "input_digest": digest,
+        "input_digest": hashlib.sha256(b"\x00".join(inputs)).hexdigest(),
         "exact_arithmetic": True,
         "result": _jsonify(result),
     }
@@ -227,7 +222,7 @@ def _cmd_index_set(args) -> int:
               "factor_sizes": list(model.factor_sizes),
               "stratum_count": len(entries),
               "index_set": entries}
-    return _emit("index-set", {"model": args.model}, _digest(raw), result)
+    return _emit(args, (raw,), result)
 
 
 def _cmd_classify(args) -> int:
@@ -252,8 +247,7 @@ def _cmd_classify(args) -> int:
         "semistable": cls.semistable,
         "stable": cls.stable,
     }
-    return _emit("classify", {"model": args.model, "point": args.point},
-                 _digest(raw_model, raw_point), result)
+    return _emit(args, (raw_model, raw_point), result)
 
 
 def _cmd_series(args) -> int:
@@ -281,9 +275,7 @@ def _cmd_series(args) -> int:
         "perfection": perf._asdict(),
         **quotient,
     }
-    arguments = {"model": args.model, "trunc": args.trunc,
-                 "group": args.group}
-    return _emit("series", arguments, _digest(raw), result)
+    return _emit(args, (raw,), result)
 
 
 def _cmd_perturb(args) -> int:
@@ -321,8 +313,7 @@ def _cmd_perturb(args) -> int:
         "perturbed_index_set": perturbed_strata,
         "refinement": {"mapping": report.mapping, "fibers": fibers},
     }
-    arguments = {"model": args.model, "epsilon": args.epsilon}
-    return _emit("perturb", arguments, _digest(raw), result)
+    return _emit(args, (raw,), result)
 
 
 def _cmd_kirwan(args) -> int:
@@ -382,9 +373,7 @@ def _cmd_kirwan(args) -> int:
         "betti": betti,
         "checks": checks,
     }
-    arguments = {"model": args.model, "group": args.group,
-                 "max_degree": args.max_degree, "target": args.target}
-    return _emit("kirwan", arguments, _digest(raw), result)
+    return _emit(args, (raw,), result)
 
 
 def _cmd_pairing(args) -> int:
@@ -406,10 +395,7 @@ def _cmd_pairing(args) -> int:
         "raw_residue_sum": raw_sum,
         "pairing": normalized,
     }
-    arguments = {"model": args.model, "eta": args.eta, "zeta": args.zeta,
-                 "group": args.group}
-    digest = _digest(raw, args.eta.encode(), args.zeta.encode())
-    return _emit("pairing", arguments, digest, result)
+    return _emit(args, (raw, args.eta.encode(), args.zeta.encode()), result)
 
 
 # family -> (projective dimension, name of the classifier in `configs`)
@@ -448,8 +434,7 @@ def _cmd_config(args) -> int:
         "coarse_label": label.coarse_text,
         "refined": label.is_refined,
     }
-    arguments = {"config": args.config, "family": args.family}
-    return _emit("config", arguments, _digest(raw), result)
+    return _emit(args, (raw,), result)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,14 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import FlagAmbiguity, VerificationFailed
-from .linalg import frac
+from .linalg import Value, frac
 
 
-class ProjPoint:
+class ProjPoint(Value):
     """A point of projective space with canonically normalized homogeneous
     coordinates (first nonzero coordinate scaled to one)."""
 
-    __slots__ = ("coords",)
+    __slots__ = _compared = ("coords",)
 
     def __init__(self, coords: tuple[Fraction, ...]):
         if len(coords) < 2:
@@ -37,12 +37,6 @@ class ProjPoint:
         if next(c for c in coords if c != 0) != 1:
             raise ValueError("coordinates must be normalized; use proj_point()")
         self.coords = coords
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.coords,))
 
     @property
     def dim(self) -> int:
@@ -118,20 +112,13 @@ def random_special_linear(dim: int, rng, steps: int = 8) -> Matrix:
 # labels
 
 
-class StratumLabel:
+class StratumLabel(Value):
     """A refined stratum name together with its coarse Morse form."""
 
-    __slots__ = ("text", "coarse_text")
+    __slots__ = _compared = ("text", "coarse_text")
 
     def __init__(self, text: str, coarse_text: str):
         self.text, self.coarse_text = text, coarse_text
-
-    def __eq__(self, other):
-        return (other.__class__ is self.__class__ and self.text == other.text
-                and self.coarse_text == other.coarse_text)
-
-    def __hash__(self):
-        return hash((self.text, self.coarse_text))
 
     def __str__(self) -> str:
         return self.text

@@ -26,14 +26,15 @@ from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import VerificationFailed
-from .linalg import Vector, dot, frac, matrix_rank, vadd, vscale, vsub
+from .linalg import Value, Vector, dot, frac, matrix_rank, vadd, vscale, vsub
 
 
-class BilinearForm:
+class BilinearForm(Value):
     """Symmetric positive definite form on Q^rank, given by its Gram matrix;
     ``cleared``, not compared, is (c, c * gram) for c the lcm of its denominators."""
 
     __slots__ = ("gram", "cleared")
+    _compared = ("gram",)
 
     def __init__(self, gram: tuple[tuple[Fraction, ...], ...]):
         if any(len(row) != len(gram) for row in gram):
@@ -46,12 +47,6 @@ class BilinearForm:
                for k in range(1, len(cleared) + 1)):
             raise ValueError("form is not positive definite")
         self.gram, self.cleared = gram, (c, tuple(cleared))
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.gram == other.gram
-
-    def __hash__(self):
-        return hash((self.gram,))
 
     @property
     def rank(self) -> int:

@@ -24,7 +24,7 @@ from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import VerificationFailed
-from .linalg import SpanBasis, frac, null_space
+from .linalg import SpanBasis, Value, frac, null_space
 from .models import (
     WeightedModel,
     line_product_model,
@@ -42,25 +42,18 @@ from .polynomials import (
 from .residues import fixed_components, restriction_matrix
 
 
-class Presentation:
+class Presentation(Value):
     """Kind "pn": the coordinate weights and the projective dimension n; kind
     "p1n": no weights and n lines. `memo`, the kernel layer's, is not compared
     and starts empty: lifts by Stratum, kernel ideals by (group, target, max_degree)."""
 
     __slots__ = ("kind", "variables", "weights", "n", "relations", "memo")
+    _compared = ("kind", "variables", "weights", "n", "relations")
 
     def __init__(self, kind: str, variables: tuple[str, ...], weights: tuple[Fraction, ...],
                  n: int, relations: tuple[GradedPolynomial, ...]):
         self.kind, self.variables, self.weights, self.n = kind, variables, weights, n
         self.relations, self.memo = relations, {}
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and (
-            (self.kind, self.variables, self.weights, self.n, self.relations)
-            == (other.kind, other.variables, other.weights, other.n, other.relations))
-
-    def __hash__(self):
-        return hash((self.kind, self.variables, self.weights, self.n, self.relations))
 
     def model(self) -> WeightedModel:
         if self.kind == "pn":
@@ -176,25 +169,18 @@ def thom_gysin_lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
 # kernel ideals
 
 
-class KernelIdeal:
+class KernelIdeal(Value):
     """Kernel generators up to a degree cap; the relations are not among them.
     The group is "torus" or "sl2", the target "semistable" or "stable". The
     degreewise spans are built on first use and kept, not compared."""
 
     __slots__ = ("group", "target", "max_degree", "generators", "presentation", "_built")
+    _compared = ("group", "target", "max_degree", "generators", "presentation")
 
     def __init__(self, group: str, target: str, max_degree: int,
                  generators: tuple[tuple[str, GradedPolynomial], ...], presentation: Presentation):
         self.group, self.target, self.max_degree = group, target, max_degree
         self.generators, self.presentation, self._built = generators, presentation, None
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and (
-            (self.group, self.target, self.max_degree, self.generators, self.presentation)
-            == (other.group, other.target, other.max_degree, other.generators, other.presentation))
-
-    def __hash__(self):
-        return hash((self.group, self.target, self.max_degree, self.generators, self.presentation))
 
     @property
     def _spans(self) -> _IdealSpans:

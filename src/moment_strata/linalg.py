@@ -28,6 +28,29 @@ def frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+class Value:
+    """Base of the slotted records. Two records are equal when they are of the
+    same class with equal `_compared` fields, a record hashes as the tuple of
+    those fields, as the frozen dataclasses they replaced did, and its repr is
+    ``Name(field=value, ...)`` over them. Slots not named there are caches."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._compared)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}("
+                + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared) + ")")
+
+
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 

@@ -33,7 +33,7 @@ from .geometry import (
     lattice_nearest_point,
     origin_in_interior,
 )
-from .linalg import Vector, frac
+from .linalg import Value, Vector, frac
 
 
 class WeylGroup(NamedTuple):
@@ -60,10 +60,11 @@ WEYL_GROUPS = {
 }
 
 
-class WeightedModel:
+class WeightedModel(Value):
     """``lattice``, not compared, is (D, D * weights), D the lcm of their denominators."""
 
     __slots__ = ("rank", "factors", "form", "weyl", "lattice")
+    _compared = ("rank", "factors", "form", "weyl")
 
     def __init__(self, rank: int, factors: tuple[tuple[Vector, ...], ...],
                  form: BilinearForm, weyl: WeylGroup | None = None):
@@ -84,14 +85,6 @@ class WeightedModel:
         d, flat = clear_denominators([w for fac in factors for w in fac])
         rows = iter(flat)
         self.lattice = d, tuple(tuple(next(rows) for _ in fac) for fac in factors)
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and (
-            (self.rank, self.factors, self.form, self.weyl)
-            == (other.rank, other.factors, other.form, other.weyl))
-
-    def __hash__(self):
-        return hash((self.rank, self.factors, self.form, self.weyl))
 
     @property
     def factor_sizes(self) -> tuple[int, ...]:
@@ -259,15 +252,20 @@ def enumerate_profiles(model: WeightedModel):
         yield tuple(profile)
 
 
-class _Record:
+class _Record(Value):
     """One model's entry in `_MEMO`: per beta in sorted order (beta, its first
     profile, that profile's Minkowski points), and the first profile that is
     semistable but not stable, or None. `strata` builds and keeps the canonical
-    certificates on first read, and equality compares them; not compared are the
-    recursion nodes of `series`, by truncation, the dimension of the weights' span
-    that `series` measures the recursion by, and the pairing tables of `residues`."""
+    certificates on first read. Not compared are the recursion nodes of `series`,
+    by truncation, the dimension of the weights' span that `series` measures the
+    recursion by, and the pairing tables of `residues`.
+
+    Equality compares the built strata, certificates included, but the hash reads
+    `firsts`, so hashing a record builds no certificate. The two agree: the strata
+    are a function of `firsts` and `form`, and `firsts` is read back off them."""
 
     __slots__ = ("firsts", "witness", "form", "_strata", "nodes", "span", "pairing")
+    _compared = ("firsts", "witness", "form")
 
     def __init__(self, firsts: tuple[tuple[Vector, Profile, tuple[Vector, ...]], ...],
                  witness: Profile | None, form: BilinearForm):
@@ -285,8 +283,8 @@ class _Record:
         return (other.__class__ is self.__class__ and self.strata == other.strata
                 and self.witness == other.witness and self.form == other.form)
 
-    def __hash__(self):
-        return hash((self.firsts, self.witness, self.form))
+    # defining __eq__ drops the inherited hash; keep the one over `_compared`
+    __hash__ = Value.__hash__
 
 
 # The one memo: a record per model, keyed by its lattice (factors in their own

@@ -21,7 +21,7 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import NotDivisible
-from .linalg import frac
+from .linalg import Value, frac
 
 Exponents = tuple[int, ...]
 
@@ -31,18 +31,11 @@ def _sorted_terms(d: Mapping[Exponents, Fraction]) -> tuple[tuple[Exponents, Fra
                         key=lambda ec: (sum(ec[0]), ec[0])))
 
 
-class GradedPolynomial:
-    __slots__ = ("variables", "terms")
+class GradedPolynomial(Value):
+    __slots__ = _compared = ("variables", "terms")
 
     def __init__(self, variables: tuple[str, ...], terms: tuple[tuple[Exponents, Fraction], ...]):
         self.variables, self.terms = variables, terms
-
-    def __eq__(self, other):
-        return (other.__class__ is self.__class__ and self.variables == other.variables
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.variables, self.terms))
 
     # -- constructors -------------------------------------------------------
 

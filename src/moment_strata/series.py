@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import NotCoprimeStable, TruncationTooSmall, VerificationFailed
-from .linalg import SpanBasis
+from .linalg import SpanBasis, Value
 from .models import (
     WeightedModel,
     _record,
@@ -33,19 +33,13 @@ from .models import (
 )
 
 
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Integer power series known through degree ``truncation``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = _compared = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
         self.coeffs = coeffs
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs,))
 
     @property
     def truncation(self) -> int:

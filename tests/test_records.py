@@ -1,14 +1,18 @@
 """Value semantics of the library's records.
 
 Plain records are NamedTuples. Records that print through str(), do
-arithmetic or carry a memo are __slots__ classes with an explicit __init__,
-__eq__ and __hash__. Either way two records with equal compared fields are
-equal, and each hashes as the tuple of its compared fields, as the frozen
-dataclasses they replaced did; set iteration order, and so output bytes,
+arithmetic, validate their fields or carry a memo are __slots__ classes with
+their own __init__, deriving from `linalg.Value`, which compares, hashes and
+prints the fields each one names in `_compared`; only the memo's per-model
+record keeps its own equality. Either way two records with equal compared
+fields are equal, and each hashes as the tuple of its compared fields, as the
+frozen dataclasses they replaced did; set iteration order, and so output bytes,
 therefore do not depend on the record kind.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from moment_strata import (GradedPolynomial, betti_from_presentation, classify_p
                            torus_kernel_ideal, torus_strata, two_sided_kernel_report,
                            weighted_model, weyl_kernel_bijection_report)
 from moment_strata.geometry import BilinearForm
+from moment_strata.linalg import Value
 
 # compared fields of the __slots__ records, in constructor order
 SLOTTED = {
@@ -168,3 +173,34 @@ def test_cached_integers_are_not_compared(samples):
     twin_form.cleared = None
     assert twin_form == form and hash(twin_form) == hash((form.gram,))
 
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+def test_slotted_records_share_one_value_protocol(samples, name):
+    """The compared fields are declared once, in `_compared`, and equality
+    and hash come from `Value`; `_Record` compares its built strata."""
+    cls = type(samples[name])
+    assert issubclass(cls, Value) and cls._compared == SLOTTED[name]
+    assert cls.__hash__ is Value.__hash__
+    assert (cls.__eq__ is Value.__eq__) == (name != "_Record")
+
+
+def test_only_the_value_base_and_the_memo_record_define_equality():
+    defined = {}
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                names = ([node.name] if isinstance(node, ast.FunctionDef)
+                         else [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)])
+                for n in set(names) & {"__eq__", "__hash__"}:
+                    defined.setdefault(cls.name, set()).add(n)
+    assert defined == {"Value": {"__eq__", "__hash__"}, "_Record": {"__eq__", "__hash__"}}
+
+
+@pytest.mark.parametrize("key", IDS)
+def test_repr_names_the_class_and_its_fields(samples, key):
+    record = samples[key]
+    text = repr(record)
+    assert text.startswith(type(record).__name__ + "(") and "object at" not in text
+    assert all(f"{f}=" in text for f in _fields(record))
