@@ -516,9 +516,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _validate_threads()
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MomentStrataError as exc:
         payload = {"error": _error_payload(exc)}
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

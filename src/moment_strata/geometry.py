@@ -13,8 +13,9 @@ D. It reads rank one off the interval of values, runs Wolfe's exact
 active-set method in every higher rank, and verifies the active set it ends
 on in integers. :func:`closest_point_to_origin` then selects the canonical
 certificate of the beta it found, the lexicographically smallest affinely
-independent support on the contact face, and checks it in Fractions with
-:meth:`ProjectionCertificate.verify`. Interior tests are integer too.
+independent support on the contact face, and checks it with
+:meth:`ProjectionCertificate.verify`, which clears it of denominators and
+runs the same integer check. Interior tests are integer too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import VerificationFailed
-from .linalg import Value, Vector, dot, frac, matrix_rank, vadd, vscale, vsub
+from .linalg import Value, Vector, dot, frac, vsub
 
 
 class BilinearForm(Value):
@@ -79,32 +80,15 @@ class ProjectionCertificate(NamedTuple):
     coefficients: tuple[Fraction, ...]
 
     def verify(self, points: Sequence[Vector], form: BilinearForm) -> bool:
-        if (len(self.support) != len(self.coefficients) or not self.support
-                or any(c < 0 for c in self.coefficients)
-                or sum(self.coefficients) != 1):
+        """`_verify_lattice` on the points and beta cleared of denominators,
+        with the coefficients written as integers over their lcm e."""
+        if sum(self.coefficients) != 1:
             return False
-        combo = tuple(Fraction(0) for _ in self.beta)
-        for i, c in zip(self.support, self.coefficients):
-            combo = vadd(combo, vscale(c, points[i]))
-        if combo != self.beta:
-            return False
-        gb = form.apply(self.beta)
-        nb = dot(self.beta, gb)
-        for idx, p in enumerate(points):
-            v = dot(p, gb)
-            if v < nb:
-                return False
-            if idx in self.support and v != nb:
-                return False
-        return _affinely_independent([points[i] for i in self.support], form.rank)
-        # support minimality beyond affine independence is not required
-
-
-def _affinely_independent(pts: Sequence[Vector], rank: int) -> bool:
-    if not pts:
-        return False
-    base = pts[0]
-    return matrix_rank([vsub(p, base) for p in pts[1:]]) == len(pts) - 1
+        *lattice, x = clear_denominators([*points, self.beta])[1]
+        e = lcm(*(c.denominator for c in self.coefficients))
+        return _verify_lattice(lattice, form.cleared[1], LatticeCertificate(
+            tuple(e * v for v in x), self.support,
+            tuple(c.numerator * (e // c.denominator) for c in self.coefficients)))
 
 
 def _dedupe(points: Sequence[Vector]) -> list[tuple[Vector, int]]:
@@ -135,7 +119,7 @@ def _canonical_certificate(points: Sequence[Vector], form: BilinearForm,
     valid support, which keeps the subset search small. The face lies in the
     hyperplane whose nearest point is beta, so a face subset realizes beta
     exactly when beta is the foot of the origin on its affine hull. The
-    search runs on the lattice; the certificate is verified in Fractions.
+    search runs on the lattice, and so does the certificate's verification.
     """
     d, lattice = clear_denominators([*points, beta])
     gram = form.cleared[1]
@@ -289,9 +273,9 @@ def _wolfe_certificate(pts, gram) -> LatticeCertificate:
 
 
 def _verify_lattice(pts, gram, cert: LatticeCertificate) -> bool:
-    """ProjectionCertificate.verify in integers: for X = beta, e = sum(L):
-    L >= 0, e > 0, sum(L_i P_i) = X, and e <P, G X> >= <X, G X> for every
-    point, with equality on an affinely independent support."""
+    """The one check of the optimality conditions, in integers: for X = beta,
+    e = sum(L): L >= 0, e > 0, sum(L_i P_i) = X, and e <P, G X> >= <X, G X>
+    for every point, with equality on an affinely independent support."""
     x, support, lam = cert.beta, cert.support, cert.coefficients
     if (len(support) != len(lam) or not support or min(lam) < 0
             or sum(lam) <= 0 or _combine(pts, support, lam) != tuple(x)):

@@ -51,31 +51,25 @@ class Value:
                 + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared) + ")")
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vscale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return _span_of(rows).dim
-
-
 def null_space(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
     """Basis of {x : A x = 0}, deterministic: one vector per free column,
     with a 1 there and minus that column of the reduced row echelon form
     at the pivots."""
-    reduced = _span_of(rows).reduced_rows()
+    span = SpanBasis()
+    for r in rows:
+        if span.dim == len(r):
+            break   # the span is everything; the other rows lie in it
+        if any(r):
+            span.add({i: x for i, x in enumerate(r) if x})
+    reduced = span.reduced_rows()
     basis = []
     for free in range(ncols):
         if free in reduced:
@@ -87,16 +81,6 @@ def null_space(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
                 v[c] = Fraction(-row[free], row[c])
         basis.append(tuple(v))
     return basis
-
-
-def _span_of(rows: Sequence[Sequence[Fraction]]) -> SpanBasis:
-    span = SpanBasis()
-    for r in rows:
-        if span.dim == len(r):
-            break   # the span is everything; the other rows lie in it
-        if any(r):
-            span.add({i: x for i, x in enumerate(r) if x})
-    return span
 
 
 # ---------------------------------------------------------------------------

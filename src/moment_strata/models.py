@@ -256,13 +256,11 @@ class _Record(Value):
     """One model's entry in `_MEMO`: per beta in sorted order (beta, its first
     profile, that profile's Minkowski points), and the first profile that is
     semistable but not stable, or None. `strata` builds and keeps the canonical
-    certificates on first read. Not compared are the recursion nodes of `series`,
-    by truncation, the dimension of the weights' span that `series` measures the
-    recursion by, and the pairing tables of `residues`.
-
-    Equality compares the built strata, certificates included, but the hash reads
-    `firsts`, so hashing a record builds no certificate. The two agree: the strata
-    are a function of `firsts` and `form`, and `firsts` is read back off them."""
+    certificates on first read. The strata are a function of `firsts` and `form`,
+    so they are not compared, and comparing or hashing a record builds no
+    certificate. Nor are the recursion nodes of `series`, by truncation, the
+    dimension of the weights' span that `series` measures the recursion by, and
+    the pairing tables of `residues`."""
 
     __slots__ = ("firsts", "witness", "form", "_strata", "nodes", "span", "pairing")
     _compared = ("firsts", "witness", "form")
@@ -278,13 +276,6 @@ class _Record(Value):
             self._strata = tuple(IndexStratum(b, _canonical_certificate(pts, self.form, b), f, pts)
                                  for b, f, pts in self.firsts)
         return self._strata
-
-    def __eq__(self, other):
-        return (other.__class__ is self.__class__ and self.strata == other.strata
-                and self.witness == other.witness and self.form == other.form)
-
-    # defining __eq__ drops the inherited hash; keep the one over `_compared`
-    __hash__ = Value.__hash__
 
 
 # The one memo: a record per model, keyed by its lattice (factors in their own

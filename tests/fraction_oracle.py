@@ -5,8 +5,14 @@ components and the submodel shift on the integer lattice of a model, and
 its one row reduction on integer rows. These are the earlier Fraction
 versions of the same algorithms, kept as test oracles: every quantity is
 computed on the rational weights and the rational form directly, with no
-common denominator. The dense reduced row echelon form, a linear solver and
-a phase-one simplex come first; the searches below are built on them.
+common denominator. Vector sums, the dense reduced row echelon form and
+the rank read off it, a linear solver and a phase-one simplex come first;
+the searches below are built on them.
+
+The library checks every projection certificate once, in integers, with
+``geometry._verify_lattice``. ``verify`` below is the earlier Fraction check
+of the same optimality conditions; the oracle's searches check their own
+certificates with it, so they share no check with the library.
 
 The residues layer keeps its restrictions and inverse Euler classes at
 a = 1, keyed by h-exponents alone. The Laurent versions at the end carry
@@ -16,11 +22,18 @@ tests shares no code with the library's localization.
 
 from fractions import Fraction
 
-from moment_strata.geometry import (ProjectionCertificate, _affinely_independent,
-                                    _dedupe, _lex_subsets)
-from moment_strata.linalg import dot, vadd, vscale, vsub
+from moment_strata.geometry import ProjectionCertificate, _dedupe, _lex_subsets
+from moment_strata.linalg import dot, vsub
 from moment_strata.models import (CriticalComponent, IndexStratum, WeightedModel,
                                   _check_profile, enumerate_profiles)
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vscale(c, u):
+    return tuple(c * a for a in u)
 
 
 def rref(rows):
@@ -51,6 +64,10 @@ def rref(rows):
         if r == len(m):
             break
     return m, pivots
+
+
+def matrix_rank(rows):
+    return len(rref(rows)[1])
 
 
 def rref_null_space(rows, ncols):
@@ -185,6 +202,33 @@ def project_affine(sub_pts, form):
     return point, [Fraction(1) - sum(sol, Fraction(0))] + sol
 
 
+def affinely_independent(pts):
+    return bool(pts) and matrix_rank([vsub(p, pts[0]) for p in pts[1:]]) == len(pts) - 1
+
+
+def verify(cert, points, form):
+    """Is ``cert`` a ProjectionCertificate proving that its beta is the point
+    of conv(points) nearest the origin: convex coefficients combining the
+    support into beta, <p, G beta> >= <beta, G beta> for every point with
+    equality on the support, and an affinely independent support."""
+    beta, support, coefficients = cert
+    if (len(support) != len(coefficients) or not support
+            or any(c < 0 for c in coefficients) or sum(coefficients) != 1):
+        return False
+    combo = tuple(Fraction(0) for _ in beta)
+    for i, c in zip(support, coefficients):
+        combo = vadd(combo, vscale(c, points[i]))
+    if combo != beta:
+        return False
+    gb = form.apply(beta)
+    nb = dot(beta, gb)
+    for idx, p in enumerate(points):
+        v = dot(p, gb)
+        if v < nb or (idx in support and v != nb):
+            return False
+    return affinely_independent([points[i] for i in support])
+
+
 def interval_certificate(pts):
     """Rank one: the endpoint nearest 0, or the two endpoints straddling 0."""
     lo = min(range(len(pts)), key=lambda i: pts[i][0])
@@ -228,12 +272,12 @@ def wolfe_certificate(pts, form):
 
 
 def nearest_point(points, form):
-    """The search certificate, verified by ProjectionCertificate.verify."""
+    """The search certificate, checked by ``verify``."""
     if form.rank == 1:
         cert = interval_certificate(points)
     else:
         cert = wolfe_certificate(points, form)
-    if not cert.verify(points, form):
+    if not verify(cert, points, form):
         raise ArithmeticError("projection certificate failed self-verification")
     return cert
 
@@ -253,13 +297,13 @@ def canonical_certificate(points, form, beta):
     face = sorted(idx for p, idx in _dedupe(points) if form.inner(p, beta) == nb)
     for sub in _lex_subsets(face, form.rank + 1):
         sub_pts = [points[i] for i in sub]
-        if not _affinely_independent(sub_pts, form.rank):
+        if not affinely_independent(sub_pts):
             continue
         a = [[p[c] for p in sub_pts] for c in range(form.rank)] + [[Fraction(1)] * len(sub)]
         lam = solve_linear(a, list(beta) + [Fraction(1)])
         if lam is not None and all(x >= 0 for x in lam):
             cert = ProjectionCertificate(beta, tuple(sub), tuple(lam))
-            if not cert.verify(points, form):
+            if not verify(cert, points, form):
                 raise ArithmeticError("canonical certificate does not verify")
             return cert
     raise ArithmeticError("no canonical certificate")

@@ -14,8 +14,8 @@ from moment_strata import (BilinearForm, closest_point_to_origin,
 from moment_strata import geometry
 from moment_strata.geometry import (_canonical_certificate, _project_affine,
                                     clear_denominators, nearest_point)
-from fraction_oracle import lp_feasible, rref, solve_linear
-from moment_strata.linalg import matrix_rank, vadd, vscale, vsub
+from fraction_oracle import lp_feasible, matrix_rank, rref, solve_linear, vadd, vscale
+from moment_strata.linalg import vsub
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -235,3 +235,8 @@ def test_affine_and_span_dimension():
     b = (Fraction(0), Fraction(1))
     assert matrix_rank([a, b]) == 2
     assert matrix_rank([a, (Fraction(2), Fraction(0))]) == 1
+    # the library's affine independence test, under a positive definite form
+    gram = clear_denominators(FORMS[2][1].gram)[1]
+    assert _project_affine([(0, 0), (1, 0), (0, 1)], gram) is not None
+    assert _project_affine([(0, 0), (1, 0), (2, 0)], gram) is None
+    assert _project_affine([(1, 1), (1, 1)], gram) is None

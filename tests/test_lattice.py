@@ -3,9 +3,10 @@
 The profile scan, the nearest-point search, the critical components and the
 submodel shift run on weights and forms cleared of denominators. Each must agree with the
 Fraction algorithms of ``fraction_oracle`` on random models with mixed
-denominators, zero and repeated weights and random rational forms, and the
-integer certificate check must accept exactly what
-``ProjectionCertificate.verify`` accepts.
+denominators, zero and repeated weights and random rational forms. The
+library's one certificate check, the integer ``_verify_lattice`` behind
+``ProjectionCertificate.verify``, must accept exactly what the oracle's
+Fraction check ``fraction_oracle.verify`` accepts.
 """
 
 import itertools
@@ -223,8 +224,8 @@ def _mutations(cert, lattice):
 @given(point_sets())
 def test_integer_verifier_agrees_with_the_fraction_verifier(case):
     """On the search certificate and the lifted canonical certificate, and on
-    every mutation of them, the integer check and ProjectionCertificate.verify
-    give the same verdict."""
+    every mutation of them, the integer check, ProjectionCertificate.verify and
+    the oracle's Fraction check give the same verdict."""
     pts, form = case
     d, lattice = clear_denominators(pts)
     gram = clear_denominators(form.gram)[1]
@@ -240,7 +241,63 @@ def test_integer_verifier_agrees_with_the_fraction_verifier(case):
             if sum(cert.coefficients) <= 0:
                 assert not got
             else:
-                assert got == _image(cert, d).verify(pts, form), cert
+                image = _image(cert, d)
+                assert got == image.verify(pts, form) == oracle.verify(image, pts, form), cert
+
+
+def _q(*rows):
+    return [tuple(Fraction(x) for x in row) for row in rows]
+
+
+HALF = Fraction(1, 2)
+SQUARE = _q((1, 0), (0, 1), (2, 2))
+# points, a certificate and its verdict under the identity form; each bad
+# certificate breaks one condition only
+CERTIFICATES = {
+    "valid": (SQUARE, ProjectionCertificate((HALF, HALF), (0, 1), (HALF, HALF)), True),
+    "length mismatch": (_q((1, 0), (2, 2)), ProjectionCertificate(
+        (Fraction(1), Fraction(0)), (0,), (Fraction(1), Fraction(0))), False),
+    "empty support": (SQUARE, ProjectionCertificate((HALF, HALF), (), ()), False),
+    "negative coefficient": (_q((1, 1), (1, 2)), ProjectionCertificate(
+        (Fraction(1), Fraction(0)), (0, 1), (Fraction(2), Fraction(-1))), False),
+    "sum other than 1": (SQUARE[:2], ProjectionCertificate(
+        (Fraction(1), Fraction(1)), (0, 1), (Fraction(1), Fraction(1))), False),
+    "not combining to beta": (SQUARE, ProjectionCertificate(
+        (HALF, HALF), (0, 1), (Fraction(1), Fraction(0))), False),
+    "duplicated index": (SQUARE, ProjectionCertificate(
+        (HALF, HALF), (0, 1, 0), (HALF / 2, HALF, HALF / 2)), False),
+    "not nearest": (SQUARE, ProjectionCertificate(SQUARE[2], (2,), (Fraction(1),)), False),
+    "support point off the contact face": (_q((1, 0), (2, 2)), ProjectionCertificate(
+        (Fraction(1), Fraction(0)), (0, 1), (Fraction(1), Fraction(0))), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATES))
+def test_malformed_certificates_get_the_oracle_verdict(case):
+    """The library's verify and the oracle's Fraction check agree on each
+    certificate, under the identity and under a skew form."""
+    pts, cert, verdict = CERTIFICATES[case]
+    skew = BilinearForm(((Fraction(2), -HALF), (-HALF, Fraction(1))))
+    assert cert.verify(pts, identity_form(2)) is oracle.verify(cert, pts, identity_form(2)) is verdict
+    assert cert.verify(pts, skew) is oracle.verify(cert, pts, skew)
+
+
+def test_an_index_out_of_range_raises_in_both_checks():
+    cert = ProjectionCertificate(SQUARE[0], (3,), (Fraction(1),))
+    with pytest.raises(IndexError):
+        oracle.verify(cert, SQUARE, identity_form(2))
+    with pytest.raises(IndexError):
+        cert.verify(SQUARE, identity_form(2))
+
+
+def test_beta_of_the_wrong_length_is_rejected():
+    """The Fraction check raised ValueError on a beta whose length differs
+    from the points'; the integer check finds that no combination of the
+    support equals it."""
+    cert = ProjectionCertificate(SQUARE[0] + (Fraction(0),), (0,), (Fraction(1),))
+    with pytest.raises(ValueError):
+        oracle.verify(cert, SQUARE, identity_form(2))
+    assert cert.verify(SQUARE, identity_form(2)) is False
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The package surface: lazily resolved exports, the modules each CLI
-subcommand loads in a fresh interpreter, and checks that survive python -O."""
+subcommand loads in a fresh interpreter, imports that are all used, and
+checks that survive python -O."""
 
 import ast
 import json
@@ -192,6 +193,41 @@ def test_no_library_module_imports_dataclasses():
             found += [(path.name, node.lineno) for name in names
                       if name.split(".")[0] == "dataclasses"]
     assert not found
+
+
+def _unused_imports(path):
+    """Names a module imports, at module or function level, that it never
+    reads. Annotations count as reads: they stay in the syntax tree under
+    `from __future__ import annotations`."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_every_import_is_used():
+    found = {path.name: unused for path in sorted(PACKAGE.glob("*.py"))
+             if (unused := _unused_imports(path))}
+    assert not found
+
+
+def test_the_unused_import_check_sees_function_level_and_annotation_names(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os.path\n"
+                    "from typing import Sequence\n"
+                    "from .linalg import dot, matrix_rank\n"
+                    "def f(xs: Sequence[int]):\n"
+                    "    from math import gcd, lcm\n"
+                    "    return dot(xs, xs) + lcm(*xs)\n")
+    assert _unused_imports(path) == [(2, "os"), (4, "matrix_rank"), (6, "gcd")]
 
 
 # ---------------------------------------------------------------------------

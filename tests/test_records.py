@@ -3,11 +3,11 @@
 Plain records are NamedTuples. Records that print through str(), do
 arithmetic, validate their fields or carry a memo are __slots__ classes with
 their own __init__, deriving from `linalg.Value`, which compares, hashes and
-prints the fields each one names in `_compared`; only the memo's per-model
-record keeps its own equality. Either way two records with equal compared
-fields are equal, and each hashes as the tuple of its compared fields, as the
-frozen dataclasses they replaced did; set iteration order, and so output bytes,
-therefore do not depend on the record kind.
+prints the fields each one names in `_compared`; the memo's per-model record
+compares its scan, not the certificates built from it. Either way two records
+with equal compared fields are equal, and each hashes as the tuple of its
+compared fields, as the frozen dataclasses they replaced did; set iteration
+order, and so output bytes, therefore do not depend on the record kind.
 """
 
 import ast
@@ -158,7 +158,8 @@ def test_memos_are_not_compared(samples):
     assert fresh_record.nodes == fresh_record.pairing == {} and fresh_record._strata is None
     assert fresh_record.span is None
     fresh_record.pairing["torus"], fresh_record.span = ([], {}), -1
-    assert fresh_record == record and fresh_record._strata == record.strata
+    assert fresh_record == record and hash(fresh_record) == hash(record)
+    assert fresh_record._strata is None
 
 
 def test_cached_integers_are_not_compared(samples):
@@ -177,14 +178,13 @@ def test_cached_integers_are_not_compared(samples):
 @pytest.mark.parametrize("name", sorted(SLOTTED))
 def test_slotted_records_share_one_value_protocol(samples, name):
     """The compared fields are declared once, in `_compared`, and equality
-    and hash come from `Value`; `_Record` compares its built strata."""
+    and hash come from `Value`."""
     cls = type(samples[name])
     assert issubclass(cls, Value) and cls._compared == SLOTTED[name]
-    assert cls.__hash__ is Value.__hash__
-    assert (cls.__eq__ is Value.__eq__) == (name != "_Record")
+    assert cls.__hash__ is Value.__hash__ and cls.__eq__ is Value.__eq__
 
 
-def test_only_the_value_base_and_the_memo_record_define_equality():
+def test_only_the_value_base_defines_equality():
     defined = {}
     for path in sorted(Path(models.__file__).parent.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
@@ -195,7 +195,7 @@ def test_only_the_value_base_and_the_memo_record_define_equality():
                          else [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)])
                 for n in set(names) & {"__eq__", "__hash__"}:
                     defined.setdefault(cls.name, set()).add(n)
-    assert defined == {"Value": {"__eq__", "__hash__"}, "_Record": {"__eq__", "__hash__"}}
+    assert defined == {"Value": {"__eq__", "__hash__"}}
 
 
 @pytest.mark.parametrize("key", IDS)
