@@ -11,9 +11,18 @@ product of the Euler factors of the coordinates the stratum kills, which is
 all a `Stratum` records besides its label. The torus-level kernel is
 generated by these lifts; the reflection-group kernel folds opposite strata
 into an invariant difference (divided by the parameter) and an invariant
-sum. Betti numbers fall out of exact row reduction of the kernel ideal in
-the presented ring, degree by degree. Each presentation memoizes the lifts
-and kernel ideals built on it, and each kernel ideal its degreewise spans.
+sum.
+
+The presented ring R is a free Q[a]-module on the normal-form z-parts, so
+setting a = 1 embeds its degree-2k piece in A = R/(a - 1), with one column
+per z-part (2^n on L^n, n + 1 on P^n), as the columns of z-degree <= k.
+An ideal's degree-2k piece is level k of one filtration of A, and Betti
+numbers are column counts minus level dimensions. The two-sided kernel
+K- + K+ (classes vanishing on the fixed components with moment value <= 0,
+or >= 0) has dimension (N - rk-) + (N - rk+) - (N - rk) on N columns, from
+the ranks of the restrictions to either side and to all components. Each
+presentation memoizes A, the lifts and the kernel ideals built on it, and
+each kernel ideal its filtration.
 """
 
 from __future__ import annotations
@@ -25,27 +34,17 @@ from typing import NamedTuple, Sequence
 
 from .errors import VerificationFailed
 from .linalg import SpanBasis, Value, frac, null_space
-from .models import (
-    WeightedModel,
-    line_product_model,
-    projective_space_model,
-    require_negation_symmetric,
-)
-from .polynomials import (
-    Exponents,
-    GradedPolynomial,
-    divide_exact,
-    exponents_of_degree,
-    graded_piece_dim,
-    polynomial_division,
-)
-from .residues import fixed_components, restriction_matrix
+from .models import (WeightedModel, line_product_model, projective_space_model,
+                     require_negation_symmetric)
+from .polynomials import (Exponents, GradedPolynomial, divide_exact, exponents_of_degree,
+                          graded_piece_dim, polynomial_division)
+from .residues import _restrict, fixed_components, restriction_matrix
 
 
 class Presentation(Value):
     """Kind "pn": the coordinate weights and the projective dimension n; kind
     "p1n": no weights and n lines. `memo`, the kernel layer's, is not compared
-    and starts empty: lifts by Stratum, kernel ideals by (group, target, max_degree)."""
+    and starts empty: lifts by Stratum, kernel ideals by (group, target, max_degree), A by "A"."""
 
     __slots__ = ("kind", "variables", "weights", "n", "relations", "memo")
     _compared = ("kind", "variables", "weights", "n", "relations")
@@ -172,7 +171,7 @@ def thom_gysin_lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
 class KernelIdeal(Value):
     """Kernel generators up to a degree cap; the relations are not among them.
     The group is "torus" or "sl2", the target "semistable" or "stable". The
-    degreewise spans are built on first use and kept, not compared."""
+    filtration of A is built on first use and kept, not compared."""
 
     __slots__ = ("group", "target", "max_degree", "generators", "presentation", "_built")
     _compared = ("group", "target", "max_degree", "generators", "presentation")
@@ -182,12 +181,6 @@ class KernelIdeal(Value):
         self.group, self.target, self.max_degree = group, target, max_degree
         self.generators, self.presentation, self._built = generators, presentation, None
 
-    @property
-    def _spans(self) -> _IdealSpans:
-        if self._built is None:
-            self._built = _IdealSpans(self.presentation, [g for _, g in self.generators])
-        return self._built
-
 
 def _lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
     if stratum not in pres.memo:
@@ -196,12 +189,9 @@ def _lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
 
 
 def torus_kernel_ideal(pres: Presentation, max_degree: int) -> KernelIdeal:
-    """One generator per unstable stratum: the lift of the unit class.
-
-    The lift of any class eta is eta times the lift of the unit, so the
-    degreewise spans of this ideal coincide with the spans of per-monomial
-    lift enumerations up to the same degree cap.
-    """
+    """One generator per unstable stratum: the lift of the unit class. The
+    lift of any class eta is eta times it, so this ideal holds every lift
+    of degree <= max_degree."""
     key = ("torus", "semistable", max_degree)
     if key not in pres.memo:
         pres.memo[key] = KernelIdeal("torus", "semistable", max_degree, tuple(
@@ -269,122 +259,127 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
 
 
 # ---------------------------------------------------------------------------
-# graded spans of kernel ideals in the presented ring
+# kernel ideals as filtrations of A = R/(a - 1)
 
 
-class _IdealSpans:
-    """Degreewise spans of the image of an ideal in the presented ring.
-
-    Degree d is spanned over `Presentation.basis(d)` by the unit rows when
-    degree d-2 is whole, as the ring is generated in degree 2; else by degree
-    d-2's rows times each variable, reduced, and the generators' normal forms.
-    No relation enters a span; spans, indices and parity spans are memoized.
-    """
+class _Filtration:
+    """The image of an ideal in A, level by level: level k is the image of
+    its degree-2k piece. Times a is the identity at a = 1, and zi times
+    level k - 2 lies in level k - 1, so level k is spanned by level k - 1,
+    the rows new at level k - 1 times each zi, and the generators of degree
+    2k. No relation enters. The levels share one SpanBasis, whose rows are
+    kept in insertion order with distinct pivots: level k is the first
+    dims[k] of them. Parity spans are memoized by level."""
 
     def __init__(self, pres: Presentation, gens: Sequence[GradedPolynomial]):
+        if "A" not in pres.memo:
+            # A's columns in ascending lex order (so each degree's basis keeps
+            # its order), and each column times each zi at a = 1: a column, or
+            # a normal form scaled to integers by the relations' denominators
+            cols = [e[:-1] for e in pres.basis(2 * pres.n)]
+            index = {x: c for c, x in enumerate(cols)}
+            scale = lcm(*(c.denominator for r in pres.relations for _, c in r.terms))
+            pres.memo["A"] = cols, index, [[
+                [(index[y], scale)] if y in index else
+                [(index[f[:-1]], c.numerator * (scale // c.denominator))
+                 for f, c in pres.normal_form(y + (0,)).items()]
+                for y in (x[:i] + (x[i] + 1,) + x[i + 1:] for i in range(len(x)))]
+                for x in cols]
         self.pres = pres
-        self.nv = len(pres.variables)
-        self.by_degree: dict[int, SpanBasis] = {}
+        self.cols, self.index, self.table = pres.memo["A"]
+        self.zdeg = [sum(x) for x in self.cols]
+        self.span = SpanBasis()
+        self.dims: list[int] = []
         self.by_parity: dict[tuple[int, int], SpanBasis] = {}
-        self.indices: dict[int, dict[Exponents, int]] = {}
         self.gens_at: dict[int, list[GradedPolynomial]] = {}
-        # scaling products by the relations' denominators keeps rows integer
-        self.scale = lcm(*(c.denominator for r in pres.relations for _, c in r.terms))
         for g in gens:
             if g.is_zero():
                 continue
             if not g.is_homogeneous():
                 raise ValueError("ideal generators must be homogeneous")
-            self.gens_at.setdefault(g.degree(), []).append(g)
+            self.gens_at.setdefault(g.degree() // 2, []).append(g)
 
-    def index(self, d: int) -> dict[Exponents, int]:
-        if d not in self.indices:
-            self.indices[d] = {e: i for i, e in enumerate(self.pres.basis(d))}
-        return self.indices[d]
+    def dim(self, k: int) -> int:
+        """The dimension of level k; levels are built in order, in a loop."""
+        for j in range(len(self.dims), k + 1):
+            # the rows new at level j - 1
+            for row in list(self.span.rows.values())[self.dims[j - 2] if j > 1 else 0:]:
+                for zi in range(len(self.cols[0])):
+                    out: dict[int, int] = {}
+                    for col, val in row.items():
+                        for c, x in self.table[col][zi]:
+                            out[c] = out.get(c, 0) + val * x
+                    self.span.add_int_row(out)
+            for g in self.gens_at.get(j, ()):
+                self.span.add(self.vector_of(g))
+            self.dims.append(self.span.dim)
+        return self.dims[k]
 
-    def span(self, d: int) -> SpanBasis:
-        if d % 2 or d < 0 or not self.gens_at:
-            return SpanBasis()
-        # degrees 0, 2, ... are built in order, upwards from the last one
-        for e in range(2 * len(self.by_degree), d + 1, 2):
-            sb = SpanBasis()
-            idx = self.index(e)
-            if e and self.by_degree[e - 2].dim == len(self.index(e - 2)):
-                sb.rows = {i: {i: 1} for i in range(len(idx))}
-            elif e and self.by_degree[e - 2].dim:
-                table = [[[(idx[f], int(c * self.scale)) for f, c in
-                           self.pres.normal_form(x[:i] + (x[i] + 1,) + x[i + 1:]).items()]
-                          for i in range(self.nv)] for x in self.index(e - 2)]
-                for row in self.by_degree[e - 2].basis_rows():
-                    for var_i in range(self.nv):
-                        out: dict[int, int] = {}
-                        for col, val in row.items():
-                            for c, k in table[col][var_i]:
-                                out[c] = out.get(c, 0) + val * k
-                        sb.add_int_row(out)
-            for g in self.gens_at.get(e, ()):
-                sb.add(self.vector_of(g, e))
-            self.by_degree[e] = sb
-        return self.by_degree[d]
+    def level(self, k: int) -> SpanBasis:
+        """Level k as a span of its own rows."""
+        out = SpanBasis()
+        out.rows = dict(itertools.islice(self.span.rows.items(), self.dim(k)))
+        return out
 
-    def parity_span(self, d: int, parity: int) -> SpanBasis:
-        """Span of the rows' components on monomials with a-exponent of the
-        given parity; valid whenever the ideal is stable under negating a."""
-        hit = self.by_parity.get((d, parity))
+    def parity_span(self, k: int, parity: int) -> SpanBasis:
+        """Span of level k's rows on the columns whose monomial of degree 2k
+        has a-exponent k - |z| of the given parity; valid whenever the ideal
+        is stable under negating a."""
+        hit = self.by_parity.get((k, parity))
         if hit is None:
-            exps = self.pres.basis(d)
-            hit = SpanBasis()
-            for row in self.span(d).basis_rows():
+            hit = self.by_parity[(k, parity)] = SpanBasis()
+            for row in self.level(k).rows.values():
                 filtered = {col: val for col, val in row.items()
-                            if exps[col][-1] % 2 == parity}
+                            if (k - self.zdeg[col]) % 2 == parity}
                 if filtered:
                     hit.add_int_row(filtered)
-            self.by_parity[(d, parity)] = hit
         return hit
 
-    def vector_of(self, poly: GradedPolynomial, d: int) -> dict[int, Fraction]:
-        """Normal form of a polynomial homogeneous of degree d."""
-        idx = self.index(d)
+    def vector_of(self, poly: GradedPolynomial) -> dict[int, Fraction]:
+        """The image in A of a homogeneous polynomial."""
         out: dict[int, Fraction] = {}
         for e, c in poly.terms:
-            if 2 * sum(e) != d:
-                raise ValueError("polynomial is not homogeneous of the requested degree")
-            for f, k in ({e: 1} if e in idx else self.pres.normal_form(e)).items():
-                out[idx[f]] = out.get(idx[f], 0) + c * k
+            for f, x in ({e: 1} if e[:-1] in self.index else self.pres.normal_form(e)).items():
+                col = self.index[f[:-1]]
+                out[col] = out.get(col, 0) + c * x
         return out
 
 
-def _spans_of(pres: Presentation, kernel: KernelIdeal | None) -> _IdealSpans:
-    """The kernel's spans; None is the zero ideal."""
+def _filtration_of(pres: Presentation, kernel: KernelIdeal | None) -> _Filtration:
+    """The kernel's filtration, built on first use and kept; None is the
+    zero ideal."""
     if kernel is None:
-        return _IdealSpans(pres, ())
+        return _Filtration(pres, ())
     if kernel.presentation is not pres and kernel.presentation != pres:
         raise ValueError("the kernel ideal belongs to another presentation")
-    return kernel._spans
+    if kernel._built is None:
+        kernel._built = _Filtration(kernel.presentation, [g for _, g in kernel.generators])
+    return kernel._built
 
 
 def betti_from_presentation(pres: Presentation, kernel: KernelIdeal | None,
                             d: int) -> int:
-    """Dimension of degree d in the presented ring modulo the kernel ideal.
+    """Dimension of degree d in the presented ring modulo the kernel ideal:
+    the columns of z-degree <= d/2 less the filtration's level d/2.
 
     For the reflection group the count is taken inside the invariant
     (even powers of a) subspace; the ideal is reflection-stable, so its
     invariant part is spanned by the even projections of any basis.
     """
-    spans = _spans_of(pres, kernel)
+    filt = _filtration_of(pres, kernel)
     if d < 0 or d % 2:
         return 0
-    basis = pres.basis(d)
+    k = d // 2
     if kernel is None or kernel.group == "torus":
-        return len(basis) - spans.span(d).dim
-    return sum(1 for e in basis if e[-1] % 2 == 0) - spans.parity_span(d, 0).dim
+        return sum(z <= k for z in filt.zdeg) - filt.dim(k)
+    return sum(z <= k and (k - z) % 2 == 0 for z in filt.zdeg) - filt.parity_span(k, 0).dim
 
 
 def in_relation_span(pres: Presentation, kernel: KernelIdeal | None,
                      poly: GradedPolynomial) -> bool:
     """Membership of a polynomial in the ideal, checked degree by degree."""
-    spans = _spans_of(pres, kernel)
-    return all(spans.span(d).contains(spans.vector_of(poly.graded_piece(d), d))
+    filt = _filtration_of(pres, kernel)
+    return all(filt.level(d // 2).contains(filt.vector_of(poly.graded_piece(d)))
                for d in {2 * sum(e) for e, _ in poly.terms})
 
 
@@ -420,57 +415,26 @@ def weyl_kernel_bijection_report(pres: Presentation, max_degree: int
     reflection-group kernel with the anti-invariant torus kernel.
 
     In each even degree d <= max_degree the invariant part of the folded
-    kernel, taken modulo relations, must map bijectively onto the
-    anti-invariant part of the torus kernel in degree d + 2: the map is
-    checked to be injective modulo relations, to land exactly on the
-    anti-invariant span, and to be inverted by exact division (on basis
-    monomials, both maps shift the power of a).
+    kernel must map bijectively onto the anti-invariant part of the torus
+    kernel in degree d + 2. Times 2a is injective, R being free over Q[a],
+    and at a = 1 it is the identity on A's columns. So the torus span must
+    lie in the folded one (the inverse, exact division by 2a, is then
+    defined) and the dimensions must agree.
     """
     require_negation_symmetric(pres.model())
-    t_spans = torus_kernel_ideal(pres, max_degree + 2)._spans
-    g_spans = sl2_kernel_ideal(pres, max_degree)._spans
-
+    torus = _filtration_of(pres, torus_kernel_ideal(pres, max_degree + 2))
+    folded = _filtration_of(pres, sl2_kernel_ideal(pres, max_degree))
     entries = []
     for d in range(0, max_degree + 1, 2):
-        kg = g_spans.parity_span(d, 0)
-        kt = t_spans.parity_span(d + 2, 1)
-        above = t_spans.index(d + 2)
-        up = {i: above[e[:-1] + (e[-1] + 1,)] for e, i in g_spans.index(d).items()}
-        down = {j: i for i, j in up.items()}
-        lhs = SpanBasis()
-        for row in kg.basis_rows():
-            lhs.add_int_row({up[c]: v for c, v in row.items()})
-        spans_equal = lhs.dim == kt.dim and all(
-            lhs.contains(row) for row in kt.basis_rows())
-        inverse_ok = all(kg.contains({down[c]: v for c, v in row.items()})
-                         for row in kt.basis_rows())
-        entries.append(WeylBijectionDegree(d, kg.dim, kt.dim, lhs.dim == kg.dim,
-                                           spans_equal, inverse_ok))
+        kg, kt = folded.parity_span(d // 2, 0), torus.parity_span(d // 2 + 1, 1)
+        inverse_ok = all(kg.contains(row) for row in kt.basis_rows())
+        entries.append(WeylBijectionDegree(d, kg.dim, kt.dim, True,
+                                           inverse_ok and kg.dim == kt.dim, inverse_ok))
     return WeylBijectionReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
 # the vanishing-locus kernel
-
-
-def _two_sided_spans(pres: Presentation, max_degree: int) -> dict[int, SpanBasis]:
-    """Per even degree, the vanishing-locus kernel in the presented ring;
-    the kernel in the free ring is this one plus the relations."""
-    comps = fixed_components(pres.model())
-    sides = ([c for c in comps if c.mu <= 0], [c for c in comps if c.mu >= 0])
-    out: dict[int, SpanBasis] = {}
-    for d in range(0, max_degree + 1, 2):
-        basis = pres.basis(d)
-        # a component with moment value zero lies on both sides; its
-        # restriction is computed once
-        rows_of = {c: restriction_matrix(c, basis) for c in comps}
-        span = SpanBasis()
-        for side in sides:
-            rows = [row for comp in side for row in rows_of[comp]]
-            for v in null_space(rows, len(basis)):
-                span.add({i: c for i, c in enumerate(v) if c != 0})
-        out[d] = span
-    return out
 
 
 def tolman_weitsman_kernel(pres: Presentation, max_degree: int
@@ -484,10 +448,19 @@ def tolman_weitsman_kernel(pres: Presentation, max_degree: int
     kernel in the presented ring on normal-form monomials, followed by the
     relations e - nf(e) for each monomial e outside the normal-form basis.
     """
+    comps = fixed_components(pres.model())
+    sides = ([c for c in comps if c.mu <= 0], [c for c in comps if c.mu >= 0])
     v = pres.variables
     out: dict[int, tuple[GradedPolynomial, ...]] = {}
-    for d, span in _two_sided_spans(pres, max_degree).items():
+    for d in range(0, max_degree + 1, 2):
         basis = pres.basis(d)
+        # a component with moment value zero lies on both sides; its
+        # restriction is computed once
+        rows_of = {c: restriction_matrix(c, basis) for c in comps}
+        span = SpanBasis()
+        for side in sides:
+            for x in null_space([row for comp in side for row in rows_of[comp]], len(basis)):
+                span.add({i: c for i, c in enumerate(x) if c != 0})
         polys = [GradedPolynomial.from_dict(
             v, {basis[c]: Fraction(x) for c, x in row.items()})
             for _, row in sorted(span.reduced_rows().items())]
@@ -515,23 +488,49 @@ class TwoSidedKernelReport(NamedTuple):
         return all(e.equal for e in self.degrees)
 
 
+def _vanishes(pres: Presentation, stratum: Stratum, comp) -> bool:
+    """Whether a stratum's lift restricts to zero on a fixed component: the
+    factor zi + w*a maps to hi + (w - vi)*a, a non-zero-divisor unless
+    w = vi, and hi^sizei = 0."""
+    return any(sum(pres.variables.index(var) == i and w == v for var, w in stratum.kills) >= size
+               for i, (v, size) in enumerate(zip(comp.values, comp.sizes)))
+
+
 def two_sided_kernel_report(pres: Presentation, max_degree: int
                             ) -> TwoSidedKernelReport:
-    """Compare the vanishing-locus kernel with the torus stratum ideal.
+    """Compare the vanishing-locus kernel K- + K+ with the torus stratum ideal.
 
-    In each even degree d <= max_degree the two spaces are equal when every
-    two-sided kernel class lies in the ideal (relations included) and the
-    two dimensions agree, compared in the presented ring; the dimensions
-    reported are those in the free ring.
+    K- and K+ are ideals, restriction being a ring map, so the stratum ideal
+    lies in K- + K+ once each generator vanishes on one whole side; one that
+    does not raises VerificationFailed. So in each even degree d <= max_degree
+    the two are equal when their dimensions agree, in the free ring as
+    reported. A column's image at a = 1, by component and h-exponents, does
+    not depend on the degree, so each rank grows by each level's new columns.
     """
-    spans = torus_kernel_ideal(pres, max_degree)._spans
+    comps = fixed_components(pres.model())
+    sides = ([j for j, c in enumerate(comps) if c.mu <= 0],
+             [j for j, c in enumerate(comps) if c.mu >= 0], range(len(comps)))
+    for s in torus_strata(pres):
+        if 2 * len(s.kills) <= max_degree and not any(
+                all(_vanishes(pres, s, comps[j]) for j in side) for side in sides[:2]):
+            raise VerificationFailed("a stratum lift vanishes on neither side",
+                                     witness={"generator": s.label})
+    filt = _filtration_of(pres, torus_kernel_ideal(pres, max_degree))
+    ranks = [SpanBasis() for _ in sides]
+    cols = sorted(filt.cols, key=sum)
+    done = 0
     entries = []
-    for d, two_sided in _two_sided_spans(pres, max_degree).items():
-        ideal = spans.span(d)
-        contained = all(ideal.contains(row) for row in two_sided.basis_rows())
-        rel = graded_piece_dim(spans.nv, d) - len(pres.basis(d))
-        entries.append(TwoSidedKernelDegree(d, two_sided.dim + rel, ideal.dim + rel,
-                                            contained and two_sided.dim == ideal.dim))
+    for d in range(0, max_degree + 1, 2):
+        for x in itertools.takewhile(lambda x: sum(x) <= d // 2, cols[done:]):
+            # each column is restricted once per component, a component
+            # with moment value zero serving both sides
+            images = [_restrict(c, x + (0,)) for c in comps]
+            for side, rank in zip(sides, ranks):
+                rank.add({(j, he): c for j in side for he, c in images[j].items()})
+            done += 1
+        two_sided = done - ranks[0].dim - ranks[1].dim + ranks[2].dim
+        ideal, rel = filt.dim(d // 2), graded_piece_dim(len(pres.variables), d) - done
+        entries.append(TwoSidedKernelDegree(d, two_sided + rel, ideal + rel, two_sided == ideal))
     return TwoSidedKernelReport(tuple(entries))
 
 

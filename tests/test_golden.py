@@ -48,6 +48,10 @@ MODELS = {
     "p3half": {"rank": 1, "factors": [[["3/2"], ["1/2"], ["-1/2"], ["-3/2"]]]},
     "p4zero": {"rank": 1, "factors": [[["2"], ["1"], ["0"], ["-1"], ["-2"]]]},
     "p3rat": {"rank": 1, "factors": [[["5/2"], ["1/3"], ["-1"], ["-2"]]]},
+    # two zero weights: a fixed component of size 2 with moment value 0
+    "p5flat": {"rank": 1,
+               "factors": [[["3"], ["1/2"], ["0"], ["0"], ["-1"], ["-7/3"]]]},
+    "l8": {"rank": 1, "factors": _lines(8)},
     "a2x2": {"rank": 2, "factors": [_A2, _A2]},
     "a2x3": {"rank": 2, "factors": [_A2, _A2, _A2]},
     "r3": {"rank": 3, "factors": [_R3, _R3]},
@@ -168,6 +172,14 @@ CASES = [
      "aabbf3c1526b9348e19e38482fb9bcc0be2d34a5cd6b5333bb68d932d53d730c"),
     (["kirwan", "--max-degree", "200", "p1d"], 0,
      "f666c4786f42cd7a52ac10fc523fd134cb632ecc20d9958c650fee23c8eebc55"),
+    # the two-sided kernel where a moment-zero component lies on both sides:
+    # an isolated point, then a component of size 2
+    (["kirwan", "p4zero"], 0,
+     "f5ff3e4cc0d81c416992bbcd9458d05948995041da938fbccd95a70e88d1ff8b"),
+    (["kirwan", "--max-degree", "14", "p5flat"], 0,
+     "7fe63a743806ecf744bdd1a2064956bb958a52b3bfa0d7467d897997f55d63ef"),
+    (["kirwan", "--max-degree", "16", "l8"], 0,
+     "4c3a456a5e4b1ba982f88539738023ea0366e67fd24f477ab1c19d82ac69bc70"),
     # stratification on rational weights and a rational form
     (["index-set", "rat2form"], 0,
      "293fe77873366eda6a568a4e0496cae21568413c17a63c6985250d0206195611"),

@@ -25,7 +25,8 @@ from moment_strata import (GradedPolynomial, WeylSymmetryRequired,
                            weyl_kernel_bijection_report)
 from moment_strata.kirwan import (KernelIdeal, Presentation, Stratum,
                                   TwoSidedKernelDegree, TwoSidedKernelReport,
-                                  WeylBijectionDegree, WeylBijectionReport)
+                                  WeylBijectionDegree, WeylBijectionReport,
+                                  _filtration_of)
 from moment_strata.linalg import SpanBasis, null_space
 from moment_strata.polynomials import (divide_exact, exponents_of_degree,
                                        graded_piece_dim)
@@ -194,9 +195,11 @@ def test_first_span_asked_at_a_high_degree(make, ideal, degree, expected):
 
 
 def test_span_entries_stay_small_on_six_lines():
-    # each degree's span is built from the rows of the degree below, so any
-    # growth of the stored rows compounds (back-reduced rows reach 97 bits)
-    rows = torus_kernel_ideal(line_product_presentation(6), 12)._spans.span(12).basis_rows()
+    # each level of the filtration is built from the rows new at the level
+    # below, so any growth of the stored rows compounds (back-reduced rows
+    # reach 97 bits)
+    pres = line_product_presentation(6)
+    rows = _filtration_of(pres, torus_kernel_ideal(pres, 12)).level(6).basis_rows()
     assert rows
     assert max(abs(v).bit_length() for row in rows for v in row.values()) < 16
 
@@ -459,7 +462,7 @@ def free_two_sided(pres, max_degree):
     return TwoSidedKernelReport(tuple(entries)), kernels
 
 
-# P^1..P^6 with symmetric, repeated, zero and rational weights, and L^1..L^6;
+# P^1..P^6 with symmetric, repeated, zero and rational weights, and L^1..L^7;
 # each with the degree cap the oracle comparisons run to
 SYMMETRIC = [
     (projective_space_presentation([1, -1]), 8),
@@ -470,7 +473,9 @@ SYMMETRIC = [
     (projective_space_presentation([1, 1, 0, -1, -1]), 12),
     (projective_space_presentation([5, 3, 1, -1, -3, -5]), 14),
     (projective_space_presentation([3, 2, 1, 0, -1, -2, -3]), 16),
-] + [(line_product_presentation(n), min(2 * n + 2, 8)) for n in range(1, 7)]
+] + [(line_product_presentation(n), min(2 * n + 2, 8)) for n in range(1, 7)] + [
+    # degree 10 keeps each L^7 oracle comparison under about 3 s
+    (line_product_presentation(7), 10)]
 ASYMMETRIC = [
     (projective_space_presentation([2, 1]), 6),
     (projective_space_presentation([2, 1, -1]), 8),
@@ -593,6 +598,22 @@ def test_two_sided_kernel_matches_the_free_ring(case):
         assert all(reference.contains(row) for row in span.basis_rows())
 
 
+@pytest.mark.parametrize("case", [c for c in ALL if _name(c) in (
+    "P(3/2,1/2,-1/2,-3/2)", "P(3,1/2,0,0,-1,-7/3)", "L4")], ids=_name)
+def test_two_sided_report_flags_a_stratum_ideal_with_a_missing_generator(case, monkeypatch):
+    from moment_strata import kirwan
+
+    pres, top = case
+    strata = kirwan.torus_strata
+    # a stratum of least codimension: its lift is in no other's ideal
+    monkeypatch.setattr(kirwan, "torus_strata",
+                        lambda p: tuple(sorted(strata(p), key=lambda s: len(s.kills)))[1:])
+    pres = Presentation(pres.kind, pres.variables, pres.weights, pres.n, pres.relations)
+    report = two_sided_kernel_report(pres, top)
+    assert report == free_two_sided(pres, top)[0]
+    assert not report.ok
+
+
 @pytest.mark.parametrize("case", ALL, ids=_name)
 def test_tolman_weitsman_basis_is_the_reduced_row_echelon_form(case):
     pres, top = case
@@ -619,14 +640,61 @@ def test_kirwan_command_builds_each_lift_once(tmp_path, monkeypatch, capsys):
     lift = kirwan.thom_gysin_lift
     monkeypatch.setattr(kirwan, "thom_gysin_lift",
                         lambda pres, s: built.append(s) or lift(pres, s))
-    model = tmp_path / "l6.json"
-    model.write_text(json.dumps({"rank": 1, "factors": [[["1"], ["-1"]]] * 6}))
-    argv = ["kirwan", str(model), "--group", "sl2", "--target", "s", "--max-degree", "8"]
+    model = _l6_model(tmp_path)
+    argv = ["kirwan", model, "--group", "sl2", "--target", "s", "--max-degree", "8"]
     assert cli.main(argv) == 0
     capsys.readouterr()
     # subsets of 3, 4 and 5 lines on both poles: the stable generators of
     # degree <= 8 and the torus generators of degree <= 10
     assert len(built) == len(set(built)) == 2 * (20 + 15 + 6)
     built.clear()
-    assert cli.main(["kirwan", str(model), "--max-degree", "8"]) == 0
+    assert cli.main(["kirwan", model, "--max-degree", "8"]) == 0
     assert len(built) == len(set(built)) == 2 * 15
+
+
+def _l6_model(tmp_path):
+    model = tmp_path / "l6.json"
+    model.write_text(json.dumps({"rank": 1, "factors": [[["1"], ["-1"]]] * 6}))
+    return str(model)
+
+
+def test_kirwan_command_restricts_each_column_once(tmp_path, monkeypatch, capsys):
+    """A torus run takes no per-degree restriction matrix and no null space,
+    and restricts each column of A once per fixed component."""
+    from moment_strata import cli, kirwan, linalg, residues
+
+    def forbidden(*args):
+        raise AssertionError("called off the kirwan command's path")
+
+    for module in (kirwan, residues, linalg):
+        for name in ("restriction_matrix", "null_space"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    restricted = []
+    restrict = residues._restrict
+    for module in (kirwan, residues):
+        if hasattr(module, "_restrict"):
+            monkeypatch.setattr(module, "_restrict", lambda comp, e: restricted.append(
+                (comp, e[:-1])) or restrict(comp, e))
+    assert cli.main(["kirwan", _l6_model(tmp_path), "--max-degree", "12"]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+    # 64 columns on 64 isolated fixed points
+    assert len(restricted) == len(set(restricted)) == 64 * 64
+
+
+def test_a_generator_vanishing_on_neither_side_is_a_failure(tmp_path, monkeypatch, capsys):
+    """A generator whose lift vanishes on no whole side has no proof of
+    containment in the two-sided kernel: the report raises, naming it, and
+    the command exits 3 with that witness instead of reporting equality."""
+    from moment_strata import VerificationFailed, cli, kirwan
+
+    strata = kirwan.torus_strata
+    monkeypatch.setattr(kirwan, "torus_strata",
+                        lambda pres: strata(pres) + (Stratum("unkilled", ()),))
+    with pytest.raises(VerificationFailed) as info:
+        two_sided_kernel_report(line_product_presentation(3), 8)
+    assert info.value.witness == {"generator": "unkilled"}
+    assert cli.main(["kirwan", _l6_model(tmp_path), "--max-degree", "8"]) == 3
+    out = capsys.readouterr().out
+    assert json.loads(out)["error"]["witness"] == {"generator": "unkilled"}
+    assert '"equal"' not in out
