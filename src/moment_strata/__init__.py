@@ -36,8 +36,9 @@ _EXPORTS = {
     "models": ("CriticalComponent IndexStratum ProfileClass WeightedModel "
                "WeylGroup classify_profile critical_components index_betas "
                "index_set is_semistable is_stable line_product_model "
-               "profile_of_point projective_space_model shifted_submodel "
-               "sl2_weyl sl3_torus_weyl stratum_codim weighted_model"),
+               "profile_of_point projective_space_model quotient_top_degree "
+               "shifted_submodel sl2_weyl sl3_torus_weyl stratum_codim "
+               "strictly_semistable_witness weighted_model"),
     "perturb": ("EpsilonProposal RefinementReport is_generic perturbed_model "
                 "propose_epsilon refinement_report"),
     "polynomials": "GradedPolynomial divide_exact polynomial_division",
@@ -46,8 +47,7 @@ _EXPORTS = {
                  "restrict_to_component restriction_matrix"),
     "series": ("PerfectionReport TruncatedSeries model_equivariant_series "
                "perfection_check quotient_poincare_polynomial "
-               "quotient_top_degree semistable_series sl2_quotient_series "
-               "strictly_semistable_witness"),
+               "semistable_series sl2_quotient_series"),
 }
 
 __all__ = sorted(" ".join(_EXPORTS.values()).split())

@@ -23,6 +23,7 @@ compiles only those; ``tests/test_package.py`` pins the set per subcommand.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -377,8 +378,8 @@ def _cmd_kirwan(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
+    from .models import quotient_top_degree
     from .residues import PAIRING_SCALE, presented_ring, residue_pairing
-    from .series import quotient_top_degree
 
     model, raw = _load_model(args.model)
     variables, _ = presented_ring(model)
@@ -525,5 +526,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run(argv: Sequence[str] | None = None) -> int:
+    """Process entry point: `main`, then `gc.freeze()` once the report is
+    written. Interpreter shutdown would otherwise run one full collection
+    over every object the run left alive; a frozen heap is out of every
+    later collection, that one included. `main` stays free of `gc` state
+    for tests and library callers."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

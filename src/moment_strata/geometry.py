@@ -79,12 +79,17 @@ class ProjectionCertificate(NamedTuple):
     support: tuple[int, ...]
     coefficients: tuple[Fraction, ...]
 
-    def verify(self, points: Sequence[Vector], form: BilinearForm) -> bool:
+    def verify(self, points: Sequence[Vector], form: BilinearForm,
+               cleared: tuple[int, list[tuple[int, ...]]] | None = None) -> bool:
         """`_verify_lattice` on the points and beta cleared of denominators,
-        with the coefficients written as integers over their lcm e."""
+        with the coefficients written as integers over their lcm e. A caller
+        that holds ``clear_denominators([*points, beta])`` passes it as
+        ``cleared``, and the points are not cleared again."""
         if sum(self.coefficients) != 1:
             return False
-        *lattice, x = clear_denominators([*points, self.beta])[1]
+        if cleared is None:
+            cleared = clear_denominators([*points, self.beta])
+        *lattice, x = cleared[1]
         e = lcm(*(c.denominator for c in self.coefficients))
         return _verify_lattice(lattice, form.cleared[1], LatticeCertificate(
             tuple(e * v for v in x), self.support,
@@ -119,11 +124,12 @@ def _canonical_certificate(points: Sequence[Vector], form: BilinearForm,
     valid support, which keeps the subset search small. The face lies in the
     hyperplane whose nearest point is beta, so a face subset realizes beta
     exactly when beta is the foot of the origin on its affine hull. The
-    search runs on the lattice, and so does the certificate's verification.
+    search runs on the lattice, and the certificate is verified on the same
+    cleared points.
     """
-    d, lattice = clear_denominators([*points, beta])
+    cleared = clear_denominators([*points, beta])
+    *lattice, x = cleared[1]
     gram = form.cleared[1]
-    x = lattice.pop()
     gx = _iapply(gram, x)
     nx = _idot(x, gx)
     face = sorted(i for p, i in _dedupe(lattice) if _idot(p, gx) == nx)
@@ -134,7 +140,7 @@ def _canonical_certificate(points: Sequence[Vector], form: BilinearForm,
             continue
         cert = ProjectionCertificate(beta, tuple(sub),
                                      tuple(Fraction(a, proj[1]) for a in proj[0]))
-        if not cert.verify(points, form):
+        if not cert.verify(points, form, cleared):
             raise VerificationFailed("canonical certificate failed "
                                      "self-verification", witness=cert._asdict())
         return cert

@@ -10,6 +10,10 @@ Each model clears its weights of denominators once, as its form does its Gram
 matrix; the profile scan, the critical components and the submodel shift run
 on those integers. Fractions appear only in what leaves them: betas,
 certificates, component values and a shifted submodel's weights.
+
+The preconditions of a quotient (its top degree, negation symmetry for the
+reflection group, semistable == stable) are read off the model here, so the
+cohomology layers need not load the series recursion.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import VerificationFailed, WeylSymmetryRequired
+from .errors import NotCoprimeStable, VerificationFailed, WeylSymmetryRequired
 from .geometry import (
     BilinearForm,
     ProjectionCertificate,
@@ -408,6 +412,32 @@ def require_negation_symmetric(model: WeightedModel):
             raise WeylSymmetryRequired(
                 "factor weights must be symmetric under negation",
                 witness={"factor": i, "weights": fac})
+
+
+def _check_group(group: str):
+    if group not in ("torus", "sl2"):
+        raise ValueError("group must be 'torus' or 'sl2'")
+
+
+def quotient_top_degree(model: WeightedModel, group: str) -> int:
+    """Real dimension of the quotient: the projective dimensions minus the
+    group's dimension (the rank for the torus, 3 for SL(2)), doubled."""
+    _check_group(group)
+    drop = model.rank if group == "torus" else 3
+    return 2 * (sum(s - 1 for s in model.factor_sizes) - drop)
+
+
+def require_quotient(model: WeightedModel, group: str):
+    """The preconditions of a quotient with a fundamental class: a known
+    group, negation symmetry for the reflection group, and semistable ==
+    stable (else NotCoprimeStable, with the first such profile)."""
+    _check_group(group)
+    if group == "sl2":
+        require_negation_symmetric(model)
+    witness = strictly_semistable_witness(model)
+    if witness is not None:
+        raise NotCoprimeStable("model has a strictly semistable profile",
+                               witness={"profile": witness})
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ from operator import add
 from typing import NamedTuple, Sequence
 
 from .linalg import null_space
-from .models import WeightedModel, _record, require_negation_symmetric
+from .models import (WeightedModel, _check_group, _record, quotient_top_degree,
+                     require_negation_symmetric, require_quotient)
 from .polynomials import Exponents, GradedPolynomial, monomials
-from .series import _check_group, quotient_top_degree, require_quotient
 
 # residue_pairing is the raw residue sum times this, per group
 PAIRING_SCALE = {"torus": Fraction(-2), "sl2": Fraction(1)}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import NotCoprimeStable, TruncationTooSmall, VerificationFailed
+from .errors import TruncationTooSmall, VerificationFailed
 from .linalg import SpanBasis, Value
 from .models import (
     WeightedModel,
@@ -27,8 +27,9 @@ from .models import (
     _shift,
     critical_components,
     index_betas,
+    quotient_top_degree,
     require_negation_symmetric,
-    strictly_semistable_witness,
+    require_quotient,
     stratum_codim,
 )
 
@@ -114,13 +115,16 @@ class TruncatedSeries(Value):
 
 
 def _factor_product(model: WeightedModel, trunc: int) -> TruncatedSeries:
-    """Product of the projective-space polynomials of the factors."""
-    out = TruncatedSeries.one(trunc)
+    """Product of the projective-space polynomials of the factors, each
+    1 + t^2 + ... + t^(2s-2) = (1 - t^(2s)) / (1 - t^2) applied in place:
+    linear in the truncation per factor."""
+    out = [1] + [0] * trunc
     for size in model.factor_sizes:
-        poly = TruncatedSeries.from_coeffs(
-            [1 if (d % 2 == 0 and d < 2 * size) else 0 for d in range(trunc + 1)], trunc)
-        out = out * poly
-    return out
+        for d in range(trunc, 2 * size - 1, -1):
+            out[d] -= out[d - 2 * size]
+        for d in range(2, trunc + 1):
+            out[d] += out[d - 2]
+    return TruncatedSeries(tuple(out))
 
 
 def model_equivariant_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
@@ -207,32 +211,6 @@ def sl2_quotient_series(model: WeightedModel, trunc: int) -> TruncatedSeries:
     for lam, sub in _descend(model, trunc, 2):
         out = out - semistable_series(sub, trunc - lam).shift(lam)
     return out
-
-
-def _check_group(group: str):
-    if group not in ("torus", "sl2"):
-        raise ValueError("group must be 'torus' or 'sl2'")
-
-
-def quotient_top_degree(model: WeightedModel, group: str) -> int:
-    """Real dimension of the quotient: the projective dimensions minus the
-    group's dimension (the rank for the torus, 3 for SL(2)), doubled."""
-    _check_group(group)
-    drop = model.rank if group == "torus" else 3
-    return 2 * (sum(s - 1 for s in model.factor_sizes) - drop)
-
-
-def require_quotient(model: WeightedModel, group: str):
-    """The preconditions of a quotient with a fundamental class: a known
-    group, negation symmetry for the reflection group, and semistable ==
-    stable (else NotCoprimeStable, with the first such profile)."""
-    _check_group(group)
-    if group == "sl2":
-        require_negation_symmetric(model)
-    witness = strictly_semistable_witness(model)
-    if witness is not None:
-        raise NotCoprimeStable("model has a strictly semistable profile",
-                               witness={"profile": witness})
 
 
 def quotient_poincare_polynomial(model: WeightedModel, trunc: int,

@@ -1,5 +1,6 @@
 """Command line interface: report envelopes, exit codes, determinism."""
 
+import gc
 import io
 import json
 import os
@@ -21,12 +22,15 @@ SCRIPT = "moment-strata"
 P3 = {"rank": 1, "factors": [[["3"], ["1"], ["-1"], ["-3"]]], "weyl": "sl2"}
 L3 = {"rank": 1, "factors": [[["1"], ["-1"]]] * 3}
 L4 = {"rank": 1, "factors": [[["1"], ["-1"]]] * 4}
+FLOAT = {"rank": 1, "factors": [[[1.5], [-1]]]}
+ASYM = {"rank": 1, "factors": [[["2"], ["0"], ["-1"]]]}
 
 
 @pytest.fixture
 def models(tmp_path):
     paths = {}
-    for name, obj in (("p3", P3), ("l3", L3), ("l4", L4)):
+    for name, obj in (("p3", P3), ("l3", L3), ("l4", L4), ("float", FLOAT),
+                      ("asym", ASYM)):
         p = tmp_path / (name + ".json")
         p.write_text(json.dumps(obj))
         paths[name] = str(p)
@@ -505,17 +509,44 @@ def console_script(args):
     module, attr = entry.split(":")
     code = (f"import sys; sys.argv[0] = {SCRIPT!r}; "
             f"from {module} import {attr}; sys.exit({attr}())")
+    return [sys.executable, "-c", code, *args], package_env()
+
+
+def package_env():
+    """The environment with this process's package first on PYTHONPATH."""
     src = str(Path(moment_strata.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return [sys.executable, "-c", code, *args], env
+    return env
 
 
 def test_console_script_matches_in_process_output(models, capsys):
-    _, expected, _ = run(capsys, ["series", models["l4"]])
-    command, env = console_script(["series", models["l4"]])
-    proc = subprocess.run(command, capture_output=True, text=True, env=env,
+    """Exit code, stdout and stderr of a report, an input error (a float
+    weight) and a mathematical error (sl2 on asymmetric weights)."""
+    for argv, exit_code in ((["series", models["l4"]], 0),
+                            (["index-set", models["float"]], 2),
+                            (["series", "--group", "sl2", models["asym"]], 3)):
+        expected = run(capsys, argv)
+        assert expected[0] == exit_code
+        command, env = console_script(argv)
+        proc = subprocess.run(command, capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+
+
+# reports on stderr, from an atexit hook, whether the heap was frozen
+FREEZE_PROBE = """import atexit, gc, sys
+from moment_strata import cli
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+sys.exit(cli.run(sys.argv[1:]))"""
+
+
+def test_run_freezes_the_heap_and_main_leaves_it(models, capsys):
+    argv = ["index-set", models["p3"]]
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv],
+                          capture_output=True, text=True, env=package_env(),
                           timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == expected
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+    assert proc.stdout == run(capsys, argv)[1]
+    assert gc.get_freeze_count() == 0

@@ -129,9 +129,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0, code"""
 
 INDEX_SET = ["cli", "errors", "geometry", "linalg", "models"]
-# `pairing` needs only the variable names of a presentation, not `kirwan`
+# `pairing` needs only the variable names of a presentation, not `kirwan`,
+# and neither reads a quotient's preconditions from `series`
 PAIRING = ["cli", "errors", "geometry", "linalg", "models", "polynomials",
-           "residues", "series"]
+           "residues"]
 COHOMOLOGY = sorted(PAIRING + ["kirwan"])
 
 INPUTS = {
@@ -193,6 +194,50 @@ def test_no_library_module_imports_dataclasses():
             found += [(path.name, node.lineno) for name in names
                       if name.split(".")[0] == "dataclasses"]
     assert not found
+
+
+def _process_exits(path):
+    """(function, call) for each use of `gc.freeze`, `gc.disable` or
+    `os._exit` in a module, by attribute or by name imported from the
+    module; the function is the innermost enclosing one, or None."""
+    banned = {("gc", "freeze"), ("gc", "disable"), ("os", "_exit")}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in banned):
+            found.append((function, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((function, f"{node.module}.{alias.name}")
+                         for alias in node.names if (node.module, alias.name) in banned)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_the_process_entry_point_touches_the_collector_or_exits():
+    """`cli.run` freezes the heap once its report is written; `main` and
+    the library leave `gc` alone and never end the process themselves."""
+    found = {path.name: uses for path in sorted(PACKAGE.glob("*.py"))
+             if (uses := _process_exits(path))}
+    assert found == {"cli.py": [("run", "gc.freeze")]}
+
+
+def test_the_process_exit_check_sees_attributes_and_imported_names(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import gc, os\n"
+                    "from gc import disable\n"
+                    "def f():\n"
+                    "    gc.freeze()\n"
+                    "    def g():\n"
+                    "        os._exit(0)\n"
+                    "gc.collect()\n")
+    assert _process_exits(path) == [(None, "gc.disable"), ("f", "gc.freeze"),
+                                    ("g", "os._exit")]
 
 
 def _unused_imports(path):

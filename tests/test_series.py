@@ -40,6 +40,27 @@ def test_equivariant_series_of_single_line():
     assert s.coeffs == (1, 0, 2, 0, 2, 0, 2, 0, 2)
 
 
+def _factor_product_by_products(sizes, trunc):
+    """The factors' polynomials 1 + t^2 + ... + t^(2s-2) as whole truncated
+    series, multiplied together: the reference for `series._factor_product`."""
+    out = TruncatedSeries.one(trunc)
+    for size in sizes:
+        out = out * TruncatedSeries.from_coeffs(
+            [1 if (d % 2 == 0 and d < 2 * size) else 0 for d in range(trunc + 1)], trunc)
+    return out
+
+
+def test_factor_product_matches_the_product_of_whole_series():
+    cases = ([(s,) for s in range(1, 9)]
+             + list(itertools.combinations_with_replacement(range(1, 9), 2))
+             + [tuple(range(1, 9)), (8,) * 8])
+    for sizes in cases:
+        model = weighted_model(1, [[[k] for k in range(s)] for s in sizes])
+        for trunc in range(41):
+            assert (series._factor_product(model, trunc)
+                    == _factor_product_by_products(sizes, trunc)), (sizes, trunc)
+
+
 def test_p1_quotient_is_a_point():
     m = pn_model(1)
     assert quotient_poincare_polynomial(m, 12) == [1]
