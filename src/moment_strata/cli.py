@@ -318,8 +318,7 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_kirwan(args) -> int:
-    from .kirwan import (betti_from_presentation, line_product_presentation,
-                         projective_space_presentation, sl2_kernel_ideal,
+    from .kirwan import (Presentation, betti_from_presentation, sl2_kernel_ideal,
                          torus_kernel_ideal, two_sided_kernel_report,
                          weyl_kernel_bijection_report)
     from .residues import presented_ring
@@ -327,9 +326,8 @@ def _cmd_kirwan(args) -> int:
     model, raw = _load_model(args.model)
     if args.max_degree < 0:
         raise InputError("--max-degree must be nonnegative")
-    variables, weights = presented_ring(model)
-    pres = (line_product_presentation(len(variables) - 1) if weights is None
-            else projective_space_presentation(weights))
+    presented_ring(model)   # exit 2 for a shape with no presentation
+    pres = Presentation(tuple(tuple(w for (w,) in fac) for fac in model.factors))
     target = {"ss": "semistable", "s": "stable"}[args.target]
     if args.group == "torus":
         if target != "semistable":
@@ -354,11 +352,12 @@ def _cmd_kirwan(args) -> int:
             "ok": rep.ok,
             "degrees": [r._asdict() for r in rep.degrees],
         }
+    one = len(pres.factors) == 1
     presentation = {
-        "kind": pres.kind,
+        "kind": "pn" if one else "p1n",
         "variables": list(pres.variables),
-        "n": pres.n,
-        "weights": list(pres.weights),
+        "n": len(pres.factors[0]) - 1 if one else len(pres.factors),
+        "weights": list(pres.factors[0]) if one else [],
         "relations": [str(r) for r in pres.relations],
     }
     generators = [{"label": label,
@@ -382,7 +381,7 @@ def _cmd_pairing(args) -> int:
     from .residues import PAIRING_SCALE, presented_ring, residue_pairing
 
     model, raw = _load_model(args.model)
-    variables, _ = presented_ring(model)
+    variables = presented_ring(model)
     eta = _parse_poly(variables, args.eta, "eta")
     zeta = _parse_poly(variables, args.zeta, "zeta")
     normalized = residue_pairing(model, eta, zeta, args.group)

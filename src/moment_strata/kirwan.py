@@ -1,28 +1,28 @@
 """Kernels of the restriction from equivariant cohomology to the quotient.
 
-Two presentations are supported: a weighted projective space P(C^{n+1})
-with variables (z, a), relation prod_j (z + w_j a); and a product of n
-projective lines with variables (z1..zn, a), relations z_i^2 - a^2. In both
-cases every variable has cohomological degree two and `a` is the
-equivariant parameter of the (rank-one) torus.
+A rank-1 product of weighted projective factors, P^n (one factor) or L^n
+(n factors P^1(1, -1)), presents its equivariant cohomology as one ring
+Q[z1..zm, a]/(prod_j (zi + w_ij a))_i: a variable (z when m = 1) and an
+Euler product per factor, every variable of degree two, `a` the parameter.
 
-Each unstable stratum contributes the Thom-Gysin image of its closure: the
-product of the Euler factors of the coordinates the stratum kills, which is
-all a `Stratum` records besides its label. The torus-level kernel is
-generated by these lifts; the reflection-group kernel folds opposite strata
-into an invariant difference (divided by the parameter) and an invariant
-sum.
+Each unstable stratum is a coordinate subspace: one weight value c_i per
+factor with beta = sum c_i nonzero kills each coordinate of weight below
+c_i if beta > 0, above it if beta < 0. A `Stratum` records its label and
+the Euler factors of those coordinates, whose product is its Thom-Gysin
+lift. The lifts generate the torus-level kernel; the reflection-group
+kernel folds the strata of c and -c into an invariant difference (divided
+by the parameter) and an invariant sum.
 
 The presented ring R is a free Q[a]-module on the normal-form z-parts, so
 setting a = 1 embeds its degree-2k piece in A = R/(a - 1), with one column
-per z-part (2^n on L^n, n + 1 on P^n), as the columns of z-degree <= k.
+per z-part (prod (n_i + 1) of them), as the columns of z-degree <= k.
 An ideal's degree-2k piece is level k of one filtration of A, and Betti
 numbers are column counts minus level dimensions. The two-sided kernel
 K- + K+ (classes vanishing on the fixed components with moment value <= 0,
 or >= 0) has dimension (N - rk-) + (N - rk+) - (N - rk) on N columns, from
 the ranks of the restrictions to either side and to all components. Each
-presentation memoizes A, the lifts and the kernel ideals built on it, and
-each kernel ideal its filtration.
+presentation memoizes A, its strata, the lifts and the kernel ideals built
+on it, and each kernel ideal its filtration.
 """
 
 from __future__ import annotations
@@ -34,56 +34,57 @@ from typing import NamedTuple, Sequence
 
 from .errors import VerificationFailed
 from .linalg import SpanBasis, Value, frac, null_space
-from .models import (WeightedModel, line_product_model, projective_space_model,
-                     require_negation_symmetric)
+from .models import WeightedModel, require_negation_symmetric, weighted_model
 from .polynomials import (Exponents, GradedPolynomial, divide_exact, exponents_of_degree,
                           graded_piece_dim, polynomial_division)
 from .residues import _restrict, fixed_components, restriction_matrix
 
 
 class Presentation(Value):
-    """Kind "pn": the coordinate weights and the projective dimension n; kind
-    "p1n": no weights and n lines. `memo`, the kernel layer's, is not compared
-    and starts empty: lifts by Stratum, kernel ideals by (group, target, max_degree), A by "A"."""
+    """The ring of a rank-1 product, by the weights of its factors (one tuple
+    each); its variables and relations follow from them. `memo`, the kernel
+    layer's, is not compared and starts empty: lifts by Stratum, kernel
+    ideals by (group, target, max_degree), A and the strata by name."""
 
-    __slots__ = ("kind", "variables", "weights", "n", "relations", "memo")
-    _compared = ("kind", "variables", "weights", "n", "relations")
+    __slots__ = ("factors", "variables", "relations", "memo")
+    _compared = ("factors",)
 
-    def __init__(self, kind: str, variables: tuple[str, ...], weights: tuple[Fraction, ...],
-                 n: int, relations: tuple[GradedPolynomial, ...]):
-        self.kind, self.variables, self.weights, self.n = kind, variables, weights, n
-        self.relations, self.memo = relations, {}
+    def __init__(self, factors: tuple[tuple[Fraction, ...], ...]):
+        if any(len(fac) < 2 for fac in factors):
+            raise ValueError("need at least two coordinates")
+        names = ("z",) if len(factors) == 1 else tuple(f"z{i+1}" for i in range(len(factors)))
+        self.factors, self.variables, self.memo = factors, names + ("a",), {}
+        self.relations = tuple(_euler_product(self.variables, [(z, w) for w in fac])
+                               for z, fac in zip(names, factors))
 
     def model(self) -> WeightedModel:
-        if self.kind == "pn":
-            return projective_space_model(self.weights)
-        return line_product_model(self.n)
+        return weighted_model(1, [[(w,) for w in fac] for fac in self.factors])
 
     @property
     def alpha(self) -> GradedPolynomial:
         return GradedPolynomial.var(self.variables, "a")
 
     def basis(self, d: int) -> tuple[Exponents, ...]:
-        """Normal-form monomials of degree d, ascending lex: z^S a^m for a set
-        S of lines, or z^j a^m with j <= n. The relations are a Groebner basis
-        (leading terms z_i^2, coprime, or the one relation's z^(n+1))."""
+        """Normal-form monomials of degree d, ascending lex: z^s a^m with
+        s_i < the number of coordinates of factor i. The relations are a
+        Groebner basis: their leading terms z_i^(n_i + 1) are coprime."""
         k = d // 2
-        if self.kind == "pn":
-            return tuple((j, k - j) for j in range(min(self.n, k) + 1))
         return tuple(s + (k - sum(s),)
-                     for s in itertools.product((0, 1), repeat=self.n)
+                     for s in itertools.product(*(range(len(fac)) for fac in self.factors))
                      if sum(s) <= k)
 
     def normal_form(self, e: Exponents) -> dict[Exponents, Fraction]:
-        """Monomial e modulo the relations, on basis monomials of its degree;
-        commutes with times a and, for symmetric weights, with a -> -a."""
-        if self.kind == "p1n":
-            m = e[-1] + sum(x - x % 2 for x in e[:-1])
-            return {tuple(x % 2 for x in e[:-1]) + (m,): Fraction(1)}
-        if e[0] <= self.n:
-            return {e: Fraction(1)}
-        monomial = GradedPolynomial(self.variables, ((e, Fraction(1)),))
-        return dict(polynomial_division(monomial, self.relations[0])[1].terms)
+        """Monomial e modulo the relations, on basis monomials of its degree:
+        each z_i^(e_i) with e_i > n_i divided by its own factor's relation.
+        Commutes with times a and, for symmetric weights, with a -> -a."""
+        terms = {e[:-1]: Fraction(1)}
+        for i, (x, fac, rel) in enumerate(zip(e, self.factors, self.relations)):
+            if x >= len(fac):
+                zi = GradedPolynomial.var(self.variables, self.variables[i])
+                rem = polynomial_division(zi ** x, rel)[1]
+                terms = {s[:i] + (f[i],) + s[i + 1:]: c * r
+                         for s, c in terms.items() for f, r in rem.terms}
+        return {s + (sum(e) - sum(s),): c for s, c in terms.items()}
 
 
 def _euler_product(variables: tuple[str, ...],
@@ -97,22 +98,13 @@ def _euler_product(variables: tuple[str, ...],
 
 
 def projective_space_presentation(weights: Sequence) -> Presentation:
-    ws = tuple(frac(w) for w in weights)
-    if len(ws) < 2:
-        raise ValueError("need at least two coordinates")
-    v = ("z", "a")
-    rel = _euler_product(v, [("z", w) for w in ws])
-    return Presentation("pn", v, ws, len(ws) - 1, (rel,))
+    return Presentation((tuple(frac(w) for w in weights),))
 
 
 def line_product_presentation(n: int) -> Presentation:
     if n < 1:
         raise ValueError("need at least one line")
-    v = tuple(f"z{i+1}" for i in range(n)) + ("a",)
-    a = GradedPolynomial.var(v, "a")
-    rels = tuple(GradedPolynomial.var(v, f"z{i+1}") ** 2 - a ** 2
-                 for i in range(n))
-    return Presentation("p1n", v, (), n, rels)
+    return Presentation(((Fraction(1), Fraction(-1)),) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -120,42 +112,53 @@ def line_product_presentation(n: int) -> Presentation:
 
 
 class Stratum(NamedTuple):
-    """An unstable stratum (or, for the stable target, a half-size subset of
-    lines) by the (variable, weight) Euler factors z + w*a of the coordinates
-    it kills; its complex codimension is the number of factors."""
+    """A stratum by the (variable, weight) Euler factors z + w*a of the
+    coordinates it kills; its complex codimension is their number."""
     label: str
     kills: tuple[tuple[str, Fraction], ...]
 
 
-def _pn_stratum(pres: Presentation, beta: Fraction) -> Stratum:
-    return Stratum(f"beta={beta}", tuple(("z", w) for w in pres.weights
-                                         if w * beta < beta * beta))
+def _label(pres: Presentation, values: tuple[Fraction, ...], sign: int,
+           kills: tuple[tuple[str, Fraction], ...]) -> tuple[tuple, str | None, Stratum]:
+    """The one place the shape shows: print key, label of the reflection pair
+    led (or None) and stratum. One factor: by beta, ascending; beta > 0 leads.
+    Lines: J killed at weight sigma, by |J| then J; sigma = +1 first, leads."""
+    if len(pres.factors) == 1:
+        beta, = values
+        return (beta,), f"beta={beta}" if sign > 0 else None, Stratum(f"beta={beta}", kills)
+    lines = tuple(pres.variables.index(var) + 1 for var, _ in kills)
+    pair = "J=" + ",".join(map(str, lines))
+    return ((len(lines), lines, sign), pair if sign < 0 else None,
+            Stratum(f"{pair};sigma={-sign:+d}", kills))
 
 
-def _line_stratum(subset: tuple[int, ...], sigma: int) -> Stratum:
-    """The stratum where the lines in `subset` (1-based) sit on pole sigma."""
-    return Stratum(f"J={','.join(map(str, subset))};sigma={sigma:+d}",
-                   tuple((f"z{j}", Fraction(sigma)) for j in subset))
+def _strata(pres: Presentation) -> list[tuple]:
+    """(key, pair label, stratum, choice, sign, beta) in print order, kept in
+    the memo: one for each choice c of one weight value per factor (times d)
+    and each sign with sign * beta >= 0, beta = sum c. The stratum kills the
+    coordinates of weight w in factor i with sign * w < sign * c_i."""
+    if "strata" not in pres.memo:
+        # per factor: each value, times d, with its kills on either side
+        d = lcm(*(w.denominator for fac in pres.factors for w in fac))
+        cuts = [[(c, c.numerator * (d // c.denominator),
+                  {s: tuple((var, w) for w in fac if (w < c if s > 0 else w > c)) for s in (1, -1)})
+                 for c in sorted(set(fac))] for var, fac in zip(pres.variables, pres.factors)]
+        found = []
+        for picks in itertools.product(*cuts):
+            values, choice, sides = zip(*picks)
+            beta = sum(choice)
+            for sign in (s for s in (1, -1) if s * beta >= 0):
+                kills = tuple(k for side in sides for k in side[sign])
+                found.append((*_label(pres, values, sign, kills), choice, sign, beta))
+        pres.memo["strata"] = sorted(found, key=lambda s: s[0])
+    return pres.memo["strata"]
 
 
 def torus_strata(pres: Presentation) -> tuple[Stratum, ...]:
-    """The unstable strata, on P^n in ascending order of beta.
-
-    On P^n the betas are the distinct nonzero weights, without a profile
-    scan. A profile is a nonempty set S of weights, and its hull is the
-    interval [min S, max S]; the point of it nearest the origin is 0 when
-    the interval contains 0, and otherwise the endpoint nearer 0, which is a
-    weight. A one-value profile {w} has beta w. So every nonzero beta is a
-    weight and every nonzero weight is a beta.
-    """
-    if pres.kind == "pn":
-        return tuple(_pn_stratum(pres, b)
-                     for b in sorted(set(pres.weights)) if b != 0)
-    n = pres.n
-    return tuple(_line_stratum(subset, sigma)
-                 for size in range(n // 2 + 1, n + 1)
-                 for subset in itertools.combinations(range(1, n + 1), size)
-                 for sigma in (1, -1))
+    """The unstable strata, in print order, without a profile scan: a
+    profile's hull is an interval whose ends are sums of one weight per
+    factor, so its beta is 0 or such a sum, and each nonzero sum is a beta."""
+    return tuple(s for _, _, s, _, _, beta in _strata(pres) if beta)
 
 
 def thom_gysin_lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
@@ -207,37 +210,33 @@ def _reflect(poly: GradedPolynomial) -> GradedPolynomial:
         (e, -c if e[-1] % 2 else c) for e, c in poly.terms))
 
 
+def _pairs(pres: Presentation, stable: bool) -> list[tuple[str, Stratum, Stratum]]:
+    """Reflection pairs (label, stratum of c, of -c) in order; beta = 0 if `stable`."""
+    strata = _strata(pres)
+    reflected = {(choice, sign): s for _, _, s, choice, sign, _ in strata}
+    return [(pair, s, reflected[tuple(-c for c in choice), -sign])
+            for _, pair, s, choice, sign, beta in strata if pair and (beta or stable)]
+
+
 def sl2_kernel_ideal(pres: Presentation, max_degree: int,
                      target: str = "semistable") -> KernelIdeal:
     """Folded kernel generators for the reflection quotient.
 
-    Each pair of opposite strata yields two invariant generators: the
-    difference of the two lifts divided by the parameter (degree two below
-    the torus codimension) and their sum. For products of lines with the
-    stable target, the half-size subsets contribute the same two families.
-    Pairs above max_degree are not lifted.
+    The strata of the choices c and -c yield two invariant generators: the
+    difference of their lifts divided by the parameter (degree two below
+    the torus codimension) and their sum. The stable target, on products of
+    lines, adds the pairs of beta = 0. Pairs above max_degree are not lifted.
     """
     if target not in ("semistable", "stable"):
         raise ValueError("target must be 'semistable' or 'stable'")
     require_negation_symmetric(pres.model())
-    if pres.kind == "pn" and target == "stable":
+    if target == "stable" and any(sorted(fac) != [-1, 1] for fac in pres.factors):
         raise ValueError("the stable target is defined for products of lines only")
     key = ("sl2", target, max_degree)
     if key in pres.memo:
         return pres.memo[key]
-    if pres.kind == "pn":
-        pairs = [(f"beta={b}", _pn_stratum(pres, b), _pn_stratum(pres, -b))
-                 for b in sorted(set(pres.weights)) if b > 0]
-    else:
-        n = pres.n
-        low = n // 2 if target == "stable" and n % 2 == 0 else n // 2 + 1
-        pairs = [("J=" + ",".join(map(str, subset)),
-                  _line_stratum(subset, 1), _line_stratum(subset, -1))
-                 for size in range(low, n + 1)
-                 for subset in itertools.combinations(range(1, n + 1), size)]
-    a = pres.alpha
     gens = []
-    for label, up, down in pairs:
+    for label, up, down in _pairs(pres, target == "stable"):
         lam = 2 * len(up.kills)
         if lam - 2 > max_degree:
             continue
@@ -245,7 +244,7 @@ def sl2_kernel_ideal(pres: Presentation, max_degree: int,
         if _reflect(plus) != minus:
             raise VerificationFailed("opposite lifts are not reflection images",
                                      witness={"stratum": label})
-        diff = divide_exact(plus - minus, a).scale(Fraction(1, 4))
+        diff = divide_exact(plus - minus, pres.alpha).scale(Fraction(1, 4))
         total = (plus + minus).scale(Fraction(1, 4))
         for g, deg, tag in ((diff, lam - 2, "difference"), (total, lam, "sum")):
             if deg > max_degree:
@@ -275,16 +274,17 @@ class _Filtration:
         if "A" not in pres.memo:
             # A's columns in ascending lex order (so each degree's basis keeps
             # its order), and each column times each zi at a = 1: a column, or
-            # a normal form scaled to integers by the relations' denominators
-            cols = [e[:-1] for e in pres.basis(2 * pres.n)]
+            # zi^(ni + 1) rewritten by its relation's lower terms, all scaled
+            # to integers by the relations' denominators
+            cols = [e[:-1] for e in pres.basis(2 * sum(len(f) - 1 for f in pres.factors))]
             index = {x: c for c, x in enumerate(cols)}
             scale = lcm(*(c.denominator for r in pres.relations for _, c in r.terms))
+            low = [[(f[i], -c.numerator * (scale // c.denominator)) for f, c in r.terms if f[-1]]
+                   for i, r in enumerate(pres.relations)]
             pres.memo["A"] = cols, index, [[
-                [(index[y], scale)] if y in index else
-                [(index[f[:-1]], c.numerator * (scale // c.denominator))
-                 for f, c in pres.normal_form(y + (0,)).items()]
-                for y in (x[:i] + (x[i] + 1,) + x[i + 1:] for i in range(len(x)))]
-                for x in cols]
+                [(index[x[:i] + (x[i] + 1,) + x[i + 1:]], scale)] if x[i] < len(fac) - 1 else
+                [(index[x[:i] + (j,) + x[i + 1:]], c) for j, c in low[i]]
+                for i, fac in enumerate(pres.factors)] for x in cols]
         self.pres = pres
         self.cols, self.index, self.table = pres.memo["A"]
         self.zdeg = [sum(x) for x in self.cols]
@@ -378,6 +378,8 @@ def betti_from_presentation(pres: Presentation, kernel: KernelIdeal | None,
 def in_relation_span(pres: Presentation, kernel: KernelIdeal | None,
                      poly: GradedPolynomial) -> bool:
     """Membership of a polynomial in the ideal, checked degree by degree."""
+    if poly.variables != pres.variables:
+        raise ValueError("polynomials live in different rings")
     filt = _filtration_of(pres, kernel)
     return all(filt.level(d // 2).contains(filt.vector_of(poly.graded_piece(d)))
                for d in {2 * sum(e) for e, _ in poly.terms})
@@ -536,16 +538,13 @@ def two_sided_kernel_report(pres: Presentation, max_degree: int
 
 def restrict_to_subspace(pres: Presentation, poly: GradedPolynomial,
                          subset: Sequence[int]) -> GradedPolynomial:
-    """Image of a class in the presentation of a coordinate subspace.
-
-    Only meaningful for weighted projective spaces: the subspace spanned by
-    the chosen coordinates carries the sub-product relation, and the image
-    is the canonical remainder modulo that relation.
-    """
-    if pres.kind != "pn":
+    """Image of a class in the presentation of a coordinate subspace of a
+    weighted projective space: the canonical remainder modulo the Euler
+    product of the chosen coordinates, the subspace's relation."""
+    if len(pres.factors) != 1:
         raise ValueError("subspace restriction is defined for projective spaces only")
-    idxs = sorted(set(subset))
-    if not idxs or any(not 0 <= j <= pres.n for j in idxs):
+    weights, idxs = pres.factors[0], sorted(set(subset))
+    if not idxs or any(not 0 <= j < len(weights) for j in idxs):
         raise ValueError("subset must pick valid coordinate indices")
-    rel = _euler_product(pres.variables, [("z", pres.weights[j]) for j in idxs])
+    rel = _euler_product(pres.variables, [("z", weights[j]) for j in idxs])
     return polynomial_division(poly, rel)[1]

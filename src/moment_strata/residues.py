@@ -69,19 +69,18 @@ def component_variables(model: WeightedModel) -> tuple[str, ...]:
     return tuple(f"h{i+1}" for i in range(len(model.factors))) + ("a",)
 
 
-def presented_ring(model: WeightedModel) -> tuple[tuple[str, ...], list | None]:
-    """Variables of the ring `kirwan` presents for the model, with the weights
-    of its one factor, or None for lines (each with exactly the weights 1 and
-    -1); ValueError for any other model."""
+def presented_ring(model: WeightedModel) -> tuple[str, ...]:
+    """Variables of the ring `kirwan` presents for the model: a single
+    weighted projective factor, or lines each with exactly the weights 1 and
+    -1; ValueError for any other model."""
     if model.rank != 1:
         raise ValueError("presentations exist for rank-1 models only")
     if len(model.factors) == 1:
-        weights = [w[0] for w in model.factors[0]]
-        if len(weights) < 2:
+        if len(model.factors[0]) < 2:
             raise ValueError("need at least two coordinates")
-        return ("z", "a"), weights
+        return ("z", "a")
     if all(sorted(fac) == [(-1,), (1,)] for fac in model.factors):
-        return tuple(f"z{i+1}" for i in range(len(model.factors))) + ("a",), None
+        return tuple(f"z{i+1}" for i in range(len(model.factors))) + ("a",)
     raise ValueError("no presentation for this model: need a single "
                      "weighted projective factor or a product of lines")
 

@@ -107,7 +107,7 @@ def test_criterion_03_betti_numbers_agree_across_three_routes():
             assert all(coeffs[d] == 0 for d in range(top + 1, len(coeffs)))
             assert all(coeffs[d] == 0 for d in range(1, top + 1, 2))
             series_betti = [coeffs[d] for d in range(0, top + 1, 2)]
-        assert series_betti == even_betti, (group, pres.kind, series_betti)
+        assert series_betti == even_betti, (group, pres.variables, series_betti)
 
         # route 2: free presentation modulo the restriction kernel
         if group == "torus":
@@ -117,12 +117,12 @@ def test_criterion_03_betti_numbers_agree_across_three_routes():
         for d in range(0, 13, 2):
             want = even_betti[d // 2] if d <= top else 0
             got = betti_from_presentation(pres, kernel, d)
-            assert got == want, (group, pres.kind, d, got, want)
+            assert got == want, (group, pres.variables, d, got, want)
 
         # route 3: ranks of the exact intersection pairing matrices
         for d in range(0, top + 1, 2):
             res = kernel_by_pairing(model, pres.variables, d, group)
-            assert res.rank == even_betti[d // 2], (group, pres.kind, d)
+            assert res.rank == even_betti[d // 2], (group, pres.variables, d)
 
 
 def test_criterion_04_quotient_polynomials_satisfy_duality():
@@ -181,7 +181,7 @@ def test_criterion_06_reflection_kernel_bijection():
         report = weyl_kernel_bijection_report(pres, 12)
         assert report.ok
         dims = [(row.degree, row.dim_kernel_group) for row in report.degrees]
-        assert dims == expected_dims, (pres.kind, dims)
+        assert dims == expected_dims, (pres.variables, dims)
         for row in report.degrees:
             assert row.dim_kernel_group == row.dim_kernel_torus_anti
             assert row.injective and row.spans_equal and row.inverse_ok

@@ -250,9 +250,10 @@ def test_pairing_ring_matches_the_presentation(factors, pres):
 
     name, arg = pres
     pres = getattr(kirwan, name)(arg)
-    variables, weights = presented_ring(weighted_model(1, factors))
-    assert variables == pres.variables
-    assert weights is None or tuple(weights) == pres.weights
+    model = weighted_model(1, factors)
+    assert presented_ring(model) == pres.variables
+    # the weights are the model's, up to their order within a factor
+    assert sorted(map(sorted, pres.model().factors)) == sorted(map(sorted, model.factors))
 
 
 def test_lines_written_minus_one_first_get_the_line_presentation(tmp_path, capsys):
@@ -452,6 +453,21 @@ def test_weyl_group_must_match_rank(tmp_path, capsys):
                                "weyl": "sl2"}))
     code, out, err = run(capsys, ["index-set", str(bad)])
     assert code == 2 and not out and "rank 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["index-set"], ["series"], ["series", "--group", "sl2"], ["perturb"],
+    ["kirwan"], ["kirwan", "--group", "sl2"],
+    ["pairing", "z1", "z2"], ["pairing", "1", "1", "--group", "sl2"],
+], ids=" ".join)
+def test_the_weyl_entry_changes_no_result(tmp_path, capsys, argv):
+    """`--group` chooses the group; a model's `weyl` entry is only validated."""
+    results = []
+    for extra in ({}, {"weyl": "sl2"}):
+        path = tmp_path / "l3.json"
+        path.write_text(json.dumps({**L3, **extra}))
+        results.append(run_json(capsys, [argv[0], str(path), *argv[1:]])["result"])
+    assert results[0] == results[1]
 
 
 def test_empty_reflection_quotient_has_empty_polynomial(tmp_path, capsys):

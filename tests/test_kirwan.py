@@ -1,6 +1,7 @@
 """Cohomology presentations, stratum-ideal kernels, Betti numbers, the
 reflection-group bijection, and the two-sided vanishing kernel."""
 
+import itertools
 import json
 import os
 import random
@@ -9,8 +10,11 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 import moment_strata
@@ -95,7 +99,7 @@ SCAN_CASES = [list(range(n, -n - 1, -2)) for n in range(1, 9)] + [
 @pytest.mark.parametrize("weights", SCAN_CASES, ids=str)
 def test_pn_strata_match_the_profile_scan(weights):
     pres = projective_space_presentation(weights)
-    expected = [(f"beta={b}", 2 * sum(1 for w in pres.weights if w * b < b * b))
+    expected = [(f"beta={b}", 2 * sum(1 for w in pres.factors[0] if w * b < b * b))
                 for b in (s.beta[0] for s in index_set(pres.model())) if b != 0]
     assert [(s.label, codimension(s)) for s in torus_strata(pres)] == expected
 
@@ -266,7 +270,7 @@ def test_presentation_memo_is_per_object():
     kernel = torus_kernel_ideal(pres, 8)
     assert torus_kernel_ideal(pres, 8) is kernel
     assert pres.memo
-    copy = Presentation(pres.kind, pres.variables, pres.weights, pres.n, pres.relations)
+    copy = Presentation(pres.factors)
     assert copy == pres and hash(copy) == hash(pres)
     assert copy.memo == {} and copy.memo is not pres.memo
     assert torus_kernel_ideal(copy, 8) == kernel
@@ -464,6 +468,9 @@ def free_two_sided(pres, max_degree):
 
 # P^1..P^6 with symmetric, repeated, zero and rational weights, and L^1..L^7;
 # each with the degree cap the oracle comparisons run to
+LINES = [(line_product_presentation(n), min(2 * n + 2, 8)) for n in range(1, 7)] + [
+    # degree 10 keeps each L^7 oracle comparison under about 3 s
+    (line_product_presentation(7), 10)]
 SYMMETRIC = [
     (projective_space_presentation([1, -1]), 8),
     (projective_space_presentation([1, 0, -1]), 8),
@@ -473,9 +480,7 @@ SYMMETRIC = [
     (projective_space_presentation([1, 1, 0, -1, -1]), 12),
     (projective_space_presentation([5, 3, 1, -1, -3, -5]), 14),
     (projective_space_presentation([3, 2, 1, 0, -1, -2, -3]), 16),
-] + [(line_product_presentation(n), min(2 * n + 2, 8)) for n in range(1, 7)] + [
-    # degree 10 keeps each L^7 oracle comparison under about 3 s
-    (line_product_presentation(7), 10)]
+] + LINES
 ASYMMETRIC = [
     (projective_space_presentation([2, 1]), 6),
     (projective_space_presentation([2, 1, -1]), 8),
@@ -486,10 +491,11 @@ ALL = SYMMETRIC + ASYMMETRIC
 
 
 def _name(case):
+    # L^1 has the presentation of P(1,-1), with its own degree cap
     pres, _ = case
-    if pres.kind == "p1n":
-        return f"L{pres.n}"
-    return "P(" + ",".join(map(str, pres.weights)) + ")"
+    if case in LINES:
+        return f"L{len(pres.factors)}"
+    return "P(" + ",".join(map(str, pres.factors[0])) + ")"
 
 
 def _kernels(pres, top):
@@ -501,7 +507,7 @@ def _kernels(pres, top):
     if (pres, top) in SYMMETRIC:
         out += [sl2_kernel_ideal(pres, top),
                 KernelIdeal("sl2", "semistable", top, (("z^2", z * z),), pres)]
-        if pres.kind == "p1n":
+        if all(sorted(fac) == [-1, 1] for fac in pres.factors):
             out.append(sl2_kernel_ideal(pres, top, "stable"))
     return out
 
@@ -608,7 +614,7 @@ def test_two_sided_report_flags_a_stratum_ideal_with_a_missing_generator(case, m
     # a stratum of least codimension: its lift is in no other's ideal
     monkeypatch.setattr(kirwan, "torus_strata",
                         lambda p: tuple(sorted(strata(p), key=lambda s: len(s.kills)))[1:])
-    pres = Presentation(pres.kind, pres.variables, pres.weights, pres.n, pres.relations)
+    pres = Presentation(pres.factors)
     report = two_sided_kernel_report(pres, top)
     assert report == free_two_sided(pres, top)[0]
     assert not report.ok
@@ -698,3 +704,115 @@ def test_a_generator_vanishing_on_neither_side_is_a_failure(tmp_path, monkeypatc
     out = capsys.readouterr().out
     assert json.loads(out)["error"]["witness"] == {"generator": "unkilled"}
     assert '"equal"' not in out
+
+
+# ---------------------------------------------------------------------------
+# the per-kind stratum rules that the one rule replaced, kept as an oracle
+
+
+def _two_kind_fields(pres):
+    """The fields of the two-kind presentation: kind "pn" with the weights
+    and the projective dimension, or "p1n" with n lines."""
+    if len(pres.factors) == 1:
+        return SimpleNamespace(kind="pn", weights=pres.factors[0], n=len(pres.factors[0]) - 1)
+    assert all(sorted(fac) == [-1, 1] for fac in pres.factors)
+    return SimpleNamespace(kind="p1n", weights=(), n=len(pres.factors))
+
+
+def _pn_stratum(pres, beta):
+    return Stratum(f"beta={beta}", tuple(("z", w) for w in pres.weights
+                                         if w * beta < beta * beta))
+
+
+def _line_stratum(subset, sigma):
+    """The stratum where the lines in `subset` (1-based) sit on pole sigma."""
+    return Stratum(f"J={','.join(map(str, subset))};sigma={sigma:+d}",
+                   tuple((f"z{j}", Fraction(sigma)) for j in subset))
+
+
+def two_kind_torus_strata(pres):
+    if pres.kind == "pn":
+        return tuple(_pn_stratum(pres, b)
+                     for b in sorted(set(pres.weights)) if b != 0)
+    n = pres.n
+    return tuple(_line_stratum(subset, sigma)
+                 for size in range(n // 2 + 1, n + 1)
+                 for subset in itertools.combinations(range(1, n + 1), size)
+                 for sigma in (1, -1))
+
+
+def two_kind_sl2_pairs(pres, target):
+    if pres.kind == "pn" and target == "stable":
+        raise ValueError("the stable target is defined for products of lines only")
+    if pres.kind == "pn":
+        return [(f"beta={b}", _pn_stratum(pres, b), _pn_stratum(pres, -b))
+                for b in sorted(set(pres.weights)) if b > 0]
+    n = pres.n
+    low = n // 2 if target == "stable" and n % 2 == 0 else n // 2 + 1
+    return [("J=" + ",".join(map(str, subset)),
+             _line_stratum(subset, 1), _line_stratum(subset, -1))
+            for size in range(low, n + 1)
+            for subset in itertools.combinations(range(1, n + 1), size)]
+
+
+def assert_one_rule_matches_the_two_kinds(pres):
+    """Labels, kills and order of the torus strata and of the sl2 pairs of
+    both targets, where the model is negation-symmetric."""
+    from moment_strata import kirwan
+
+    old = _two_kind_fields(pres)
+    assert torus_strata(pres) == two_kind_torus_strata(old)
+    if any(sorted(fac) != sorted(-w for w in fac) for fac in pres.factors):
+        return
+    semistable = kirwan._pairs(pres, False)
+    assert semistable == two_kind_sl2_pairs(old, "semistable")
+    if old.kind == "p1n":
+        assert kirwan._pairs(pres, True) == two_kind_sl2_pairs(old, "stable")
+    elif sorted(old.weights) == [-1, 1]:
+        # P(1,-1) is L^1, whose stable target is its semistable one
+        assert kirwan._pairs(pres, True) == semistable
+        assert sl2_kernel_ideal(pres, 4, "stable").generators == \
+            sl2_kernel_ideal(pres, 4).generators
+    else:
+        with pytest.raises(ValueError, match="products of lines only"):
+            sl2_kernel_ideal(pres, 4, "stable")
+
+
+@pytest.mark.parametrize("case", ALL, ids=_name)
+def test_one_stratum_rule_matches_the_two_kinds_on_the_oracle_cases(case):
+    assert_one_rule_matches_the_two_kinds(case[0])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_one_stratum_rule_matches_the_two_kinds_on_lines(n):
+    assert_one_rule_matches_the_two_kinds(line_product_presentation(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10, 10).map(lambda k: Fraction(k, 2)), min_size=2, max_size=7),
+       st.booleans())
+def test_one_stratum_rule_matches_the_two_kinds_on_projective_spaces(weights, symmetric):
+    """Integer and half-integer weights in [-5, 5], repeats and zeros
+    allowed; half the draws made negation-symmetric."""
+    if symmetric:
+        half = weights[:len(weights) // 2]
+        weights = half + [-w for w in half] + [Fraction(0)] * (len(weights) % 2)
+    assert_one_rule_matches_the_two_kinds(projective_space_presentation(weights))
+
+
+def test_presentation_has_no_kind():
+    from moment_strata import kirwan
+
+    assert "kind" not in Presentation.__slots__ and not hasattr(L3, "kind")
+    source = Path(kirwan.__file__).read_text()
+    assert ".kind" not in source and '"p1n"' not in source
+
+
+@pytest.mark.parametrize("kernel", [None, torus_kernel_ideal(P3, 8)])
+def test_in_relation_span_rejects_a_polynomial_from_another_ring(kernel):
+    """w^4 over (w, a) would read as z^4, and z1*z2 over L^2's ring has
+    exponents that P^3's columns do not index."""
+    for poly in (GradedPolynomial.parse(("w", "a"), "w^4"),
+                 parse(line_product_presentation(2), "z1*z2")):
+        with pytest.raises(ValueError, match="polynomials live in different rings"):
+            in_relation_span(P3, kernel, poly)

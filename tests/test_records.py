@@ -36,7 +36,7 @@ SLOTTED = {
     "_Record": ("firsts", "witness", "form"),
     "GradedPolynomial": ("variables", "terms"),
     "TruncatedSeries": ("coeffs",),
-    "Presentation": ("kind", "variables", "weights", "n", "relations"),
+    "Presentation": ("factors",),
     "KernelIdeal": ("group", "target", "max_degree", "generators", "presentation"),
     "ProjPoint": ("coords",),
     "StratumLabel": ("text", "coarse_text"),
@@ -149,7 +149,7 @@ def test_record_kind(samples, key):
 def test_memos_are_not_compared(samples):
     pres, kernel, record = samples["Presentation"], samples["KernelIdeal"], samples["_Record"]
     assert pres.memo and kernel._built is not None and record.nodes
-    fresh_pres = type(pres)(pres.kind, pres.variables, pres.weights, pres.n, pres.relations)
+    fresh_pres = type(pres)(pres.factors)
     assert fresh_pres.memo == {} and fresh_pres == pres
     fresh_kernel = type(kernel)(kernel.group, kernel.target, kernel.max_degree,
                                 kernel.generators, fresh_pres)

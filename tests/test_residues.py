@@ -414,7 +414,7 @@ _ROUTE3_IDS = ["p3-torus", "p5-torus", "l3-torus", "p5-sl2", "l5-sl2"]
 
 @pytest.mark.parametrize("model,group", _ROUTE3_CASES, ids=_ROUTE3_IDS)
 def test_pairing_table_does_not_depend_on_the_degree_order(model, group, monkeypatch):
-    variables = presented_ring(model)[0]
+    variables = presented_ring(model)
     degrees = list(range(0, quotient_top_degree(model, group) + 1, 2))
     fresh = {}
     for d in degrees:
@@ -432,7 +432,7 @@ def test_route3_sweep_localizes_once_per_model_and_group(monkeypatch, empty_memo
     monkeypatch.setattr(residues, "_localization",
                         lambda m, g: seen.append((m.factors, g)) or localization(m, g))
     for model, group in _ROUTE3_CASES:
-        variables = presented_ring(model)[0]
+        variables = presented_ring(model)
         one = parse(variables, "1")
         for d in range(0, quotient_top_degree(model, group) + 1, 2):
             kernel_by_pairing(model, variables, d, group)
