@@ -88,7 +88,7 @@ def _load_model(path: str) -> tuple[WeightedModel, bytes]:
     """Model JSON: {"rank": r, "factors": [[[w, ...], ...], ...],
     "form": optional Gram rows, "weyl": optional group name}."""
     from .geometry import BilinearForm
-    from .models import WEYL_GROUPS, weighted_model
+    from .models import WEYL_GROUPS, _check_weyl, weighted_model
 
     data = _read_source(path, "model file")
     obj = _parse_json(data, "model file")
@@ -129,14 +129,13 @@ def _load_model(path: str) -> tuple[WeightedModel, bytes]:
                 tuple(_rational(x, "form entry") for x in r) for r in rows))
         except ValueError as exc:
             raise InputError(f"bad form: {exc}") from exc
-    weyl = None
     if obj.get("weyl") is not None:
         name = obj["weyl"]
         if not isinstance(name, str) or name not in WEYL_GROUPS:
             raise InputError(f"unknown weyl group {name!r}; "
                              f"choices: {sorted(WEYL_GROUPS)}")
-        weyl = WEYL_GROUPS[name]()
-    return weighted_model(rank, factors, form, weyl), data
+        _check_weyl(WEYL_GROUPS[name](), rank)
+    return weighted_model(rank, factors, form), data
 
 
 def _parse_poly(variables: tuple[str, ...], text: str, what: str) -> GradedPolynomial:

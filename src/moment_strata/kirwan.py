@@ -35,8 +35,8 @@ from typing import NamedTuple, Sequence
 from .errors import VerificationFailed
 from .linalg import SpanBasis, Value, frac, null_space
 from .models import WeightedModel, require_negation_symmetric, weighted_model
-from .polynomials import (Exponents, GradedPolynomial, divide_exact, exponents_of_degree,
-                          graded_piece_dim, polynomial_division)
+from .polynomials import (Exponents, GradedPolynomial, divide_exact, euler_product,
+                          exponents_of_degree, graded_piece_dim, polynomial_division)
 from .residues import _restrict, fixed_components, restriction_matrix
 
 
@@ -54,7 +54,7 @@ class Presentation(Value):
             raise ValueError("need at least two coordinates")
         names = ("z",) if len(factors) == 1 else tuple(f"z{i+1}" for i in range(len(factors)))
         self.factors, self.variables, self.memo = factors, names + ("a",), {}
-        self.relations = tuple(_euler_product(self.variables, [(z, w) for w in fac])
+        self.relations = tuple(euler_product(self.variables, [(z, w) for w in fac])
                                for z, fac in zip(names, factors))
 
     def model(self) -> WeightedModel:
@@ -85,16 +85,6 @@ class Presentation(Value):
                 terms = {s[:i] + (f[i],) + s[i + 1:]: c * r
                          for s, c in terms.items() for f, r in rem.terms}
         return {s + (sum(e) - sum(s),): c for s, c in terms.items()}
-
-
-def _euler_product(variables: tuple[str, ...],
-                   kills: Sequence[tuple[str, Fraction]]) -> GradedPolynomial:
-    """The product of the Euler factors var + w*a over (var, w) pairs."""
-    a = GradedPolynomial.var(variables, "a")
-    out = GradedPolynomial.const(variables, 1)
-    for var, w in kills:
-        out = out * (GradedPolynomial.var(variables, var) + a.scale(w))
-    return out
 
 
 def projective_space_presentation(weights: Sequence) -> Presentation:
@@ -164,7 +154,7 @@ def torus_strata(pres: Presentation) -> tuple[Stratum, ...]:
 def thom_gysin_lift(pres: Presentation, stratum: Stratum) -> GradedPolynomial:
     """Pushforward of the unit class from a stratum closure: the product of
     the Euler factors of the coordinates the stratum kills."""
-    return _euler_product(pres.variables, stratum.kills)
+    return euler_product(pres.variables, stratum.kills)
 
 
 # ---------------------------------------------------------------------------
@@ -546,5 +536,5 @@ def restrict_to_subspace(pres: Presentation, poly: GradedPolynomial,
     weights, idxs = pres.factors[0], sorted(set(subset))
     if not idxs or any(not 0 <= j < len(weights) for j in idxs):
         raise ValueError("subset must pick valid coordinate indices")
-    rel = _euler_product(pres.variables, [("z", weights[j]) for j in idxs])
+    rel = euler_product(pres.variables, [("z", weights[j]) for j in idxs])
     return polynomial_division(poly, rel)[1]

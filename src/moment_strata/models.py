@@ -67,11 +67,11 @@ WEYL_GROUPS = {
 class WeightedModel(Value):
     """``lattice``, not compared, is (D, D * weights), D the lcm of their denominators."""
 
-    __slots__ = ("rank", "factors", "form", "weyl", "lattice")
-    _compared = ("rank", "factors", "form", "weyl")
+    __slots__ = ("rank", "factors", "form", "lattice")
+    _compared = ("rank", "factors", "form")
 
     def __init__(self, rank: int, factors: tuple[tuple[Vector, ...], ...],
-                 form: BilinearForm, weyl: WeylGroup | None = None):
+                 form: BilinearForm):
         if rank < 1:
             raise ValueError("rank must be positive")
         if form.rank != rank:
@@ -83,9 +83,7 @@ class WeightedModel(Value):
                 raise ValueError("each factor needs at least one weight")
             if any(len(w) != rank for w in fac):
                 raise ValueError("weight dimension does not match rank")
-        if weyl is not None and weyl.rank != rank:
-            raise ValueError(f"weyl group {weyl.name!r} does not act on rank {rank}")
-        self.rank, self.factors, self.form, self.weyl = rank, factors, form, weyl
+        self.rank, self.factors, self.form = rank, factors, form
         d, flat = clear_denominators([w for fac in factors for w in fac])
         rows = iter(flat)
         self.lattice = d, tuple(tuple(next(rows) for _ in fac) for fac in factors)
@@ -95,23 +93,29 @@ class WeightedModel(Value):
         return tuple(len(f) for f in self.factors)
 
 
+def _check_weyl(weyl: WeylGroup | None, rank: int):
+    """A Weyl group given with a model must act on its rank. It is checked
+    and stored nowhere: no result depends on it."""
+    if weyl is not None and weyl.rank != rank:
+        raise ValueError(f"weyl group {weyl.name!r} does not act on rank {rank}")
+
+
 def weighted_model(rank: int, factors: Iterable[Iterable[Iterable]],
-                   form: BilinearForm | None = None,
-                   weyl: WeylGroup | None = None) -> WeightedModel:
+                   form: BilinearForm | None = None) -> WeightedModel:
     facs = tuple(tuple(tuple(frac(x) for x in w) for w in f) for f in factors)
-    return WeightedModel(rank, facs, form or identity_form(rank), weyl)
+    return WeightedModel(rank, facs, form or identity_form(rank))
 
 
 def projective_space_model(weights: Iterable, weyl: WeylGroup | None = None) -> WeightedModel:
-    fac = tuple((frac(w),) for w in weights)
-    return WeightedModel(1, (fac,), identity_form(1), weyl)
+    _check_weyl(weyl, 1)
+    return weighted_model(1, [[(w,) for w in weights]])
 
 
 def line_product_model(n: int, weyl: WeylGroup | None = None) -> WeightedModel:
     if n < 1:
         raise ValueError("need at least one line factor")
-    fac = ((Fraction(1),), (Fraction(-1),))
-    return WeightedModel(1, tuple(fac for _ in range(n)), identity_form(1), weyl)
+    _check_weyl(weyl, 1)
+    return weighted_model(1, [[(1,), (-1,)]] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +293,7 @@ _MEMO: dict = {}
 
 
 def _record(model: WeightedModel) -> _Record:
-    """The model's record, scanned on first use. No result depends on the
-    model's Weyl group."""
+    """The model's record, scanned on first use."""
     key = (model.lattice, model.form.cleared)
     record = _MEMO.get(key)
     if record is None:
@@ -298,22 +301,28 @@ def _record(model: WeightedModel) -> _Record:
     return record
 
 
+def _search(model: WeightedModel, profile: Profile) -> tuple[tuple[tuple[int, ...], ...], Vector]:
+    """The profile's Minkowski points on the model's lattice and their beta,
+    from one verified search on the model's cleared Gram matrix."""
+    d, weights = model.lattice
+    points = _lattice_points(weights, profile)
+    search = lattice_nearest_point(points, model.form.cleared[1])
+    scale = d * sum(search.coefficients)
+    return points, tuple(Fraction(x, scale) for x in search.beta)
+
+
 def _profile_scan(model: WeightedModel) -> _Record:
     """One verified search per enumerated profile."""
-    d, weights = model.lattice
+    d = model.lattice[0]
     found: dict[Vector, tuple] = {}
     witness = None
     for profile in enumerate_profiles(model):
-        points = _lattice_points(weights, profile)
-        search = lattice_nearest_point(points, model.form.cleared[1])
-        scale = d * sum(search.coefficients)
-        beta = tuple(Fraction(x, scale) for x in search.beta)
+        points, beta = _search(model, profile)
         if beta not in found:
             # a beta's canonical certificate is built on its first profile
             found[beta] = (beta, profile, tuple(tuple(Fraction(x, d) for x in p)
                                                 for p in points))
-        if (witness is None and not any(search.beta)
-                and not origin_in_interior(points, model.rank)):
+        if witness is None and not any(beta) and not origin_in_interior(points, model.rank):
             witness = profile
     return _Record(tuple(found[b] for b in sorted(found)), witness, model.form)
 
@@ -328,7 +337,6 @@ def _interval_scan(model: WeightedModel) -> _Record:
     found slot by slot against what the later slots can reach, and checked
     by the verified search."""
     d, weights = model.lattice
-    gram = model.form.cleared[1]
     # per slot in enumeration order: position, values, first indices. The
     # least choice is non-decreasing within a group, or a swap would lower it
     slots = [(pos, *_distinct_values([w for w, in weights[pos]]))
@@ -359,17 +367,16 @@ def _interval_scan(model: WeightedModel) -> _Record:
                             lo + bounds[j + 1][0] <= 0 <= hi + bounds[j + 1][1])
     firsts = []
     for v in sorted(profiles):
-        points = _lattice_points(weights, profiles[v])
-        search = lattice_nearest_point(points, gram)
-        if search.beta[0] != v * sum(search.coefficients):
+        points, beta = _search(model, profiles[v])
+        if beta != (Fraction(v, d),):
             raise VerificationFailed("derived stratum profile has another beta",
                                      witness={"profile": profiles[v]})
-        firsts.append(((Fraction(v, d),), profiles[v],
+        firsts.append((beta, profiles[v],
                        tuple((Fraction(x, d),) for x, in points)))
     witness = summing_to(0) if 0 in reach[0] else None
     if witness is not None:
-        points = _lattice_points(weights, witness)
-        if any(lattice_nearest_point(points, gram).beta) or origin_in_interior(points, 1):
+        points, beta = _search(model, witness)
+        if any(beta) or origin_in_interior(points, 1):
             raise VerificationFailed("derived witness is not strictly semistable",
                                      witness={"profile": witness})
     return _Record(tuple(firsts), witness, model.form)
@@ -383,18 +390,6 @@ def index_set(model: WeightedModel) -> tuple[IndexStratum, ...]:
 def strictly_semistable_witness(model: WeightedModel) -> Profile | None:
     """A support profile that is semistable but not stable, or None."""
     return _record(model).witness
-
-
-def _profile_betas(model: WeightedModel, profiles: Iterable[Profile]) -> list[Vector]:
-    """The beta of each profile by the verified search on its Minkowski
-    points: the profile scan without certificates or interior tests."""
-    d, weights = model.lattice
-    out = []
-    for profile in profiles:
-        search = lattice_nearest_point(_lattice_points(weights, profile), model.form.cleared[1])
-        scale = d * sum(search.coefficients)
-        out.append(tuple(Fraction(x, scale) for x in search.beta))
-    return out
 
 
 def index_betas(model: WeightedModel) -> tuple[Vector, ...]:

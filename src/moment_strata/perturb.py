@@ -16,7 +16,7 @@ from .errors import EpsilonSearchFailed, RefinementViolation
 from .linalg import Vector, frac, vsub
 from .models import (
     WeightedModel,
-    _profile_betas,
+    _search,
     enumerate_profiles,
     index_betas,
     strictly_semistable_witness,
@@ -34,8 +34,7 @@ def perturbed_model(model: WeightedModel, epsilon: Sequence) -> WeightedModel:
     if len(eps) != model.rank:
         raise ValueError("epsilon dimension does not match model rank")
     first = tuple(vsub(w, eps) for w in model.factors[0])
-    return WeightedModel(model.rank, (first,) + model.factors[1:], model.form,
-                         model.weyl)
+    return WeightedModel(model.rank, (first,) + model.factors[1:], model.form)
 
 
 def is_generic(model: WeightedModel, epsilon: Sequence) -> bool:
@@ -95,35 +94,32 @@ def refinement_report(model: WeightedModel, epsilon: Sequence) -> RefinementRepo
     """Check that perturbed strata refine original strata, profile by profile.
 
     Every support profile has a nearest point before and after perturbation,
-    found by one verified pass per model over the perturbed model's profiles;
-    the assignment (perturbed beta -> original beta) must be well defined.
-    Two profiles sharing a perturbed beta but disagreeing on the original
-    one are reported as a RefinementViolation witness.
+    found by one verified search on each model as the perturbed model's
+    profiles are enumerated once; the assignment (perturbed beta -> original
+    beta) must be well defined. Two profiles sharing a perturbed beta but
+    disagreeing on the original one are reported as a RefinementViolation
+    witness.
     """
     eps = tuple(frac(x) for x in epsilon)
     shifted = perturbed_model(model, eps)
-    mapping: dict[Vector, Vector] = {}
-    first_profile: dict[Vector, tuple] = {}
-    profiles = list(enumerate_profiles(shifted))
-    for profile, eps_beta, orig_beta in zip(profiles, _profile_betas(shifted, profiles),
-                                            _profile_betas(model, profiles)):
-        if eps_beta in mapping:
-            if mapping[eps_beta] != orig_beta:
-                raise RefinementViolation(
-                    "perturbed stratum meets two original strata",
-                    witness={
-                        "perturbed_beta": eps_beta,
-                        "original_betas": (mapping[eps_beta], orig_beta),
-                        "profiles": (first_profile[eps_beta], profile),
-                    })
-        else:
-            mapping[eps_beta] = orig_beta
-            first_profile[eps_beta] = profile
+    # perturbed beta -> (its original beta, its first profile)
+    first: dict[Vector, tuple[Vector, tuple]] = {}
+    for profile in enumerate_profiles(shifted):
+        eps_beta, orig_beta = _search(shifted, profile)[1], _search(model, profile)[1]
+        orig, seen = first.setdefault(eps_beta, (orig_beta, profile))
+        if orig != orig_beta:
+            raise RefinementViolation(
+                "perturbed stratum meets two original strata",
+                witness={
+                    "perturbed_beta": eps_beta,
+                    "original_betas": (orig, orig_beta),
+                    "profiles": (seen, profile),
+                })
     fibers: dict[Vector, list[Vector]] = {}
-    for eb, ob in mapping.items():
+    for eb, (ob, _) in first.items():
         fibers.setdefault(ob, []).append(eb)
     return RefinementReport(
         eps,
-        tuple((eb, mapping[eb]) for eb in sorted(mapping)),
+        tuple((eb, first[eb][0]) for eb in sorted(first)),
         tuple((ob, tuple(sorted(ebs))) for ob, ebs in sorted(fibers.items())),
     )

@@ -278,6 +278,17 @@ def divide_exact(f: GradedPolynomial, g: GradedPolynomial) -> GradedPolynomial:
     return q
 
 
+def euler_product(variables: Sequence[str], kills: Sequence[tuple[str, Fraction]]
+                  ) -> GradedPolynomial:
+    """The product of the Euler factors var + w*a over (var, w) pairs, in
+    their order, in a ring whose parameter is ``a``."""
+    a = GradedPolynomial.var(variables, "a")
+    out = GradedPolynomial.const(variables, 1)
+    for var, w in kills:
+        out = out * (GradedPolynomial.var(variables, var) + a.scale(w))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # monomial bookkeeping
 

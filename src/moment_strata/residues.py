@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 from .linalg import null_space
 from .models import (WeightedModel, _check_group, _record, quotient_top_degree,
                      require_negation_symmetric, require_quotient)
-from .polynomials import Exponents, GradedPolynomial, monomials
+from .polynomials import Exponents, GradedPolynomial, euler_product, monomials
 
 # residue_pairing is the raw residue sum times this, per group
 PAIRING_SCALE = {"torus": Fraction(-2), "sl2": Fraction(1)}
@@ -157,13 +157,8 @@ def euler_class(model: WeightedModel, comp: FixedComponent) -> GradedPolynomial:
     """Product of the component's normal weights (h_i + (b - v_i) a)."""
     _require_component(model, comp)
     hvars = component_variables(model)
-    a = GradedPolynomial.var(hvars, "a")
-    out = GradedPolynomial.const(hvars, 1)
-    for i, fac in enumerate(model.factors):
-        h = GradedPolynomial.var(hvars, hvars[i])
-        for (b,) in fac:
-            if b != comp.values[i]:
-                out = out * (h + a.scale(b - comp.values[i]))
+    out = euler_product(hvars, [(h, b - v) for h, fac, v in zip(hvars, model.factors, comp.values)
+                                for (b,) in fac if b != v])
     kept = {e: c for e, c in out.terms
             if all(e[i] < comp.sizes[i] for i in range(len(model.factors)))}
     return GradedPolynomial.from_dict(hvars, kept)

@@ -21,7 +21,7 @@ def profile_beta(model, profile):
     from moment_strata import models
 
     models._check_profile(model, profile)
-    return models._profile_betas(model, (profile,))[0]
+    return models._search(model, profile)[1]
 
 
 @pytest.fixture

@@ -374,7 +374,7 @@ def shifted_submodel(model: WeightedModel, component):
     for fac, att, v in zip(model.factors, component.attaining, component.values):
         shift = vscale(v / nb, b)
         new_factors.append(tuple(vsub(fac[k], shift) for k in att))
-    return WeightedModel(model.rank, tuple(new_factors), model.form, None)
+    return WeightedModel(model.rank, tuple(new_factors), model.form)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ import shutil
 import subprocess
 import sys
 import types
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moment_strata
 from moment_strata import cli
@@ -566,3 +569,103 @@ def test_run_freezes_the_heap_and_main_leaves_it(models, capsys):
     assert (proc.returncode, proc.stderr) == (0, "True\n")
     assert proc.stdout == run(capsys, argv)[1]
     assert gc.get_freeze_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the whole command line in process
+
+ENTRY = st.one_of(st.integers(-3, 3),
+                  st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def model_objects(draw):
+    """Rank 1 or 2; 1-3 factors of 1-3 weights, or a product of lines; an
+    optional `weyl` name; in rank 2, sometimes a positive form."""
+    rank = draw(st.integers(1, 2))
+    if rank == 1 and draw(st.booleans()):
+        factors = [[[1], [-1]]] * draw(st.integers(1, 3))
+    else:
+        weight = st.lists(ENTRY, min_size=rank, max_size=rank)
+        factors = draw(st.lists(st.lists(weight, min_size=1, max_size=3),
+                                min_size=1, max_size=3))
+    obj = {"rank": rank, "factors": factors}
+    weyl = draw(st.sampled_from([None, "sl2", "sl3-torus-weyl"]))
+    if weyl is not None:
+        obj["weyl"] = weyl
+    if rank == 2 and draw(st.booleans()):
+        a, b = draw(st.integers(1, 3)), draw(st.integers(-2, 2))
+        c = b * b // a + draw(st.integers(1, 3))   # a c > b^2
+        obj["form"] = [[a, b], [b, c]]
+    return obj
+
+
+def _polynomial(draw, variables):
+    from moment_strata.polynomials import GradedPolynomial
+
+    monomial = st.tuples(*[st.integers(0, 2)] * len(variables))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    terms = draw(st.dictionaries(monomial, coefficient, max_size=3))
+    return str(GradedPolynomial.from_dict(variables, terms))
+
+
+@st.composite
+def cli_cases(draw):
+    """(model, point or None, the subcommand and its options): a pairing's
+    polynomials are over the variables of the model's presented ring."""
+    obj = draw(model_objects())
+    command = draw(st.sampled_from(["index-set", "classify", "series", "perturb",
+                                    "kirwan", "pairing"]))
+    point, rest = None, []
+    if command == "classify":
+        point = [draw(st.lists(st.integers(-2, 2), min_size=len(fac), max_size=len(fac)))
+                 for fac in obj["factors"]]
+    elif command == "series":
+        rest = ["--trunc", str(draw(st.integers(0, 10))),
+                "--group", draw(st.sampled_from(["torus", "sl2"]))]
+    elif command == "kirwan":
+        rest = ["--max-degree", str(draw(st.integers(0, 6))),
+                "--group", draw(st.sampled_from(["torus", "sl2"])),
+                "--target", draw(st.sampled_from(["ss", "s"]))]
+    elif command == "pairing":
+        m = len(obj["factors"])
+        variables = ("z",) if m == 1 else tuple(f"z{i + 1}" for i in range(m))
+        variables += ("a",)
+        rest = [_polynomial(draw, variables), _polynomial(draw, variables),
+                "--group", draw(st.sampled_from(["torus", "sl2"]))]
+    return obj, point, [command, *rest]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cli_cases())
+def test_every_invocation_reports_or_exits_2_or_3(fuzz_dir, case):
+    """Each run exits 0 with a report, 2 with a message and no report (an
+    argparse rejection included), or 3 with an error type and witness."""
+    obj, point, argv = case
+    model_path, point_path = fuzz_dir / "model.json", fuzz_dir / "point.json"
+    model_path.write_text(json.dumps(obj))
+    argv = [argv[0], str(model_path), *argv[1:]]
+    if point is not None:
+        point_path.write_text(json.dumps(point))
+        argv.insert(2, str(point_path))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (obj, argv, err)
+    if code == 2:
+        assert not out and err, (obj, argv)
+    else:
+        report = json.loads(out)
+        if code == 0:
+            assert "result" in report
+        else:
+            assert {"type", "witness"} <= set(report["error"]), report

@@ -1,6 +1,7 @@
 """Stratum labels for point configurations on the line and in the plane:
 worked cases, refinements, coarse labels, and transformation invariance."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moment_strata import (FlagAmbiguity, affine_p1, classify_binary_form,
-                           classify_p1_config, classify_p2_config, config_of,
-                           infinity_p1, morse_label_of_config, proj_point,
+                           classify_p1_config, classify_p2_config, classify_profile,
+                           config_of, infinity_p1, line_product_model,
+                           morse_label_of_config, profile_of_point, proj_point,
                            random_special_linear, transform_config)
 from moment_strata.configs import (_candidate_lines, apply_matrix,
                                    line_through, on_line, p2_semistable)
@@ -124,6 +126,40 @@ def test_p1_labels_are_transformation_invariant(points, seed):
     rng = random.Random(seed)
     m = random_special_linear(2, rng)
     assert str(classify_p1_config(transform_config(m, cfg))) == want
+
+
+# points of P^1 with small integer coordinates, and two points that also
+# serve as candidate destabilizing pairs when the configuration misses them
+SMALL_P1 = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any).map(proj_point)
+OUTSIDE = (P(1, 0), P(1, 2))
+
+
+@st.composite
+def p1_configs(draw):
+    """Ordered tuples of 1-7 points drawn with repeats from a pool of up to four."""
+    pool = draw(st.lists(SMALL_P1, min_size=1, max_size=4))
+    return config_of(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p1_configs())
+def test_p1_coarse_label_is_the_largest_beta_of_the_index_set(config):
+    """Moving p to [1:0] and q to [0:1] puts the configuration in the maximal
+    torus of SL(2): each image point's support is its profile on L^n, where
+    coordinate 0 has weight +1. The coarse label is S_{k}, k the largest |beta|
+    over ordered pairs of distinct candidates."""
+    model = line_product_model(len(config))
+    candidates = list(dict.fromkeys(config)) + [p for p in OUTSIDE if p not in config]
+    k = 0
+    for p, q in itertools.permutations(candidates, 2):
+        (p0, p1), (q0, q1) = p.coords, q.coords
+        m = ((q1, -q0), (p1, -p0))
+        assert apply_matrix(m, p) == P(1, 0) and apply_matrix(m, q) == P(0, 1)
+        profile = profile_of_point(model, [x.coords for x in transform_config(m, config)])
+        k = max(k, abs(classify_profile(model, profile).beta[0]))
+    want = f"S_{{{k}}}"
+    for classify in (classify_p1_config, classify_binary_form, morse_label_of_config):
+        assert classify(config).coarse_text == want, (classify.__name__, config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Weighted models: profiles, stability, the index set, critical components,
 and the recursion submodels."""
 
+import ast
 import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -154,8 +156,53 @@ def test_profile_scan_is_shared_by_models_differing_only_in_weyl():
     from moment_strata.models import _record, sl2_weyl
 
     plain, reflected = pn_model(4), projective_space_model([4, 2, 0, -2, -4], sl2_weyl())
-    assert plain.factors == reflected.factors and plain != reflected
+    assert plain.factors == reflected.factors and plain == reflected
     assert _record(plain) is _record(reflected)
+
+
+def test_the_weyl_argument_is_checked_and_stored_nowhere():
+    from moment_strata.models import WeightedModel, sl2_weyl, sl3_torus_weyl
+
+    for w in ([4, 2, 0, -2, -4], ["1/2", 0, "-1/2"], [3, 1, -2]):
+        plain, reflected = projective_space_model(w), projective_space_model(w, sl2_weyl())
+        assert reflected == plain and hash(reflected) == hash(plain)
+    assert line_product_model(3, sl2_weyl()) == line_product_model(3)
+    assert "weyl" not in WeightedModel.__slots__ + WeightedModel._compared
+    for build in (lambda: projective_space_model([1, -1], sl3_torus_weyl()),
+                  lambda: line_product_model(2, sl3_torus_weyl())):
+        with pytest.raises(ValueError, match="'sl3-torus-weyl' does not act on rank 1"):
+            build()
+
+
+def _name_uses(path, name):
+    """The innermost enclosing function of each use of `name` in a module,
+    by name or as an attribute, or None at module level; imports are not uses."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_search_runs_the_verified_search():
+    """Outside `geometry`, every profile's verified nearest-point search goes
+    through `models._search`: the scans, their checks and the refinement."""
+    from moment_strata import models
+
+    uses = [f"{path.stem}.{function}"
+            for path in sorted(Path(models.__file__).parent.glob("*.py"))
+            if path.name != "geometry.py"
+            for function in _name_uses(path, "lattice_nearest_point")]
+    assert uses == ["models._search"]
+    assert not hasattr(models, "_profile_betas")
 
 
 def test_nonzero_strata_have_positive_codimension():
@@ -325,28 +372,29 @@ def test_rank1_index_set_enumerates_no_profiles(monkeypatch, empty_memo):
 def test_refinement_report_makes_one_pass_per_model(monkeypatch):
     from moment_strata import models, perturb
 
-    passes, enumerations = [], []
-    betas, enumerate_ = models._profile_betas, models.enumerate_profiles
+    searches, enumerations = [], []
+    search, enumerate_ = models._search, models.enumerate_profiles
 
-    def counted_betas(model, profiles):
-        passes.append((model, len(profiles)))
-        return betas(model, profiles)
+    def counted_search(model, profile):
+        searches.append(model)
+        return search(model, profile)
 
     def counted_enumeration(model):
         enumerations.append(model)
         return enumerate_(model)
 
-    monkeypatch.setattr(perturb, "_profile_betas", counted_betas)
+    monkeypatch.setattr(perturb, "_search", counted_search)
     monkeypatch.setattr(perturb, "enumerate_profiles", counted_enumeration)
     m = line_product_model(4)
     eps = perturb.propose_epsilon(m).epsilon
     shifted = perturb.perturbed_model(m, eps)
-    passes.clear()
+    searches.clear()
     enumerations.clear()
     perturb.refinement_report(m, eps)
     count = len(list(enumerate_(shifted)))
     assert enumerations == [shifted]
-    assert passes == [(shifted, count), (m, count)]
+    # one search per model and profile, each profile searched as it is enumerated
+    assert searches == [shifted, m] * count
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from moment_strata.linalg import Value
 # compared fields of the __slots__ records, in constructor order
 SLOTTED = {
     "BilinearForm": ("gram",),
-    "WeightedModel": ("rank", "factors", "form", "weyl"),
+    "WeightedModel": ("rank", "factors", "form"),
     "_Record": ("firsts", "witness", "form"),
     "GradedPolynomial": ("variables", "terms"),
     "TruncatedSeries": ("coeffs",),
@@ -166,7 +166,7 @@ def test_cached_integers_are_not_compared(samples):
     """A model's lattice and a form's cleared Gram matrix are caches: equality
     and hash read the compared fields only."""
     model, form = samples["WeightedModel"], samples["BilinearForm"]
-    twin = type(model)(model.rank, model.factors, model.form, model.weyl)
+    twin = type(model)(model.rank, model.factors, model.form)
     assert twin.lattice == model.lattice
     twin.lattice = (1, ())
     assert twin == model and hash(twin) == hash(model)
