@@ -497,6 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("zeta", help="polynomial")
     p.add_argument("--group", choices=("torus", "sl2"), default="torus")
     p.set_defaults(handler=_cmd_pairing)
+    p.error = lambda message, error=p.error: error(   # argparse reads '-z1' as an option
+        f"{message}; a polynomial that starts with '-' goes after '--': pairing MODEL -- -z1 z2")
 
     p = sub.add_parser("config",
                        help="refined and coarse stratum labels of a point "

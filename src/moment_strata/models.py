@@ -8,8 +8,9 @@ whose exact convex projections stratify the model.
 
 Each model clears its weights of denominators once, as its form does its Gram
 matrix; the profile scan, the critical components and the submodel shift run
-on those integers. Fractions appear only in what leaves them: betas,
-certificates, component values and a shifted submodel's weights.
+on those integers; a shifted submodel is built from its lattice, never cleared.
+Fractions appear only in what leaves them: betas, certificates, component
+values and a shifted submodel's weights, made once.
 
 The preconditions of a quotient (its top degree, negation symmetry for the
 reflection group, semistable == stable) are read off the model here, so the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
@@ -90,7 +91,7 @@ class WeightedModel(Value):
 
     @property
     def factor_sizes(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.factors)
+        return tuple(map(len, self.lattice[1]))
 
 
 def _check_weyl(weyl: WeylGroup | None, rank: int):
@@ -247,8 +248,8 @@ def enumerate_profiles(model: WeightedModel):
     The order is lexicographic in the subset indices, group by group, and
     the indices do not decrease within a group.
     """
-    groups = _factor_groups(model.factors)
-    group_subsets = [_value_subsets(model.factors[g[0]]) for g in groups]
+    groups = _factor_groups(model.lattice[1])
+    group_subsets = [_value_subsets(model.lattice[1][g[0]]) for g in groups]
     per_group_choices = [
         list(itertools.combinations_with_replacement(range(len(subsets)), len(g)))
         for g, subsets in zip(groups, group_subsets)]
@@ -446,24 +447,14 @@ class CriticalComponent(NamedTuple):
     codim: int
 
 
-def critical_components(model: WeightedModel, beta: Sequence) -> tuple[CriticalComponent, ...]:
-    """Fixed-locus components where the stratum's moment pairing is attained.
-
-    One component per tuple of per-factor pairing values summing to
-    <beta, beta>; the attaining sets list which coordinates realize each
-    value, and the codimension counts the weights pairing below it.
-    With weights W / D, form G / c and beta B / s, every pairing times
-    D c s^2 is an integer; only the returned values are Fractions.
-    """
-    b = tuple(frac(x) for x in beta)
-    if len(b) != model.rank:
-        raise ValueError("beta dimension does not match model rank")
-    s, (bl,) = clear_denominators([b])
-    c, gram = model.form.cleared
-    gb = _iapply(gram, bl)
+def _components(model: WeightedModel, beta: Sequence[Fraction]):
+    """((s, B, n), [(values, attaining sets, codimension)]) of beta = B / s, form G / c,
+    weights W / D, n = <B, G B>: each value s <W, G B> is a pairing times D c s^2."""
+    s, (bl,) = clear_denominators([beta])
+    gb = _iapply(model.form.cleared[1], bl)
+    n = _idot(bl, gb)
     d, weights = model.lattice
-    scale = d * c * s * s
-    target = d * _idot(bl, gb)
+    target = d * n
     # per factor: each distinct pairing value with its attaining indices
     # and the number of weights pairing below it
     per_factor: list[list[tuple[int, tuple[int, ...], int]]] = []
@@ -482,10 +473,24 @@ def critical_components(model: WeightedModel, beta: Sequence) -> tuple[CriticalC
     for entries, lo, hi in zip(per_factor, low[1:], high[1:]):
         paths = [(acc + e[0], chosen + (e,)) for acc, chosen in paths
                  for e in entries if lo <= target - acc - e[0] <= hi]
-    return tuple(CriticalComponent(b, tuple(Fraction(v, scale) for v, _, _ in chosen),
-                                   tuple(att for _, att, _ in chosen),
-                                   2 * sum(below for _, _, below in chosen))
-                 for _, chosen in paths)
+    return (s, bl, n), [(v, att, 2 * sum(below)) for v, att, below in (zip(*c) for _, c in paths)]
+
+
+def critical_components(model: WeightedModel, beta: Sequence) -> tuple[CriticalComponent, ...]:
+    """Fixed-locus components where the stratum's moment pairing is attained.
+
+    One component per tuple of per-factor pairing values summing to
+    <beta, beta>; the attaining sets list which coordinates realize each
+    value, and the codimension counts the weights pairing below it. The
+    integer core `_components` finds them; only the values are Fractions.
+    """
+    b = tuple(frac(x) for x in beta)
+    if len(b) != model.rank:
+        raise ValueError("beta dimension does not match model rank")
+    (s, _, _), comps = _components(model, b)
+    scale = model.lattice[0] * model.form.cleared[0] * s * s
+    return tuple(CriticalComponent(b, tuple(Fraction(v, scale) for v in values), att, codim)
+                 for values, att, codim in comps)
 
 
 def stratum_codim(model: WeightedModel, component: CriticalComponent) -> int:
@@ -494,25 +499,25 @@ def stratum_codim(model: WeightedModel, component: CriticalComponent) -> int:
     return component.codim
 
 
-def _shift(model: WeightedModel, component: CriticalComponent,
-           canonical: bool) -> WeightedModel:
-    """The component's shifted submodel, in the model's order or sorted. For
-    weights W / D, form G / c, beta B / s, values p / q, Q the lcm of the q and
-    n = <B, G B> (|beta|^2 = n / (c s^2)), w shifts to (Q n W - (Q / q) D p c s B)
-    / (D Q n): integer rows over one denominator, sorted before any Fraction."""
-    s, (bl,) = clear_denominators([component.beta])
-    c, gram = model.form.cleared
-    n = _idot(bl, _iapply(gram, bl))
+def _shift(model: WeightedModel, beta: tuple[int, tuple[int, ...], int],
+           values: Sequence[int], attaining, canonical: bool) -> WeightedModel:
+    """The shifted submodel, in the model's order or sorted, of `_components`'
+    (s, B, n) and a component's values v: W / D shifts to (n s W - v B) / (D n s).
+    Divided by their gcd, rows and denominator are the lattice the child would
+    clear; it is built from them, and its Fractions made once, after sorting."""
+    s, bl, n = beta
     if n == 0:
         raise ValueError("the zero stratum has no shifted submodel")
     d, weights = model.lattice
-    q = lcm(*(v.denominator for v in component.values))
-    rows = [[tuple(q * n * x - q // v.denominator * v.numerator * d * c * s * b
-                   for x, b in zip(fac[i], bl)) for i in att]
-            for fac, att, v in zip(weights, component.attaining, component.values)]
-    rows = sorted(map(sorted, rows)) if canonical else rows
-    return WeightedModel(model.rank, tuple(tuple(tuple(Fraction(x, d * q * n) for x in w)
-                                                 for w in fac) for fac in rows), model.form)
+    rows = [[tuple(n * s * x - v * b for x, b in zip(fac[i], bl)) for i in att]
+            for fac, att, v in zip(weights, attaining, values)]
+    g = gcd(d * n * s, *(x for fac in rows for w in fac for x in w))
+    rows = [[tuple(x // g for x in w) for w in fac] for fac in rows]
+    child = WeightedModel.__new__(WeightedModel)
+    d, rows = d * n * s // g, tuple(map(tuple, sorted(map(sorted, rows)) if canonical else rows))
+    child.rank, child.form, child.lattice = model.rank, model.form, (d, rows)
+    child.factors = tuple(tuple(tuple(Fraction(x, d) for x in w) for w in fac) for fac in rows)
+    return child
 
 
 def shifted_submodel(model: WeightedModel, component: CriticalComponent) -> WeightedModel:
@@ -520,4 +525,7 @@ def shifted_submodel(model: WeightedModel, component: CriticalComponent) -> Weig
     shifted so the component pairs to zero against its beta: w - (v / |beta|^2) beta."""
     if component not in critical_components(model, component.beta):
         raise ValueError("not a critical component of this model")
-    return _shift(model, component, False)
+    beta, _ = _components(model, component.beta)
+    scale = model.lattice[0] * model.form.cleared[0] * beta[0] ** 2
+    return _shift(model, beta, [int(v * scale) for v in component.values],
+                  component.attaining, False)

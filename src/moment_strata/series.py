@@ -23,14 +23,13 @@ from .errors import TruncationTooSmall, VerificationFailed
 from .linalg import SpanBasis, Value
 from .models import (
     WeightedModel,
+    _components,
     _record,
     _shift,
-    critical_components,
     index_betas,
     quotient_top_degree,
     require_negation_symmetric,
     require_quotient,
-    stratum_codim,
 )
 
 
@@ -159,15 +158,16 @@ def _descend(model: WeightedModel, trunc: int, drop: int):
     for beta in index_betas(model):
         if (beta[0] <= 0) if drop else all(x == 0 for x in beta):
             continue
-        for comp in critical_components(model, beta):
-            lam = stratum_codim(model, comp) - drop
+        cleared, comps = _components(model, beta)
+        for values, attaining, codim in comps:
+            lam = codim - drop
             if lam < 0:
                 raise VerificationFailed("negative group-level codimension",
                                          witness={"beta": beta, "drop": drop})
             if lam > trunc:
                 continue
             # canonical order: submodels equal up to order share one node
-            sub = _shift(model, comp, True)
+            sub = _shift(model, cleared, values, attaining, True)
             if not _weights_span(sub) < parent_span:
                 raise VerificationFailed("recursion measure failed to decrease",
                                          witness={"beta": beta})

@@ -210,6 +210,19 @@ def test_pairing_far_off_the_top_degree_is_zero(models, capsys):
     assert '"pairing": "0"' in out
 
 
+def test_a_polynomial_that_starts_with_a_minus_goes_after_the_separator(models, capsys):
+    """argparse reads '-z1' as an option: without '--' the run exits 2 with a
+    message that names the separator; with it, '-z1' is the polynomial."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["pairing", models["l3"], "-z1", "z2"])
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == 2 and not out
+    assert "'--'" in err and "pairing MODEL -- -z1 z2" in err
+    report = run_json(capsys, ["pairing", models["l3"], "--", "-z1", "z2"])
+    assert report["arguments"]["eta"] == "-z1"
+    assert report["result"]["pairing"] == "-1/2"
+
+
 @pytest.mark.parametrize("argv", [["z1*z2", "1"], ["--group", "sl2", "z1", "z2"]])
 def test_pairing_computes_the_residue_sum_once(models, capsys, monkeypatch, argv):
     from moment_strata import residues

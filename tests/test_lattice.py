@@ -23,11 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from moment_strata import (BilinearForm, VerificationFailed,
+from moment_strata import (BilinearForm, VerificationFailed, WeightedModel,
                            closest_point_to_origin, critical_components,
                            identity_form, index_betas, index_set,
                            line_product_model, origin_in_interior,
-                           perturbed_model, projective_space_model,
+                           perfection_check, perturbed_model,
+                           projective_space_model, semistable_series,
                            shifted_submodel, strictly_semistable_witness,
                            weighted_model)
 import moment_strata
@@ -113,22 +114,12 @@ def test_lattice_scan_matches_the_fraction_scan(model):
             assert sub.lattice == _cleared(sub)
 
 
-def test_integer_shift_matches_the_fraction_shift():
-    """On every critical component the series recursion reaches from the
-    series test models, from rational weights and from a form with
-    denominators, with the span rank checked against the dense rref: the
-    public shift and each child the recursion yields, in canonical order,
-    match the Fraction shift, and every cached lattice is the cleared
-    weights."""
-    a2 = [[1, 0], [0, 1], [-1, -1]]
-    skew = BilinearForm(((Fraction(2, 3), Fraction(-1, 5)),
-                         (Fraction(-1, 5), Fraction(1, 2))))
-    todo = [pn_model(n) for n in range(1, 6)]
-    todo += [line_product_model(n) for n in range(1, 6)]
-    todo += [weighted_model(2, [a2, a2]), weighted_model(2, [a2, a2[::-1], a2], skew),
-             weighted_model(1, [[["1/2"], ["-1/3"], ["1/2"]], [["2/3"], ["-1"]]]),
-             weighted_model(2, [[["1/2", 0], [0, "2/3"], ["-1/3", "-1/4"]]] * 2, skew),
-             weighted_model(1, [[[3], [1], [-2]]] * 3, BilinearForm(((Fraction(3, 7),),)))]
+def _check_recursion_children(todo):
+    """Walk the recursion tree from the given models. At each model the
+    public shift of every critical component matches the Fraction shift, and
+    the children `_descend` yields are those shifts in canonical order; every
+    model's lattice is its cleared weights and its span rank is the dense
+    rref rank. Returns the number of components compared."""
     seen, compared = set(), 0
     while todo:
         model = todo.pop()
@@ -149,13 +140,73 @@ def test_integer_shift_matches_the_fraction_shift():
             for comp in critical_components(model, beta):
                 sub = shifted_submodel(model, comp)
                 assert sub == oracle.shifted_submodel(model, comp), (model.factors, comp)
+                assert sub.lattice == _cleared(sub)
                 expected.append(_sorted_model(sub))
                 compared += 1
-                todo.append(sub)
         children = [sub for _, sub in series._descend(model, 10 ** 6, 0)]
         assert children == expected, model.factors
         assert all(sub.lattice == _cleared(sub) for sub in children)
+        todo += children
+    return compared
+
+
+def test_integer_shift_matches_the_fraction_shift():
+    """On every critical component the series recursion reaches from the
+    series test models, from rational weights and from a form with
+    denominators."""
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    skew = BilinearForm(((Fraction(2, 3), Fraction(-1, 5)),
+                         (Fraction(-1, 5), Fraction(1, 2))))
+    todo = [pn_model(n) for n in range(1, 6)]
+    todo += [line_product_model(n) for n in range(1, 6)]
+    todo += [weighted_model(2, [a2, a2]), weighted_model(2, [a2, a2[::-1], a2], skew),
+             weighted_model(1, [[["1/2"], ["-1/3"], ["1/2"]], [["2/3"], ["-1"]]]),
+             weighted_model(2, [[["1/2", 0], [0, "2/3"], ["-1/3", "-1/4"]]] * 2, skew),
+             weighted_model(1, [[[3], [1], [-2]]] * 3, BilinearForm(((Fraction(3, 7),),)))]
+    compared = _check_recursion_children(todo)
     assert compared > 200, compared
+
+
+# mostly integers in [-3, 3], some halves and thirds in the same range
+entries = st.one_of(st.integers(-3, 3).map(Fraction), st.integers(-3, 3).map(Fraction),
+                    st.builds(Fraction, st.integers(-6, 6), st.sampled_from((2, 3))))
+
+
+@st.composite
+def weight_systems(draw):
+    """The criterion-02 generator's shapes: rank 1-3, 1-3 factors of 1-4
+    distinct points in [-3, 3]^rank, with some p/q entries and sometimes a
+    random rational form."""
+    rank = draw(st.integers(1, 3))
+    point = st.tuples(*[entries] * rank)
+    factors = [draw(st.lists(point, min_size=1, max_size=4, unique=True))
+               for _ in range(draw(st.integers(1, 3)))]
+    return weighted_model(rank, factors, draw(forms(rank)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight_systems())
+def test_integer_shift_matches_the_fraction_shift_on_random_systems(model):
+    _check_recursion_children([model])
+
+
+def test_no_recursion_child_goes_through_the_constructor(monkeypatch, empty_memo):
+    """Children are built from their integer lattice: none checks Fraction
+    weights or clears them again."""
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    lines, triple = line_product_model(6), weighted_model(2, [a2, a2, a2])
+    calls = []
+    init = WeightedModel.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(WeightedModel, "__init__", counted)
+    assert any(semistable_series(lines, 40).coeffs)
+    report = perfection_check(triple, 40)
+    assert report.ok and report.strata_checked > 1
+    assert calls == []
 
 
 def test_constructed_models_cache_their_lattice():
@@ -327,8 +378,15 @@ def test_canonical_certificate_failures_are_typed(monkeypatch):
 def test_recursion_checks_are_typed(monkeypatch):
     model = pn_model(3)
     assert list(series._descend(model, 8, 0))
+    assert [lam for lam, _ in series._descend(model, 8, 0)] == [6, 4, 4, 6]
+    core = series._components
+
+    def negative(model, beta):
+        cleared, comps = core(model, beta)
+        return cleared, [(values, att, -1) for values, att, _ in comps]
+
     with monkeypatch.context() as patch:
-        patch.setattr(series, "stratum_codim", lambda m, c: -1)
+        patch.setattr(series, "_components", negative)
         with pytest.raises(VerificationFailed, match="codimension"):
             list(series._descend(model, 8, 0))
     monkeypatch.setattr(series, "_weights_span", lambda m: 1)

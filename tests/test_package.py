@@ -313,3 +313,17 @@ def test_module_level_memos_are_declared():
     found = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in _module_memos(path)}
     assert found == {"models._MEMO"}
+
+
+# ---------------------------------------------------------------------------
+# size
+
+LINE_BUDGET = 3747
+
+
+def test_library_stays_within_its_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
+    assert lines <= LINE_BUDGET, (
+        f"src/moment_strata has {lines} lines, over the budget of {LINE_BUDGET}: "
+        "offset the growth in the same change, or lower LINE_BUDGET when the "
+        "library shrinks")

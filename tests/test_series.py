@@ -174,12 +174,20 @@ def test_perfection_check_reads_the_memoized_tree(monkeypatch, empty_memo):
 
 
 def test_perfection_check_catches_a_wrong_codimension(monkeypatch, empty_memo):
-    codim = series.stratum_codim
-    monkeypatch.setattr(series, "stratum_codim",
-                        lambda model, comp: codim(model, comp) - 2)
-    report = perfection_check(pn_model(3), 24)
+    core = series._components
+
+    def lowered(model, beta):
+        cleared, comps = core(model, beta)
+        return cleared, [(values, att, codim - 2) for values, att, codim in comps]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_components", lowered)
+        report = perfection_check(pn_model(3), 24)
     assert not report.ok
     assert "negative semistable coefficient" in [f["kind"] for f in report.failures]
+    # the memo holds the wrong tree; the true codimensions pass on a fresh one
+    monkeypatch.setattr(models, "_MEMO", {})
+    assert perfection_check(pn_model(3), 24).ok
 
 
 def test_strata_checked_does_not_depend_on_factor_or_weight_order():
