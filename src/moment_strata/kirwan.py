@@ -19,10 +19,10 @@ per z-part (prod (n_i + 1) of them), as the columns of z-degree <= k.
 An ideal's degree-2k piece is level k of one filtration of A, and Betti
 numbers are column counts minus level dimensions. The two-sided kernel
 K- + K+ (classes vanishing on the fixed components with moment value <= 0,
-or >= 0) has dimension (N - rk-) + (N - rk+) - (N - rk) on N columns, from
-the ranks of the restrictions to either side and to all components. Each
-presentation memoizes A, its strata, the lifts and the kernel ideals built
-on it, and each kernel ideal its filtration.
+or >= 0) has dimension 2N - rk- - rk+ on N columns; each side's rank rk
+is a count of columns, and a lift vanishes on a side by a per-factor test.
+Each presentation memoizes A, its strata, the lifts and the kernel ideals
+built on it, and each kernel ideal its filtration.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .linalg import SpanBasis, Value, frac, null_space
 from .models import WeightedModel, require_negation_symmetric, weighted_model
 from .polynomials import (Exponents, GradedPolynomial, divide_exact, euler_product,
                           exponents_of_degree, graded_piece_dim, polynomial_division)
-from .residues import _restrict, fixed_components, restriction_matrix
+from .residues import fixed_components, restriction_matrix
 
 
 class Presentation(Value):
@@ -480,12 +480,16 @@ class TwoSidedKernelReport(NamedTuple):
         return all(e.equal for e in self.degrees)
 
 
-def _vanishes(pres: Presentation, stratum: Stratum, comp) -> bool:
-    """Whether a stratum's lift restricts to zero on a fixed component: the
-    factor zi + w*a maps to hi + (w - vi)*a, a non-zero-divisor unless
-    w = vi, and hi^sizei = 0."""
-    return any(sum(pres.variables.index(var) == i and w == v for var, w in stratum.kills) >= size
-               for i, (v, size) in enumerate(zip(comp.values, comp.sizes)))
+def _side_vanishing(pres: Presentation, stratum: Stratum) -> tuple[bool, bool]:
+    """Whether a stratum's lift vanishes on every fixed component with moment
+    value <= 0, and on every one with >= 0. It vanishes on a component iff a
+    factor has all coordinates of its value killed; so, with A_i factor i's
+    values not all killed, iff an A_i is empty or sum min A_i > 0 (max, < 0)."""
+    left = [[w for w in fac if stratum.kills.count((var, w)) < fac.count(w)]
+            for var, fac in zip(pres.variables, pres.factors)]
+    if not all(left):
+        return True, True
+    return sum(map(min, left)) > 0, sum(map(max, left)) < 0
 
 
 def two_sided_kernel_report(pres: Presentation, max_degree: int
@@ -493,36 +497,31 @@ def two_sided_kernel_report(pres: Presentation, max_degree: int
     """Compare the vanishing-locus kernel K- + K+ with the torus stratum ideal.
 
     K- and K+ are ideals, restriction being a ring map, so the stratum ideal
-    lies in K- + K+ once each generator vanishes on one whole side; one that
-    does not raises VerificationFailed. So in each even degree d <= max_degree
-    the two are equal when their dimensions agree, in the free ring as
-    reported. A column's image at a = 1, by component and h-exponents, does
-    not depend on the degree, so each rank grows by each level's new columns.
+    lies in K- + K+ once each generator vanishes on one whole side (else
+    VerificationFailed), and equals it in each even degree where their free
+    ring dimensions, as reported, agree. Sort each factor's weights, u_i0 <=
+    u_i1 <= ...: the Newton classes prod_(i, t < E_i) (z_i + u_it a) are a
+    unitriangular change of A's basis keeping each level, each vanishing on
+    the mu <= 0 components below its own and independent on its own. So rk-
+    at level k is #{E : |E| <= k, sum_i u_iE_i <= 0}, rk+ the same with the
+    weights descending and >= 0, and restriction to all of them is injective.
     """
-    comps = fixed_components(pres.model())
-    sides = ([j for j, c in enumerate(comps) if c.mu <= 0],
-             [j for j, c in enumerate(comps) if c.mu >= 0], range(len(comps)))
     for s in torus_strata(pres):
-        if 2 * len(s.kills) <= max_degree and not any(
-                all(_vanishes(pres, s, comps[j]) for j in side) for side in sides[:2]):
+        if 2 * len(s.kills) <= max_degree and not any(_side_vanishing(pres, s)):
             raise VerificationFailed("a stratum lift vanishes on neither side",
                                      witness={"generator": s.label})
     filt = _filtration_of(pres, torus_kernel_ideal(pres, max_degree))
-    ranks = [SpanBasis() for _ in sides]
-    cols = sorted(filt.cols, key=sum)
-    done = 0
+    up = [sorted(fac) for fac in pres.factors]
+    cols_at, kernel_at = [0] * (1 + max(filt.zdeg)), [0] * (1 + max(filt.zdeg))
+    for x, z in zip(filt.cols, filt.zdeg):
+        lo, hi = sum(u[i] for u, i in zip(up, x)), sum(u[-1 - i] for u, i in zip(up, x))
+        cols_at[z], kernel_at[z] = cols_at[z] + 1, kernel_at[z] + 2 - (lo <= 0) - (hi >= 0)
+    cols, kernel = list(itertools.accumulate(cols_at)), list(itertools.accumulate(kernel_at))
     entries = []
     for d in range(0, max_degree + 1, 2):
-        for x in itertools.takewhile(lambda x: sum(x) <= d // 2, cols[done:]):
-            # each column is restricted once per component, a component
-            # with moment value zero serving both sides
-            images = [_restrict(c, x + (0,)) for c in comps]
-            for side, rank in zip(sides, ranks):
-                rank.add({(j, he): c for j in side for he, c in images[j].items()})
-            done += 1
-        two_sided = done - ranks[0].dim - ranks[1].dim + ranks[2].dim
-        ideal, rel = filt.dim(d // 2), graded_piece_dim(len(pres.variables), d) - done
-        entries.append(TwoSidedKernelDegree(d, two_sided + rel, ideal + rel, two_sided == ideal))
+        k = min(d // 2, len(cols) - 1)
+        ideal, rel = filt.dim(d // 2), graded_piece_dim(len(pres.variables), d) - cols[k]
+        entries.append(TwoSidedKernelDegree(d, kernel[k] + rel, ideal + rel, kernel[k] == ideal))
     return TwoSidedKernelReport(tuple(entries))
 
 

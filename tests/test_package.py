@@ -318,7 +318,7 @@ def test_module_level_memos_are_declared():
 # ---------------------------------------------------------------------------
 # size
 
-LINE_BUDGET = 3747
+LINE_BUDGET = 3746
 
 
 def test_library_stays_within_its_line_budget():
