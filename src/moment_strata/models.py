@@ -9,8 +9,8 @@ whose exact convex projections stratify the model.
 Each model clears its weights of denominators once, as its form does its Gram
 matrix; the profile scan, the critical components and the submodel shift run
 on those integers; a shifted submodel is built from its lattice, never cleared.
-Fractions appear only in what leaves them: betas, certificates, component
-values and a shifted submodel's weights, made once.
+Fractions, made on first read, appear only in what leaves them: distinct betas,
+certificates and their points, component values and a submodel's weights.
 
 The preconditions of a quotient (its top degree, negation symmetry for the
 reflection group, semistable == stable) are read off the model here, so the
@@ -66,9 +66,10 @@ WEYL_GROUPS = {
 
 
 class WeightedModel(Value):
-    """``lattice``, not compared, is (D, D * weights), D the lcm of their denominators."""
+    """``lattice``, not compared, is (D, D * weights), D the lcm of their denominators.
+    A shifted submodel, built from it, makes its Fraction ``factors`` on first read."""
 
-    __slots__ = ("rank", "factors", "form", "lattice")
+    __slots__ = ("rank", "_factors", "form", "lattice")
     _compared = ("rank", "factors", "form")
 
     def __init__(self, rank: int, factors: tuple[tuple[Vector, ...], ...],
@@ -84,10 +85,16 @@ class WeightedModel(Value):
                 raise ValueError("each factor needs at least one weight")
             if any(len(w) != rank for w in fac):
                 raise ValueError("weight dimension does not match rank")
-        self.rank, self.factors, self.form = rank, factors, form
+        self.rank, self._factors, self.form = rank, factors, form
         d, flat = clear_denominators([w for fac in factors for w in fac])
         rows = iter(flat)
         self.lattice = d, tuple(tuple(next(rows) for _ in fac) for fac in factors)
+
+    @property
+    def factors(self) -> tuple[tuple[Vector, ...], ...]:
+        if self._factors is None:
+            self._factors = tuple(_fractions(self.lattice[0], fac) for fac in self.lattice[1])
+        return self._factors
 
     @property
     def factor_sizes(self) -> tuple[int, ...]:
@@ -125,10 +132,6 @@ def line_product_model(n: int, weyl: WeylGroup | None = None) -> WeightedModel:
 Profile = tuple[tuple[int, ...], ...]
 
 
-def support_of_point(coords: Sequence) -> tuple[int, ...]:
-    return tuple(i for i, c in enumerate(coords) if frac(c) != 0)
-
-
 def profile_of_point(model: WeightedModel, point: Sequence[Sequence]) -> Profile:
     if len(point) != len(model.factors):
         raise ValueError("point must have one coordinate tuple per factor")
@@ -136,7 +139,7 @@ def profile_of_point(model: WeightedModel, point: Sequence[Sequence]) -> Profile
     for coords, fac in zip(point, model.factors):
         if len(coords) != len(fac):
             raise ValueError("coordinate count does not match factor size")
-        supp = support_of_point(coords)
+        supp = tuple(i for i, c in enumerate(coords) if frac(c) != 0)
         if not supp:
             raise ValueError("projective coordinates cannot all vanish")
         prof.append(supp)
@@ -144,9 +147,9 @@ def profile_of_point(model: WeightedModel, point: Sequence[Sequence]) -> Profile
 
 
 def _check_profile(model: WeightedModel, profile: Profile):
-    if len(profile) != len(model.factors):
+    if len(profile) != len(model.lattice[1]):
         raise ValueError("profile must list one support per factor")
-    for supp, fac in zip(profile, model.factors):
+    for supp, fac in zip(profile, model.lattice[1]):
         if not supp:
             raise ValueError("empty support")
         if any(not (0 <= k < len(fac)) for k in supp):
@@ -165,12 +168,16 @@ def _lattice_points(weights: Lattice, profile: Profile) -> tuple[tuple[int, ...]
     return tuple(sorted(acc))
 
 
+def _fractions(d: int, points) -> tuple[Vector, ...]:
+    """Lattice points over the denominator d, as Fraction points."""
+    return tuple(tuple(Fraction(x, d) for x in p) for p in points)
+
+
 def minkowski_points(model: WeightedModel, profile: Profile) -> tuple[Vector, ...]:
     """Deduplicated sums of one selected weight per factor, sorted."""
     _check_profile(model, profile)
     d, weights = model.lattice
-    return tuple(tuple(Fraction(x, d) for x in p)
-                 for p in _lattice_points(weights, profile))
+    return _fractions(d, _lattice_points(weights, profile))
 
 
 class ProfileClass(NamedTuple):
@@ -254,7 +261,7 @@ def enumerate_profiles(model: WeightedModel):
         list(itertools.combinations_with_replacement(range(len(subsets)), len(g)))
         for g, subsets in zip(groups, group_subsets)]
     for combo in itertools.product(*per_group_choices):
-        profile: list[tuple[int, ...]] = [()] * len(model.factors)
+        profile: list[tuple[int, ...]] = [()] * len(model.lattice[1])
         for positions, subsets, chosen in zip(groups, group_subsets, combo):
             for pos, subset_idx in zip(positions, chosen):
                 profile[pos] = subsets[subset_idx]
@@ -263,18 +270,18 @@ def enumerate_profiles(model: WeightedModel):
 
 class _Record(Value):
     """One model's entry in `_MEMO`: per beta in sorted order (beta, its first
-    profile, that profile's Minkowski points), and the first profile that is
-    semistable but not stable, or None. `strata` builds and keeps the canonical
-    certificates on first read. The strata are a function of `firsts` and `form`,
-    so they are not compared, and comparing or hashing a record builds no
-    certificate. Nor are the recursion nodes of `series`, by truncation, the
-    dimension of the weights' span that `series` measures the recursion by, and
-    the pairing tables of `residues`."""
+    profile, (D, that profile's Minkowski points on the lattice)), and the first
+    profile that is semistable but not stable, or None. `strata` builds and keeps
+    the Fraction points and canonical certificates on first read. The strata are
+    a function of `firsts` and `form`, so they are not compared, and comparing or
+    hashing a record builds none. Nor are the recursion nodes of `series`, by
+    truncation, the dimension of the weights' span that `series` measures the
+    recursion by, and the pairing tables of `residues`."""
 
     __slots__ = ("firsts", "witness", "form", "_strata", "nodes", "span", "pairing")
     _compared = ("firsts", "witness", "form")
 
-    def __init__(self, firsts: tuple[tuple[Vector, Profile, tuple[Vector, ...]], ...],
+    def __init__(self, firsts: tuple[tuple[Vector, Profile, tuple[int, tuple]], ...],
                  witness: Profile | None, form: BilinearForm):
         self.firsts, self.witness, self.form = firsts, witness, form
         self._strata, self.nodes, self.span, self.pairing = None, {}, None, {}
@@ -282,8 +289,9 @@ class _Record(Value):
     @property
     def strata(self) -> tuple[IndexStratum, ...]:
         if self._strata is None:
+            points = [_fractions(d, pts) for _, _, (d, pts) in self.firsts]
             self._strata = tuple(IndexStratum(b, _canonical_certificate(pts, self.form, b), f, pts)
-                                 for b, f, pts in self.firsts)
+                                 for (b, f, _), pts in zip(self.firsts, points))
         return self._strata
 
 
@@ -302,30 +310,34 @@ def _record(model: WeightedModel) -> _Record:
     return record
 
 
-def _search(model: WeightedModel, profile: Profile) -> tuple[tuple[tuple[int, ...], ...], Vector]:
-    """The profile's Minkowski points on the model's lattice and their beta,
-    from one verified search on the model's cleared Gram matrix."""
+def _beta(key: tuple[tuple[int, ...], int]) -> Vector:
+    """The beta B / s of a search key (B, s)."""
+    return tuple(Fraction(x, key[1]) for x in key[0])
+
+
+def _search(model: WeightedModel, profile: Profile) -> tuple[tuple, tuple[tuple[int, ...], int]]:
+    """Lattice Minkowski points and the key (B, s) of their beta B / s, s > 0 and
+    gcd(s, *B) = 1: one verified search on the model's cleared Gram matrix."""
     d, weights = model.lattice
     points = _lattice_points(weights, profile)
     search = lattice_nearest_point(points, model.form.cleared[1])
     scale = d * sum(search.coefficients)
-    return points, tuple(Fraction(x, scale) for x in search.beta)
+    g = gcd(scale, *search.beta)
+    return points, (tuple(x // g for x in search.beta), scale // g)
 
 
 def _profile_scan(model: WeightedModel) -> _Record:
-    """One verified search per enumerated profile."""
-    d = model.lattice[0]
-    found: dict[Vector, tuple] = {}
+    """One verified search per enumerated profile, its beta compared by key."""
+    found: dict[tuple, tuple] = {}
     witness = None
     for profile in enumerate_profiles(model):
-        points, beta = _search(model, profile)
-        if beta not in found:
-            # a beta's canonical certificate is built on its first profile
-            found[beta] = (beta, profile, tuple(tuple(Fraction(x, d) for x in p)
-                                                for p in points))
-        if witness is None and not any(beta) and not origin_in_interior(points, model.rank):
+        points, key = _search(model, profile)
+        if key not in found:
+            # a beta's Fractions are made, and its certificate built, on its first profile
+            found[key] = (_beta(key), profile, (model.lattice[0], points))
+        if witness is None and not any(key[0]) and not origin_in_interior(points, model.rank):
             witness = profile
-    return _Record(tuple(found[b] for b in sorted(found)), witness, model.form)
+    return _Record(tuple(sorted(found.values())), witness, model.form)   # by beta, not key
 
 
 def _interval_scan(model: WeightedModel) -> _Record:
@@ -368,16 +380,15 @@ def _interval_scan(model: WeightedModel) -> _Record:
                             lo + bounds[j + 1][0] <= 0 <= hi + bounds[j + 1][1])
     firsts = []
     for v in sorted(profiles):
-        points, beta = _search(model, profiles[v])
-        if beta != (Fraction(v, d),):
+        points, key = _search(model, profiles[v])
+        if key != ((v // gcd(v, d),), d // gcd(v, d)):
             raise VerificationFailed("derived stratum profile has another beta",
                                      witness={"profile": profiles[v]})
-        firsts.append((beta, profiles[v],
-                       tuple((Fraction(x, d),) for x, in points)))
+        firsts.append(((Fraction(v, d),), profiles[v], (d, points)))
     witness = summing_to(0) if 0 in reach[0] else None
     if witness is not None:
-        points, beta = _search(model, witness)
-        if any(beta) or origin_in_interior(points, 1):
+        points, key = _search(model, witness)
+        if any(key[0]) or origin_in_interior(points, 1):
             raise VerificationFailed("derived witness is not strictly semistable",
                                      witness={"profile": witness})
     return _Record(tuple(firsts), witness, model.form)
@@ -504,7 +515,7 @@ def _shift(model: WeightedModel, beta: tuple[int, tuple[int, ...], int],
     """The shifted submodel, in the model's order or sorted, of `_components`'
     (s, B, n) and a component's values v: W / D shifts to (n s W - v B) / (D n s).
     Divided by their gcd, rows and denominator are the lattice the child would
-    clear; it is built from them, and its Fractions made once, after sorting."""
+    clear; it is built from them, after sorting, and makes its Fractions on first read."""
     s, bl, n = beta
     if n == 0:
         raise ValueError("the zero stratum has no shifted submodel")
@@ -515,8 +526,7 @@ def _shift(model: WeightedModel, beta: tuple[int, tuple[int, ...], int],
     rows = [[tuple(x // g for x in w) for w in fac] for fac in rows]
     child = WeightedModel.__new__(WeightedModel)
     d, rows = d * n * s // g, tuple(map(tuple, sorted(map(sorted, rows)) if canonical else rows))
-    child.rank, child.form, child.lattice = model.rank, model.form, (d, rows)
-    child.factors = tuple(tuple(tuple(Fraction(x, d) for x in w) for w in fac) for fac in rows)
+    child.rank, child.form, child.lattice, child._factors = model.rank, model.form, (d, rows), None
     return child
 
 

@@ -16,6 +16,7 @@ from .errors import EpsilonSearchFailed, RefinementViolation
 from .linalg import Vector, frac, vsub
 from .models import (
     WeightedModel,
+    _beta,
     _search,
     enumerate_profiles,
     index_betas,
@@ -83,11 +84,7 @@ class RefinementReport(NamedTuple):
     fibers: tuple[tuple[Vector, tuple[Vector, ...]], ...]
 
     def fiber_over(self, beta: Sequence) -> tuple[Vector, ...]:
-        key = tuple(frac(x) for x in beta)
-        for parent, eps_betas in self.fibers:
-            if parent == key:
-                return eps_betas
-        return ()
+        return dict(self.fibers).get(tuple(frac(x) for x in beta), ())
 
 
 def refinement_report(model: WeightedModel, epsilon: Sequence) -> RefinementReport:
@@ -98,28 +95,27 @@ def refinement_report(model: WeightedModel, epsilon: Sequence) -> RefinementRepo
     profiles are enumerated once; the assignment (perturbed beta -> original
     beta) must be well defined. Two profiles sharing a perturbed beta but
     disagreeing on the original one are reported as a RefinementViolation
-    witness.
+    witness. Betas are compared by search key; only distinct ones become Fractions.
     """
     eps = tuple(frac(x) for x in epsilon)
     shifted = perturbed_model(model, eps)
-    # perturbed beta -> (its original beta, its first profile)
-    first: dict[Vector, tuple[Vector, tuple]] = {}
+    # perturbed beta's key -> (its original beta's key, its first profile)
+    first: dict[tuple, tuple[tuple, tuple]] = {}
     for profile in enumerate_profiles(shifted):
-        eps_beta, orig_beta = _search(shifted, profile)[1], _search(model, profile)[1]
-        orig, seen = first.setdefault(eps_beta, (orig_beta, profile))
-        if orig != orig_beta:
+        eps_key, orig_key = _search(shifted, profile)[1], _search(model, profile)[1]
+        orig, seen = first.setdefault(eps_key, (orig_key, profile))
+        if orig != orig_key:
             raise RefinementViolation(
                 "perturbed stratum meets two original strata",
                 witness={
-                    "perturbed_beta": eps_beta,
-                    "original_betas": (orig, orig_beta),
+                    "perturbed_beta": _beta(eps_key),
+                    "original_betas": (_beta(orig), _beta(orig_key)),
                     "profiles": (seen, profile),
                 })
+    betas = {key: _beta(key) for key in {*first, *(ob for ob, _ in first.values())}}
+    mapping = sorted((betas[eb], betas[ob]) for eb, (ob, _) in first.items())
     fibers: dict[Vector, list[Vector]] = {}
-    for eb, (ob, _) in first.items():
+    for eb, ob in mapping:   # in ascending order of the perturbed beta
         fibers.setdefault(ob, []).append(eb)
-    return RefinementReport(
-        eps,
-        tuple((eb, first[eb][0]) for eb in sorted(first)),
-        tuple((ob, tuple(sorted(ebs))) for ob, ebs in sorted(fibers.items())),
-    )
+    return RefinementReport(eps, tuple(mapping),
+                            tuple((ob, tuple(ebs)) for ob, ebs in sorted(fibers.items())))

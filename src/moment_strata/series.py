@@ -17,6 +17,7 @@ over the positive strata only, each codimension lowered by two.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Sequence
 
 from .errors import TruncationTooSmall, VerificationFailed
@@ -51,12 +52,7 @@ class TruncatedSeries(Value):
 
     @staticmethod
     def from_coeffs(cs: Sequence[int], truncation: int) -> "TruncatedSeries":
-        out = list(cs[:truncation + 1]) + [0] * max(0, truncation + 1 - len(cs))
-        return TruncatedSeries(tuple(out))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._align(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries(tuple(cs[:truncation + 1]) + (0,) * (truncation + 1 - len(cs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._align(other)
@@ -92,9 +88,6 @@ class TruncatedSeries(Value):
         for i in range(m, len(out)):
             out[i] += out[i - m]
         return TruncatedSeries(tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __str__(self) -> str:
         terms = []
@@ -183,10 +176,11 @@ def _node(model: WeightedModel, trunc: int):
     if node is None:
         children = tuple((lam, _node(sub, trunc - lam))
                          for lam, sub in _descend(model, trunc, 0))
-        ambient = series = model_equivariant_series(model, trunc)
-        for lam, child in children:
-            series = series - child[0].shift(lam)
-        node = nodes[trunc] = (series, ambient, model, children)
+        ambient = model_equivariant_series(model, trunc)
+        out = list(ambient.coeffs)
+        for lam, child in children:   # in place, at the child's shift
+            out[lam:] = map(operator.sub, out[lam:], child[0].coeffs)
+        node = nodes[trunc] = (TruncatedSeries(tuple(out)), ambient, model, children)
     return node
 
 
@@ -275,11 +269,11 @@ def perfection_check(model: WeightedModel, trunc: int) -> PerfectionReport:
         if any(c < 0 for c in ss.coeffs):
             failures.append({"kind": "negative semistable coefficient",
                              "factors": m.factors})
-        total = ss
+        total = list(ss.coeffs)
         for lam, child in children:
             walk(child)
-            total = total + child[0].shift(lam)
-        if total != ambient:
+            total[lam:] = map(operator.add, total[lam:], child[0].coeffs)
+        if tuple(total) != ambient.coeffs:
             failures.append({"kind": "stratification identity", "factors": m.factors})
 
     walk(_node(model, trunc))

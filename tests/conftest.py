@@ -21,7 +21,7 @@ def profile_beta(model, profile):
     from moment_strata import models
 
     models._check_profile(model, profile)
-    return models._search(model, profile)[1]
+    return models._beta(models._search(model, profile)[1])
 
 
 @pytest.fixture

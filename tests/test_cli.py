@@ -348,6 +348,16 @@ def test_failed_verification_exits_3_with_a_witness(tmp_path, capsys, monkeypatc
     assert set(error["witness"]) == {"beta", "support", "coefficients"}
 
 
+def test_perturb_with_a_coarse_epsilon_exits_3_with_the_witness(models, capsys):
+    code, out, err = run(capsys, ["perturb", models["l3"], "--epsilon", "3/2"])
+    assert code == 3 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "RefinementViolation"
+    assert error["witness"] == {"perturbed_beta": ["-1/2"],
+                                "original_betas": [["1"], ["0"]],
+                                "profiles": [[[1], [0], [0]], [[1], [0], [0, 1]]]}
+
+
 def _exits_3_with_verification_failed(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 3 and err == ""

@@ -15,7 +15,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -33,6 +33,7 @@ from moment_strata import (BilinearForm, VerificationFailed, WeightedModel,
                            weighted_model)
 import moment_strata
 from moment_strata import geometry, series
+from moment_strata import models as models_module
 from moment_strata.geometry import (LatticeCertificate, ProjectionCertificate,
                                     _canonical_certificate, _combine,
                                     _verify_lattice, clear_denominators,
@@ -119,7 +120,8 @@ def _check_recursion_children(todo):
     public shift of every critical component matches the Fraction shift, and
     the children `_descend` yields are those shifts in canonical order; every
     model's lattice is its cleared weights and its span rank is the dense
-    rref rank. Returns the number of components compared."""
+    rref rank. Returns the number of components compared and the models
+    walked."""
     seen, compared = set(), 0
     while todo:
         model = todo.pop()
@@ -147,7 +149,7 @@ def _check_recursion_children(todo):
         assert children == expected, model.factors
         assert all(sub.lattice == _cleared(sub) for sub in children)
         todo += children
-    return compared
+    return compared, seen
 
 
 def test_integer_shift_matches_the_fraction_shift():
@@ -163,7 +165,7 @@ def test_integer_shift_matches_the_fraction_shift():
              weighted_model(1, [[["1/2"], ["-1/3"], ["1/2"]], [["2/3"], ["-1"]]]),
              weighted_model(2, [[["1/2", 0], [0, "2/3"], ["-1/3", "-1/4"]]] * 2, skew),
              weighted_model(1, [[[3], [1], [-2]]] * 3, BilinearForm(((Fraction(3, 7),),)))]
-    compared = _check_recursion_children(todo)
+    compared, _ = _check_recursion_children(todo)
     assert compared > 200, compared
 
 
@@ -207,6 +209,68 @@ def test_no_recursion_child_goes_through_the_constructor(monkeypatch, empty_memo
     report = perfection_check(triple, 40)
     assert report.ok and report.strata_checked > 1
     assert calls == []
+
+
+def _node_models(node, found):
+    """The models of the recursion nodes below ``node``, by id."""
+    for _, child in node[3]:
+        if id(child[2]) not in found:
+            found[id(child[2])] = child[2]
+            _node_models(child, found)
+    return found
+
+
+def test_the_recursion_makes_no_fraction_it_does_not_return(monkeypatch, empty_memo):
+    """The series recursion and the perfection walk leave every child's
+    Fraction weights unmade, and every search returns integers only. Read
+    afterwards, each child's weights are the Fraction shift of its parent's."""
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    lines, triple = line_product_model(6), weighted_model(2, [a2, a2, a2])
+    returned, search = [], models_module._search
+
+    def recorded(model, profile):
+        returned.append(search(model, profile))
+        return returned[-1]
+
+    monkeypatch.setattr(models_module, "_search", recorded)
+    assert any(semistable_series(lines, 40).coeffs)
+    assert perfection_check(triple, 40).ok
+    children: dict = {}
+    for root in (lines, triple):
+        _node_models(series._node(root, 40), children)
+    assert len(children) > 10
+    assert all(child._factors is None for child in children.values())
+    assert returned
+    for points, (b, s) in returned:
+        assert all(type(x) is int for x in (*b, s, *(x for p in points for x in p)))
+    monkeypatch.setattr(models_module, "_search", search)
+    _, walked = _check_recursion_children([lines, triple])
+    assert all(child in walked for child in children.values())
+    assert all(child._factors is not None for child in children.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_systems())
+def test_search_keys_are_reduced_integer_betas(model):
+    """Each profile's key (B, s) has s > 0 and gcd(s, *B) = 1 and converts to
+    the Fraction search's beta; the index set's betas ascend as Fractions."""
+    for profile in models_module.enumerate_profiles(model):
+        b, s = models_module._search(model, profile)[1]
+        assert s > 0 and gcd(s, *b) == 1
+        points = oracle.minkowski_points(model, profile)
+        assert models_module._beta((b, s)) == oracle.nearest_point(points, model.form).beta
+    betas = index_betas(model)
+    assert all(x < y for x, y in zip(betas, betas[1:]))
+
+
+@pytest.mark.parametrize("model", [projective_space_model(["1/2", "1/3", -1]),
+                                   weighted_model(2, [[["1/2", 0], ["1/3", 0], [-1, 0]]])],
+                         ids=["rank-1", "rank-2"])
+def test_betas_sort_as_fractions_not_as_keys(model, empty_memo):
+    """By key, ((1,), 2) sorts before ((1,), 3), that is 1/2 before 1/3."""
+    halves = [(Fraction(-1),), (Fraction(0),), (Fraction(1, 3),), (Fraction(1, 2),)]
+    assert index_betas(model) == tuple(b + (Fraction(0),) * (model.rank - 1) for b in halves)
+    assert models_module._profile_scan(model).firsts == models_module._record(model).firsts
 
 
 def test_constructed_models_cache_their_lattice():

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from moment_strata import (classify_profile, index_betas, is_generic,
-                           line_product_model, perfection_check,
-                           perturbed_model, propose_epsilon, refinement_report,
+from moment_strata import (RefinementViolation, classify_profile, index_betas,
+                           is_generic, line_product_model, perfection_check,
+                           perturbed_model, projective_space_model,
+                           propose_epsilon, refinement_report,
                            strictly_semistable_witness, weighted_model)
 from moment_strata.models import enumerate_profiles
 
@@ -44,6 +45,24 @@ def test_refinement_fiber_splits_zero_stratum_of_four_lines():
     report = refinement_report(m, eps)
     fiber = report.fiber_over((Fraction(0),))
     assert set(fiber) == {(Fraction(-1, 97),), (Fraction(0),)}
+
+
+@pytest.mark.parametrize("model, epsilon, witness", [
+    (projective_space_model([2, 0, -2]), [2],
+     ((0,), ((2,), (0,)), (((0,),), ((0, 2),)))),
+    (line_product_model(3), [Fraction(3, 2)],
+     ((Fraction(-1, 2),), ((1,), (0,)),
+      (((1,), (0,), (0,)), ((1,), (0,), (0, 1))))),
+], ids=["p2", "l3"])
+def test_a_coarse_epsilon_is_witnessed_by_its_first_two_profiles(model, epsilon, witness):
+    """The witness names the perturbed beta, the two original betas it meets,
+    as Fractions, and the first two profiles in enumeration order that meet them."""
+    with pytest.raises(RefinementViolation) as info:
+        refinement_report(model, epsilon)
+    got = info.value.witness
+    assert (got["perturbed_beta"], got["original_betas"], got["profiles"]) == witness
+    betas = [got["perturbed_beta"], *got["original_betas"]]
+    assert all(type(x) is Fraction for beta in betas for x in beta)
 
 
 def test_refinement_is_bijective_for_three_lines():
