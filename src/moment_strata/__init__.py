@@ -25,14 +25,15 @@ _EXPORTS = {
     "errors": ("EpsilonSearchFailed FlagAmbiguity MomentStrataError "
                "NotCoprimeStable NotDivisible RefinementViolation "
                "TruncationTooSmall VerificationFailed WeylSymmetryRequired"),
-    "geometry": ("BilinearForm ProjectionCertificate closest_point_to_origin "
-                 "identity_form origin_in_hull origin_in_interior"),
+    "geometry": ("ProjectionCertificate closest_point_to_origin origin_in_hull "
+                 "origin_in_interior"),
     "kirwan": ("KernelIdeal Presentation betti_from_presentation "
                "in_relation_span line_product_presentation "
                "projective_space_presentation restrict_to_subspace "
                "sl2_kernel_ideal thom_gysin_lift tolman_weitsman_kernel "
                "torus_kernel_ideal torus_strata two_sided_kernel_report "
                "weyl_kernel_bijection_report"),
+    "linalg": "BilinearForm identity_form",
     "models": ("CriticalComponent IndexStratum ProfileClass WeightedModel "
                "WeylGroup classify_profile critical_components index_betas "
                "index_set is_semistable is_stable line_product_model "

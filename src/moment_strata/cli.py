@@ -3,8 +3,9 @@
 Every subcommand reads JSON input (a file path, or ``-`` for stdin), computes
 in exact rational arithmetic, and prints a single JSON report to stdout.  The
 report carries the subcommand name, the normalized arguments, a SHA-256
-digest of the raw input bytes, and the structured result.  Identical inputs
-produce byte-identical reports.
+digest of the raw input bytes (the interpreter's builtin hash, so no job loads
+OpenSSL; `hashlib` where a build lacks it), and the structured result.
+Identical inputs produce byte-identical reports.
 
 Exit codes: 0 on success, 2 for input validation problems, 3 when a
 mathematical precondition fails; in the latter case the report printed to
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import re
@@ -33,6 +33,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import MomentStrataError, NotCoprimeStable, TruncationTooSmall
+
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10-3.11
+    except ImportError:                 # builds without the builtin hashes
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .models import WeightedModel
@@ -87,7 +95,7 @@ def _rational(value, what: str) -> Fraction:
 def _load_model(path: str) -> tuple[WeightedModel, bytes]:
     """Model JSON: {"rank": r, "factors": [[[w, ...], ...], ...],
     "form": optional Gram rows, "weyl": optional group name}."""
-    from .geometry import BilinearForm
+    from .linalg import BilinearForm
     from .models import WEYL_GROUPS, _check_weyl, weighted_model
 
     data = _read_source(path, "model file")
@@ -185,7 +193,7 @@ def _emit(args: argparse.Namespace, inputs: tuple[bytes, ...], result: dict) -> 
     report = {
         "command": args.subcommand,
         "arguments": _jsonify(arguments),
-        "input_digest": hashlib.sha256(b"\x00".join(inputs)).hexdigest(),
+        "input_digest": sha256(b"\x00".join(inputs)).hexdigest(),
         "exact_arithmetic": True,
         "result": _jsonify(result),
     }
@@ -320,7 +328,7 @@ def _cmd_kirwan(args) -> int:
     from .kirwan import (Presentation, betti_from_presentation, sl2_kernel_ideal,
                          torus_kernel_ideal, two_sided_kernel_report,
                          weyl_kernel_bijection_report)
-    from .residues import presented_ring
+    from .models import presented_ring
 
     model, raw = _load_model(args.model)
     if args.max_degree < 0:
@@ -376,8 +384,8 @@ def _cmd_kirwan(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
-    from .models import quotient_top_degree
-    from .residues import PAIRING_SCALE, presented_ring, residue_pairing
+    from .models import presented_ring, quotient_top_degree
+    from .residues import PAIRING_SCALE, residue_pairing
 
     model, raw = _load_model(args.model)
     variables = presented_ring(model)

@@ -15,61 +15,24 @@ on in integers. :func:`closest_point_to_origin` then selects the canonical
 certificate of the beta it found, the lexicographically smallest affinely
 independent support on the contact face, and checks it with
 :meth:`ProjectionCertificate.verify`, which clears it of denominators and
-runs the same integer check. Interior tests are integer too.
+runs the same integer check. Interior tests are integer too. A model's scan
+runs :func:`_search`, the lattice search keyed by integers, once per profile.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
-from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from math import gcd, lcm
+from operator import add
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import VerificationFailed
-from .linalg import Value, Vector, dot, frac, vsub
+from .linalg import (BilinearForm, Vector, _det, _iapply, _idot, clear_denominators, frac,
+                     identity_form, vsub)
 
-
-class BilinearForm(Value):
-    """Symmetric positive definite form on Q^rank, given by its Gram matrix;
-    ``cleared``, not compared, is (c, c * gram) for c the lcm of its denominators."""
-
-    __slots__ = ("gram", "cleared")
-    _compared = ("gram",)
-
-    def __init__(self, gram: tuple[tuple[Fraction, ...], ...]):
-        if any(len(row) != len(gram) for row in gram):
-            raise ValueError("Gram matrix must be square")
-        if tuple(map(tuple, gram)) != tuple(zip(*gram)):
-            raise ValueError("Gram matrix must be symmetric")
-        # Sylvester's criterion: every leading principal minor is positive
-        c, cleared = clear_denominators(gram)
-        if any(_det([row[:k] for row in cleared[:k]]) <= 0
-               for k in range(1, len(cleared) + 1)):
-            raise ValueError("form is not positive definite")
-        self.gram, self.cleared = gram, (c, tuple(cleared))
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
-    def inner(self, u: Vector, v: Vector) -> Fraction:
-        return dot(u, self.apply(v))
-
-    def norm2(self, u: Vector) -> Fraction:
-        return self.inner(u, u)
-
-    def apply(self, v: Vector) -> Vector:
-        """G v: the covector with inner(u, v) == dot(u, apply(v))."""
-        return tuple(sum((g * x for g, x in zip(row, v) if x != 0), Fraction(0))
-                     for row in self.gram)
-
-
-def identity_form(rank: int) -> BilinearForm:
-    return BilinearForm(tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(rank))
-        for i in range(rank)
-    ))
+if TYPE_CHECKING:
+    from .models import Lattice, Profile, WeightedModel
 
 
 class ProjectionCertificate(NamedTuple):
@@ -152,41 +115,9 @@ def _canonical_certificate(points: Sequence[Vector], form: BilinearForm,
 # the nearest-point search on the integer lattice
 
 
-def clear_denominators(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
-    """(D, [D p]) for D the lcm of all denominators: the scaled points keep
-    their lexicographic order and their distinctness."""
-    d = lcm(*(x.denominator for p in points for x in p))
-    return d, [tuple(x.numerator * (d // x.denominator) for x in p) for p in points]
-
-
-def _idot(u, v) -> int:
-    return sum(map(mul, u, v))
-
-
-def _iapply(gram, v) -> tuple[int, ...]:
-    return tuple(_idot(row, v) for row in gram)
-
-
 def _combine(pts, support, weights) -> tuple[int, ...]:
     return tuple(map(sum, zip(*([w * x for x in pts[i]]
                                 for i, w in zip(support, weights)))))
-
-
-def _det(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination
-    (Bareiss, Math. Comp. 22, 1968)."""
-    m, sign, det = [list(row) for row in m], 1, 1
-    for i in range(len(m)):
-        k = next((k for k in range(i, len(m)) if m[k][i]), None)
-        if k is None:
-            return 0
-        if k != i:
-            m[i], m[k], sign = m[k], m[i], -sign
-        for row in m[i + 1:]:
-            row[i + 1:] = [(m[i][i] * x - row[i] * y) // det
-                           for x, y in zip(row[i + 1:], m[i][i + 1:])]
-        det = m[i][i]
-    return sign * det
 
 
 class LatticeCertificate(NamedTuple):
@@ -304,6 +235,26 @@ def lattice_nearest_point(points, gram) -> LatticeCertificate:
         raise VerificationFailed("projection certificate failed "
                                  "self-verification", witness=cert._asdict())
     return cert
+
+
+def _lattice_points(weights: Lattice, profile: Profile) -> tuple[tuple[int, ...], ...]:
+    """Deduplicated sums of one selected lattice weight per factor, sorted."""
+    acc = {(0,) * len(weights[0][0])}
+    for supp, fac in zip(profile, weights):
+        step = {fac[k] for k in supp}
+        acc = {tuple(map(add, s, w)) for s in acc for w in step}
+    return tuple(sorted(acc))
+
+
+def _search(model: WeightedModel, profile: Profile) -> tuple[tuple, tuple[tuple[int, ...], int]]:
+    """Lattice Minkowski points and the key (B, s) of their beta B / s, s > 0 and
+    gcd(s, *B) = 1: one verified search on the model's cleared Gram matrix."""
+    d, weights = model.lattice
+    points = _lattice_points(weights, profile)
+    search = lattice_nearest_point(points, model.form.cleared[1])
+    scale = d * sum(search.coefficients)
+    g = gcd(scale, *search.beta)
+    return points, (tuple(x // g for x in search.beta), scale // g)
 
 
 def nearest_point(points: Sequence[Vector], form: BilinearForm) -> ProjectionCertificate:

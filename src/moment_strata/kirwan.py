@@ -37,7 +37,6 @@ from .linalg import SpanBasis, Value, frac, null_space
 from .models import WeightedModel, require_negation_symmetric, weighted_model
 from .polynomials import (Exponents, GradedPolynomial, divide_exact, euler_product,
                           exponents_of_degree, graded_piece_dim, polynomial_division)
-from .residues import fixed_components, restriction_matrix
 
 
 class Presentation(Value):
@@ -440,6 +439,8 @@ def tolman_weitsman_kernel(pres: Presentation, max_degree: int
     kernel in the presented ring on normal-form monomials, followed by the
     relations e - nf(e) for each monomial e outside the normal-form basis.
     """
+    from .residues import fixed_components, restriction_matrix
+
     comps = fixed_components(pres.model())
     sides = ([c for c in comps if c.mu <= 0], [c for c in comps if c.mu >= 0])
     v = pres.variables

@@ -1,4 +1,5 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and the forms and integer vectors
+that models share with the geometry, so a model is built without loading it.
 
 Everything here is elementary but load-bearing: certificates elsewhere in the
 package are only as trustworthy as the arithmetic below, so nothing touches
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
@@ -57,6 +59,80 @@ def vsub(u: Vector, v: Vector) -> Vector:
 
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def clear_denominators(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, [D p]) for D the lcm of all denominators: the scaled points keep
+    their lexicographic order and their distinctness."""
+    d = lcm(*(x.denominator for p in points for x in p))
+    return d, [tuple(x.numerator * (d // x.denominator) for x in p) for p in points]
+
+
+def _idot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _iapply(gram, v) -> tuple[int, ...]:
+    return tuple(_idot(row, v) for row in gram)
+
+
+def _det(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968)."""
+    m, sign, det = [list(row) for row in m], 1, 1
+    for i in range(len(m)):
+        k = next((k for k in range(i, len(m)) if m[k][i]), None)
+        if k is None:
+            return 0
+        if k != i:
+            m[i], m[k], sign = m[k], m[i], -sign
+        for row in m[i + 1:]:
+            row[i + 1:] = [(m[i][i] * x - row[i] * y) // det
+                           for x, y in zip(row[i + 1:], m[i][i + 1:])]
+        det = m[i][i]
+    return sign * det
+
+
+class BilinearForm(Value):
+    """Symmetric positive definite form on Q^rank, given by its Gram matrix;
+    ``cleared``, not compared, is (c, c * gram) for c the lcm of its denominators."""
+
+    __slots__ = ("gram", "cleared")
+    _compared = ("gram",)
+
+    def __init__(self, gram: tuple[tuple[Fraction, ...], ...]):
+        if any(len(row) != len(gram) for row in gram):
+            raise ValueError("Gram matrix must be square")
+        if tuple(map(tuple, gram)) != tuple(zip(*gram)):
+            raise ValueError("Gram matrix must be symmetric")
+        # Sylvester's criterion: every leading principal minor is positive
+        c, cleared = clear_denominators(gram)
+        if any(_det([row[:k] for row in cleared[:k]]) <= 0
+               for k in range(1, len(cleared) + 1)):
+            raise ValueError("form is not positive definite")
+        self.gram, self.cleared = gram, (c, tuple(cleared))
+
+    @property
+    def rank(self) -> int:
+        return len(self.gram)
+
+    def inner(self, u: Vector, v: Vector) -> Fraction:
+        return dot(u, self.apply(v))
+
+    def norm2(self, u: Vector) -> Fraction:
+        return self.inner(u, u)
+
+    def apply(self, v: Vector) -> Vector:
+        """G v: the covector with inner(u, v) == dot(u, apply(v))."""
+        return tuple(sum((g * x for g, x in zip(row, v) if x != 0), Fraction(0))
+                     for row in self.gram)
+
+
+def identity_form(rank: int) -> BilinearForm:
+    return BilinearForm(tuple(
+        tuple(Fraction(1) if i == j else Fraction(0) for j in range(rank))
+        for i in range(rank)
+    ))
 
 
 def null_space(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:

@@ -13,8 +13,9 @@ Fractions, made on first read, appear only in what leaves them: distinct betas,
 certificates and their points, component values and a submodel's weights.
 
 The preconditions of a quotient (its top degree, negation symmetry for the
-reflection group, semistable == stable) are read off the model here, so the
-cohomology layers need not load the series recursion.
+reflection group, semistable == stable) and its `presented_ring` are read off
+the model here, so the cohomology layers need not load the series recursion;
+the geometry is bound once per scan or classification, so `kirwan` skips it.
 """
 
 from __future__ import annotations
@@ -22,23 +23,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import NotCoprimeStable, VerificationFailed, WeylSymmetryRequired
-from .geometry import (
-    BilinearForm,
-    ProjectionCertificate,
-    _canonical_certificate,
-    _iapply,
-    _idot,
-    clear_denominators,
-    closest_point_to_origin,
-    identity_form,
-    lattice_nearest_point,
-    origin_in_interior,
-)
-from .linalg import Value, Vector, frac
+from .linalg import (BilinearForm, Value, Vector, _iapply, _idot, clear_denominators, frac,
+                     identity_form)
+
+if TYPE_CHECKING:
+    from .geometry import ProjectionCertificate
 
 
 class WeylGroup(NamedTuple):
@@ -159,15 +151,6 @@ def _check_profile(model: WeightedModel, profile: Profile):
 Lattice = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _lattice_points(weights: Lattice, profile: Profile) -> tuple[tuple[int, ...], ...]:
-    """Deduplicated sums of one selected lattice weight per factor, sorted."""
-    acc = {(0,) * len(weights[0][0])}
-    for supp, fac in zip(profile, weights):
-        step = {fac[k] for k in supp}
-        acc = {tuple(map(add, s, w)) for s in acc for w in step}
-    return tuple(sorted(acc))
-
-
 def _fractions(d: int, points) -> tuple[Vector, ...]:
     """Lattice points over the denominator d, as Fraction points."""
     return tuple(tuple(Fraction(x, d) for x in p) for p in points)
@@ -175,6 +158,8 @@ def _fractions(d: int, points) -> tuple[Vector, ...]:
 
 def minkowski_points(model: WeightedModel, profile: Profile) -> tuple[Vector, ...]:
     """Deduplicated sums of one selected weight per factor, sorted."""
+    from .geometry import _lattice_points
+
     _check_profile(model, profile)
     d, weights = model.lattice
     return _fractions(d, _lattice_points(weights, profile))
@@ -193,6 +178,8 @@ class ProfileClass(NamedTuple):
 
 
 def classify_profile(model: WeightedModel, profile: Profile) -> ProfileClass:
+    from .geometry import closest_point_to_origin, origin_in_interior
+
     points = minkowski_points(model, profile)
     cert = closest_point_to_origin(points, model.form)
     semistable = all(x == 0 for x in cert.beta)
@@ -289,6 +276,8 @@ class _Record(Value):
     @property
     def strata(self) -> tuple[IndexStratum, ...]:
         if self._strata is None:
+            from .geometry import _canonical_certificate
+
             points = [_fractions(d, pts) for _, _, (d, pts) in self.firsts]
             self._strata = tuple(IndexStratum(b, _canonical_certificate(pts, self.form, b), f, pts)
                                  for (b, f, _), pts in zip(self.firsts, points))
@@ -315,19 +304,10 @@ def _beta(key: tuple[tuple[int, ...], int]) -> Vector:
     return tuple(Fraction(x, key[1]) for x in key[0])
 
 
-def _search(model: WeightedModel, profile: Profile) -> tuple[tuple, tuple[tuple[int, ...], int]]:
-    """Lattice Minkowski points and the key (B, s) of their beta B / s, s > 0 and
-    gcd(s, *B) = 1: one verified search on the model's cleared Gram matrix."""
-    d, weights = model.lattice
-    points = _lattice_points(weights, profile)
-    search = lattice_nearest_point(points, model.form.cleared[1])
-    scale = d * sum(search.coefficients)
-    g = gcd(scale, *search.beta)
-    return points, (tuple(x // g for x in search.beta), scale // g)
-
-
 def _profile_scan(model: WeightedModel) -> _Record:
     """One verified search per enumerated profile, its beta compared by key."""
+    from .geometry import _search, origin_in_interior
+
     found: dict[tuple, tuple] = {}
     witness = None
     for profile in enumerate_profiles(model):
@@ -349,6 +329,8 @@ def _interval_scan(model: WeightedModel) -> _Record:
     summing to v; the witness is the first summing to 0. Each profile is
     found slot by slot against what the later slots can reach, and checked
     by the verified search."""
+    from .geometry import _search, origin_in_interior
+
     d, weights = model.lattice
     # per slot in enumeration order: position, values, first indices. The
     # least choice is non-decreasing within a group, or a swap would lower it
@@ -445,6 +427,22 @@ def require_quotient(model: WeightedModel, group: str):
     if witness is not None:
         raise NotCoprimeStable("model has a strictly semistable profile",
                                witness={"profile": witness})
+
+
+def presented_ring(model: WeightedModel) -> tuple[str, ...]:
+    """Variables of the ring `kirwan` presents for the model: a single
+    weighted projective factor, or lines each with exactly the weights 1 and
+    -1; ValueError for any other model."""
+    if model.rank != 1:
+        raise ValueError("presentations exist for rank-1 models only")
+    if len(model.factors) == 1:
+        if len(model.factors[0]) < 2:
+            raise ValueError("need at least two coordinates")
+        return ("z", "a")
+    if all(sorted(fac) == [(-1,), (1,)] for fac in model.factors):
+        return tuple(f"z{i+1}" for i in range(len(model.factors))) + ("a",)
+    raise ValueError("no presentation for this model: need a single "
+                     "weighted projective factor or a product of lines")
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import EpsilonSearchFailed, RefinementViolation
+from .geometry import _search
 from .linalg import Vector, frac, vsub
 from .models import (
     WeightedModel,
     _beta,
-    _search,
     enumerate_profiles,
     index_betas,
     strictly_semistable_witness,

@@ -85,10 +85,6 @@ class GradedPolynomial(Value):
             d[e] = d[e] - c if e in d else -c
         return GradedPolynomial(self.variables, _sorted_terms(d))
 
-    def __neg__(self) -> "GradedPolynomial":
-        return GradedPolynomial(self.variables,
-                                tuple((e, -c) for e, c in self.terms))
-
     def __mul__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._same_ring(other)
         d: dict[Exponents, Fraction] = {}

@@ -18,7 +18,7 @@ over the positive strata only, each codimension lowered by two.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import TruncationTooSmall, VerificationFailed
 from .linalg import SpanBasis, Value
@@ -45,14 +45,6 @@ class TruncatedSeries(Value):
     @property
     def truncation(self) -> int:
         return len(self.coeffs) - 1
-
-    @staticmethod
-    def one(truncation: int) -> "TruncatedSeries":
-        return TruncatedSeries((1,) + (0,) * truncation)
-
-    @staticmethod
-    def from_coeffs(cs: Sequence[int], truncation: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(cs[:truncation + 1]) + (0,) * (truncation + 1 - len(cs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._align(other)
@@ -88,22 +80,6 @@ class TruncatedSeries(Value):
         for i in range(m, len(out)):
             out[i] += out[i - m]
         return TruncatedSeries(tuple(out))
-
-    def __str__(self) -> str:
-        terms = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(f"t^{d}")
-            elif c == -1:
-                terms.append(f"-t^{d}")
-            else:
-                terms.append(f"{c}*t^{d}")
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        return f"{body} (+ O(t^{self.truncation + 1}))"
 
 
 def _factor_product(model: WeightedModel, trunc: int) -> TruncatedSeries:

@@ -18,10 +18,10 @@ def pn_model(n):
 
 def profile_beta(model, profile):
     """The beta of any support profile, by the scan's verified search."""
-    from moment_strata import models
+    from moment_strata import geometry, models
 
     models._check_profile(model, profile)
-    return models._beta(models._search(model, profile)[1])
+    return models._beta(geometry._search(model, profile)[1])
 
 
 @pytest.fixture

@@ -261,8 +261,7 @@ def test_presentation_shape_errors(tmp_path, capsys, command, factors, message):
 ])
 def test_pairing_ring_matches_the_presentation(factors, pres):
     from moment_strata import kirwan
-    from moment_strata.models import weighted_model
-    from moment_strata.residues import presented_ring
+    from moment_strata.models import presented_ring, weighted_model
 
     name, arg = pres
     pres = getattr(kirwan, name)(arg)

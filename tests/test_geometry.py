@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from moment_strata import (BilinearForm, closest_point_to_origin,
                            identity_form, origin_in_hull, origin_in_interior)
 from moment_strata import geometry
-from moment_strata.geometry import (_canonical_certificate, _project_affine,
-                                    clear_denominators, nearest_point)
+from moment_strata.geometry import _canonical_certificate, _project_affine, nearest_point
 from fraction_oracle import lp_feasible, matrix_rank, rref, solve_linear, vadd, vscale
-from moment_strata.linalg import vsub
+from moment_strata.linalg import clear_denominators, vsub
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 

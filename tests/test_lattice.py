@@ -36,8 +36,9 @@ from moment_strata import geometry, series
 from moment_strata import models as models_module
 from moment_strata.geometry import (LatticeCertificate, ProjectionCertificate,
                                     _canonical_certificate, _combine,
-                                    _verify_lattice, clear_denominators,
-                                    lattice_nearest_point, nearest_point)
+                                    _verify_lattice, lattice_nearest_point,
+                                    nearest_point)
+from moment_strata.linalg import clear_denominators
 
 from conftest import pn_model, profile_beta
 
@@ -174,16 +175,45 @@ entries = st.one_of(st.integers(-3, 3).map(Fraction), st.integers(-3, 3).map(Fra
                     st.builds(Fraction, st.integers(-6, 6), st.sampled_from((2, 3))))
 
 
+# The cut on drawn shapes: at most this many support profiles. A factor of
+# n distinct points has 2^n - 1 supports and a model's profiles are at most
+# their product, so 3 x 4 points (3375 profiles, seconds of Fraction oracle
+# work per draw) is cut while 4 + 3 points on two factors (105) is not; the
+# cut shapes are the fixed `LARGE_SYSTEMS` below.
+MAX_DRAWN_PROFILES = 105
+
+
 @st.composite
 def weight_systems(draw):
-    """The criterion-02 generator's shapes: rank 1-3, 1-3 factors of 1-4
-    distinct points in [-3, 3]^rank, with some p/q entries and sometimes a
-    random rational form."""
+    """The criterion-02 generator's shapes, cut to `MAX_DRAWN_PROFILES`:
+    rank 1-3, 1-3 factors of 1-4 distinct points in [-3, 3]^rank, each
+    factor at most as large as the profiles the earlier ones leave room for,
+    with some p/q entries and sometimes a random rational form."""
     rank = draw(st.integers(1, 3))
     point = st.tuples(*[entries] * rank)
-    factors = [draw(st.lists(point, min_size=1, max_size=4, unique=True))
-               for _ in range(draw(st.integers(1, 3)))]
+    factors, room = [], MAX_DRAWN_PROFILES
+    for _ in range(draw(st.integers(1, 3))):
+        most = max(n for n in range(1, 5) if 2 ** n - 1 <= room)
+        factors.append(draw(st.lists(point, min_size=1, max_size=most, unique=True)))
+        room //= 2 ** len(factors[-1]) - 1
     return weighted_model(rank, factors, draw(forms(rank)))
+
+
+def _system(rank, *factors, form=None):
+    return weighted_model(rank, [[[Fraction(x) for x in w] for w in fac] for fac in factors],
+                          form)
+
+
+# the shapes the cut removes: three factors of three or four points, with
+# p/q entries and zero weights
+LARGE_SYSTEMS = [
+    _system(1, [[-3], ["3/2"], [1], ["-2/3"]], [[2], [0], [-1], [3]], [["1/2"], [-2], [3], [1]]),
+    _system(2, [[1, 0], [0, 1], [-1, -1], ["1/2", 2]], [[2, -1], ["-3/2", 0], [0, 3], [1, 1]],
+            [[-2, "1/3"], [3, -3], [0, 0]],
+            form=BilinearForm(((Fraction(2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1))))),
+    _system(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, "-1/2"]],
+            [[2, -1, 0], ["-3/2", 0, 1], [0, 3, -2]], [[-2, "1/3", 1], [3, -3, 0], [0, 0, -1]]),
+]
 
 
 @settings(max_examples=100, deadline=None)
@@ -226,13 +256,13 @@ def test_the_recursion_makes_no_fraction_it_does_not_return(monkeypatch, empty_m
     afterwards, each child's weights are the Fraction shift of its parent's."""
     a2 = [[1, 0], [0, 1], [-1, -1]]
     lines, triple = line_product_model(6), weighted_model(2, [a2, a2, a2])
-    returned, search = [], models_module._search
+    returned, search = [], geometry._search
 
     def recorded(model, profile):
         returned.append(search(model, profile))
         return returned[-1]
 
-    monkeypatch.setattr(models_module, "_search", recorded)
+    monkeypatch.setattr(geometry, "_search", recorded)
     assert any(semistable_series(lines, 40).coeffs)
     assert perfection_check(triple, 40).ok
     children: dict = {}
@@ -243,24 +273,34 @@ def test_the_recursion_makes_no_fraction_it_does_not_return(monkeypatch, empty_m
     assert returned
     for points, (b, s) in returned:
         assert all(type(x) is int for x in (*b, s, *(x for p in points for x in p)))
-    monkeypatch.setattr(models_module, "_search", search)
+    monkeypatch.setattr(geometry, "_search", search)
     _, walked = _check_recursion_children([lines, triple])
     assert all(child in walked for child in children.values())
     assert all(child._factors is not None for child in children.values())
 
 
-@settings(max_examples=60, deadline=None)
-@given(weight_systems())
-def test_search_keys_are_reduced_integer_betas(model):
+def _check_search_keys(model):
     """Each profile's key (B, s) has s > 0 and gcd(s, *B) = 1 and converts to
     the Fraction search's beta; the index set's betas ascend as Fractions."""
     for profile in models_module.enumerate_profiles(model):
-        b, s = models_module._search(model, profile)[1]
+        b, s = geometry._search(model, profile)[1]
         assert s > 0 and gcd(s, *b) == 1
         points = oracle.minkowski_points(model, profile)
         assert models_module._beta((b, s)) == oracle.nearest_point(points, model.form).beta
     betas = index_betas(model)
     assert all(x < y for x, y in zip(betas, betas[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_systems())
+def test_search_keys_are_reduced_integer_betas(model):
+    _check_search_keys(model)
+
+
+@pytest.mark.parametrize("model", LARGE_SYSTEMS, ids=["rank-1", "rank-2", "rank-3"])
+def test_keys_and_shifts_on_the_shapes_the_draw_cuts(model):
+    _check_search_keys(model)
+    _check_recursion_children([model])
 
 
 @pytest.mark.parametrize("model", [projective_space_model(["1/2", "1/3", -1]),

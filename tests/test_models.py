@@ -16,8 +16,8 @@ from moment_strata import (IndexStratum, classify_profile, critical_components,
                            projective_space_model, propose_epsilon,
                            semistable_series, shifted_submodel, stratum_codim,
                            strictly_semistable_witness, weighted_model)
-from moment_strata.geometry import (BilinearForm, _canonical_certificate,
-                                    origin_in_interior)
+from moment_strata.geometry import _canonical_certificate, origin_in_interior
+from moment_strata.linalg import BilinearForm
 from moment_strata.models import enumerate_profiles, minkowski_points
 
 from conftest import pn_model, profile_beta
@@ -193,15 +193,16 @@ def _name_uses(path, name):
 
 
 def test_only_search_runs_the_verified_search():
-    """Outside `geometry`, every profile's verified nearest-point search goes
-    through `models._search`: the scans, their checks and the refinement."""
+    """Every profile's verified nearest-point search goes through
+    `geometry._search`: the scans, their checks and the refinement. Inside
+    `geometry` only the search itself and the two Fraction-point entries
+    call it; no other module names it."""
     from moment_strata import models
 
     uses = [f"{path.stem}.{function}"
             for path in sorted(Path(models.__file__).parent.glob("*.py"))
-            if path.name != "geometry.py"
             for function in _name_uses(path, "lattice_nearest_point")]
-    assert uses == ["models._search"]
+    assert uses == ["geometry._search", "geometry.nearest_point", "geometry.origin_in_hull"]
     assert not hasattr(models, "_profile_betas")
 
 
@@ -370,10 +371,10 @@ def test_rank1_index_set_enumerates_no_profiles(monkeypatch, empty_memo):
 
 
 def test_refinement_report_makes_one_pass_per_model(monkeypatch):
-    from moment_strata import models, perturb
+    from moment_strata import geometry, models, perturb
 
     searches, enumerations = [], []
-    search, enumerate_ = models._search, models.enumerate_profiles
+    search, enumerate_ = geometry._search, models.enumerate_profiles
 
     def counted_search(model, profile):
         searches.append(model)
@@ -397,18 +398,44 @@ def test_refinement_report_makes_one_pass_per_model(monkeypatch):
     assert searches == [shifted, m] * count
 
 
+def test_no_import_runs_per_profile(monkeypatch, empty_memo):
+    """`models` binds the geometry once per scan and once per certificate
+    build, never per profile or per recursion node: over a series, a
+    perfection check and a refinement report, `geometry` is imported at
+    most once per record built and once per report."""
+    import builtins
+
+    from moment_strata import models, perturb
+
+    imports, real = [], builtins.__import__
+
+    def counted(name, globals=None, locals=None, fromlist=(), level=0):
+        if name.rpartition(".")[2] == "geometry" or "geometry" in (fromlist or ()):
+            imports.append(name)
+        return real(name, globals, locals, fromlist, level)
+
+    a2 = [[1, 0], [0, 1], [-1, -1]]
+    l4 = line_product_model(4)
+    monkeypatch.setattr(builtins, "__import__", counted)
+    semistable_series(line_product_model(6), 40)
+    assert perfection_check(weighted_model(2, [a2, a2, a2]), 40).ok
+    perturb.refinement_report(l4, perturb.propose_epsilon(l4).epsilon)
+    monkeypatch.setattr(builtins, "__import__", real)
+    assert imports and len(imports) <= len(models._MEMO) + 3, (len(imports), len(models._MEMO))
+
+
 @pytest.fixture
 def certificates_built(monkeypatch, empty_memo):
     """The betas of the canonical certificates the records build, in order."""
-    from moment_strata import models
+    from moment_strata import geometry
 
-    built, canonical = [], models._canonical_certificate
+    built, canonical = [], geometry._canonical_certificate
 
     def counted(points, form, beta):
         built.append(beta)
         return canonical(points, form, beta)
 
-    monkeypatch.setattr(models, "_canonical_certificate", counted)
+    monkeypatch.setattr(geometry, "_canonical_certificate", counted)
     return built
 
 

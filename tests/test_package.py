@@ -122,6 +122,8 @@ print(json.dumps(sorted(sys.modules)))
 
 # `dataclasses` and the `inspect` it imports: no subcommand may load them
 CODE_GENERATION = {"dataclasses", "inspect"}
+# the input digest is the interpreter's builtin SHA-256, not OpenSSL's
+OPENSSL_HASHES = {"hashlib", "_hashlib"}
 
 RUN_CLI = """from moment_strata import cli
 with contextlib.redirect_stdout(io.StringIO()):
@@ -130,10 +132,11 @@ assert code == 0, code"""
 
 INDEX_SET = ["cli", "errors", "geometry", "linalg", "models"]
 # `pairing` needs only the variable names of a presentation, not `kirwan`,
-# and neither reads a quotient's preconditions from `series`
+# and neither reads a quotient's preconditions from `series`; `kirwan`
+# scans no profile and restricts to no fixed component
 PAIRING = ["cli", "errors", "geometry", "linalg", "models", "polynomials",
            "residues"]
-COHOMOLOGY = sorted(PAIRING + ["kirwan"])
+KIRWAN = ["cli", "errors", "kirwan", "linalg", "models", "polynomials"]
 
 INPUTS = {
     "p1.json": {"rank": 1, "factors": [[["1"], ["-1"]]]},
@@ -148,7 +151,7 @@ SUBCOMMANDS = [
     (["perturb", "p1.json"], sorted(INDEX_SET + ["perturb"])),
     (["config", "config.json", "--family", "p1"],
      ["cli", "configs", "errors", "linalg"]),
-    (["kirwan", "--max-degree", "2", "p1.json"], COHOMOLOGY),
+    (["kirwan", "--max-degree", "2", "p1.json"], KIRWAN),
     (["pairing", "p1.json", "z", "1"], PAIRING),
 ]
 
@@ -176,7 +179,40 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, bare_modules, argv, module
         (tmp_path / name).write_text(json.dumps(obj))
     loaded = _child(ALL_MODULES % RUN_CLI, *argv, cwd=tmp_path)
     assert [m.split(".", 1)[1] for m in loaded if m.startswith("moment_strata.")] == modules
-    assert not (set(loaded) - bare_modules) & CODE_GENERATION
+    assert not (set(loaded) - bare_modules) & (CODE_GENERATION | OPENSSL_HASHES)
+
+
+def test_report_is_the_same_without_the_builtin_hashes(tmp_path):
+    """A build without `_sha2` and `_sha256` takes SHA-256 from `hashlib`
+    and prints the same report bytes."""
+    for name, obj in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    report = """import contextlib, io, json, sys
+%s
+from moment_strata import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+assert code == 0, code
+print(json.dumps([cli.sha256.__module__, out.getvalue()]))"""
+    argv = ["pairing", "p1.json", "z", "1"]
+    builtin, plain = _child(report % "", *argv, cwd=tmp_path)
+    without = "sys.modules['_sha2'] = sys.modules['_sha256'] = None"
+    fallback, stdout = _child(report % without, *argv, cwd=tmp_path)
+    assert builtin in ("_sha2", "_sha256") and fallback not in ("_sha2", "_sha256")
+    assert stdout == plain and json.loads(plain)["input_digest"]
+
+
+def test_input_digest_is_the_sha256_of_the_nul_joined_inputs(tmp_path, capsys):
+    import hashlib
+
+    from moment_strata import cli
+
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(INPUTS["p1.json"]))
+    assert cli.main(["pairing", str(path), "z", "1"]) == 0
+    digest = json.loads(capsys.readouterr().out)["input_digest"]
+    assert digest == hashlib.sha256(b"\x00".join([path.read_bytes(), b"z", b"1"])).hexdigest()
 
 
 def test_no_library_module_imports_dataclasses():
@@ -318,7 +354,7 @@ def test_module_level_memos_are_declared():
 # ---------------------------------------------------------------------------
 # size
 
-LINE_BUDGET = 3746
+LINE_BUDGET = 3737
 
 
 def test_library_stays_within_its_line_budget():

@@ -26,7 +26,7 @@ from moment_strata import (GradedPolynomial, betti_from_presentation, classify_p
                            refinement_report, semistable_series, sl2_weyl,
                            torus_kernel_ideal, torus_strata, two_sided_kernel_report,
                            weighted_model, weyl_kernel_bijection_report)
-from moment_strata.geometry import BilinearForm
+from moment_strata.linalg import BilinearForm
 from moment_strata.linalg import Value
 
 # compared fields of the __slots__ records, in constructor order

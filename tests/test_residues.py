@@ -18,10 +18,11 @@ from moment_strata import (GradedPolynomial, NotCoprimeStable,
                            restrict_to_component, sl2_kernel_ideal, sl2_weyl,
                            torus_kernel_ideal, weighted_model)
 from moment_strata import models, residues
+from moment_strata.models import presented_ring
 from moment_strata.polynomials import exponents_of_degree, monomials
 from moment_strata.residues import (_inverse_euler, component_variables,
                                     euler_class, fixed_components,
-                                    presented_ring, restriction_matrix)
+                                    restriction_matrix)
 
 from conftest import pn_model
 from fraction_oracle import laurent_inverse_euler, laurent_mul

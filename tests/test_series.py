@@ -26,7 +26,7 @@ def even_coeffs(series, upto):
 
 
 def test_truncated_series_arithmetic():
-    one = TruncatedSeries.one(6)
+    one = TruncatedSeries((1,) + (0,) * 6)
     geo = one.divide_one_minus(2)  # 1/(1-t^2)
     assert geo.coeffs == (1, 0, 1, 0, 1, 0, 1)
     assert (geo * geo).coeffs == (1, 0, 2, 0, 3, 0, 4)
@@ -43,10 +43,10 @@ def test_equivariant_series_of_single_line():
 def _factor_product_by_products(sizes, trunc):
     """The factors' polynomials 1 + t^2 + ... + t^(2s-2) as whole truncated
     series, multiplied together: the reference for `series._factor_product`."""
-    out = TruncatedSeries.one(trunc)
+    out = TruncatedSeries((1,) + (0,) * trunc)
     for size in sizes:
-        out = out * TruncatedSeries.from_coeffs(
-            [1 if (d % 2 == 0 and d < 2 * size) else 0 for d in range(trunc + 1)], trunc)
+        out = out * TruncatedSeries(
+            tuple(1 if (d % 2 == 0 and d < 2 * size) else 0 for d in range(trunc + 1)))
     return out
 
 
